@@ -63,6 +63,15 @@ class OperatorConfig:
     family: OperatorFamily = OperatorFamily.F_ALIGNED
     tnorm: TNormFamily = TNormFamily.MIN_MAX
 
+    def __post_init__(self):
+        _check_enum("family", self.family, OperatorFamily)
+        _check_enum("tnorm", self.tnorm, TNormFamily)
+
+
+def _check_enum(field: str, value, enum: type) -> None:
+    if not isinstance(value, enum):
+        raise TypeError(f"{field} must be a {enum.__name__}, got {value!r}")
+
 
 DEFAULT_CONFIG = OperatorConfig()
 
@@ -71,34 +80,64 @@ class ClampWarning(UserWarning):
     """An offset degree was clamped into [0, 1] for kernel application."""
 
 
+# Kernels on integer cross-products (denominators are positive), which
+# skip the ABC checks of Fraction comparison and arithmetic.
+def _min(a: Fraction, b: Fraction) -> Fraction:
+    return a if a.numerator * b.denominator <= b.numerator * a.denominator else b
+
+
+def _max(a: Fraction, b: Fraction) -> Fraction:
+    return b if b.numerator * a.denominator > a.numerator * b.denominator else a
+
+
+def _product_tnorm(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def _product_tconorm(a: Fraction, b: Fraction) -> Fraction:
+    n = a.numerator * b.denominator + b.numerator * a.denominator - a.numerator * b.numerator
+    return Fraction(n, a.denominator * b.denominator)
+
+
+def _luk_tnorm(a: Fraction, b: Fraction) -> Fraction:
+    d = a.denominator * b.denominator
+    n = a.numerator * b.denominator + b.numerator * a.denominator - d
+    return Fraction(n, d) if n > 0 else _ZERO
+
+
+def _luk_tconorm(a: Fraction, b: Fraction) -> Fraction:
+    d = a.denominator * b.denominator
+    n = a.numerator * b.denominator + b.numerator * a.denominator
+    return Fraction(n, d) if n < d else _ONE
+
+
+_KERNELS = {
+    TNormFamily.MIN_MAX: (_min, _max),
+    TNormFamily.PRODUCT: (_product_tnorm, _product_tconorm),
+    TNormFamily.LUKASIEWICZ: (_luk_tnorm, _luk_tconorm),
+}
+
+
 def tnorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """min(a, b) / ab / max(0, a + b - 1) on degrees in [0, 1]."""
-    a, b = as_fraction(a), as_fraction(b)
-    if family is TNormFamily.MIN_MAX:
-        return min(a, b)
-    if family is TNormFamily.PRODUCT:
-        return a * b
-    return max(_ZERO, a + b - _ONE)
+    _check_enum("family", family, TNormFamily)
+    return _KERNELS[family][0](as_fraction(a), as_fraction(b))
 
 
 def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """max(a, b) / a + b - ab / min(1, a + b) on degrees in [0, 1]."""
-    a, b = as_fraction(a), as_fraction(b)
-    if family is TNormFamily.MIN_MAX:
-        return max(a, b)
-    if family is TNormFamily.PRODUCT:
-        return a + b - a * b
-    return min(_ONE, a + b)
+    _check_enum("family", family, TNormFamily)
+    return _KERNELS[family][1](as_fraction(a), as_fraction(b))
 
 
 def _clamped(v: Fraction) -> Fraction:
-    if v < _ZERO or v > _ONE:
+    if not 0 <= v.numerator <= v.denominator:
         warnings.warn(
             f"degree {float(v)} clamped into [0, 1] for kernel application",
             ClampWarning,
             stacklevel=4,
         )
-        return min(max(v, _ZERO), _ONE)
+        return _ZERO if v.numerator < 0 else _ONE
     return v
 
 
@@ -120,28 +159,43 @@ def impl(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG)
     return disj(neg(x), y, cfg)
 
 
+def _family_ops(family: OperatorFamily, meet, join, blend, is_conj: bool):
+    """(t_op, i_op, f_op): I follows T, follows F, or blends both."""
+    t_op, f_op = (meet, join) if is_conj else (join, meet)
+    i_op = {OperatorFamily.T_ALIGNED: t_op, OperatorFamily.F_ALIGNED: f_op}.get(family, blend)
+    return t_op, i_op, f_op
+
+
+def _kernel_ops(kernel: TNormFamily):
+    tn, tc = _KERNELS[kernel]
+
+    def meet(a, b):
+        return tn(_clamped(a), _clamped(b))
+
+    def join(a, b):
+        return tc(_clamped(a), _clamped(b))
+
+    def blend(a, b):
+        return (meet(a, b) + join(a, b)) / 2
+
+    return meet, join, blend
+
+
+#: (t_op, i_op, f_op) for every (family, kernel, is_conj), built once.
+_OPERATORS = {
+    (family, kernel, is_conj): _family_ops(family, *_kernel_ops(kernel), is_conj)
+    for family in OperatorFamily
+    for kernel in TNormFamily
+    for is_conj in (True, False)
+}
+
+
 def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:
     if type(x.t) is not type(y.t):
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
     if isinstance(x.t, Nonstandard):
         return _combine_nonstandard(x, y, cfg, is_conj)
-
-    def meet(a, b):
-        return tnorm(_clamped(a), _clamped(b), cfg.tnorm)
-
-    def join(a, b):
-        return tconorm(_clamped(a), _clamped(b), cfg.tnorm)
-
-    def blend(a, b):
-        return (meet(a, b) + join(a, b)) / 2
-
-    t_op, f_op = (meet, join) if is_conj else (join, meet)
-    if cfg.family is OperatorFamily.T_ALIGNED:
-        i_op = t_op
-    elif cfg.family is OperatorFamily.F_ALIGNED:
-        i_op = f_op
-    else:
-        i_op = blend
+    t_op, i_op, f_op = _OPERATORS[cfg.family, cfg.tnorm, is_conj]
     return NeutroTriple(
         t=_map2(t_op, x.t, y.t),
         i=_map2(i_op, x.i, y.i),
@@ -185,13 +239,7 @@ def _combine_nonstandard(
     def blend(a, b):
         return add_ns(_ns_half(min_ns(a, b)), _ns_half(max_ns(a, b)))
 
-    t_op, f_op = (min_ns, max_ns) if is_conj else (max_ns, min_ns)
-    if cfg.family is OperatorFamily.T_ALIGNED:
-        i_op = t_op
-    elif cfg.family is OperatorFamily.F_ALIGNED:
-        i_op = f_op
-    else:
-        i_op = blend
+    t_op, i_op, f_op = _family_ops(cfg.family, min_ns, max_ns, blend, is_conj)
     pairs = [(x.t, y.t, t_op), (x.i, y.i, i_op), (x.f, y.f, f_op)]
     t, i, f = (Nonstandard(op(_ns_operand(cx), _ns_operand(cy))) for cx, cy, op in pairs)
     return NeutroTriple(t=t, i=i, f=f)

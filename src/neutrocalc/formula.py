@@ -98,67 +98,45 @@ class Implies:
 Formula = Union[Literal, Var, Not, And, Or, Implies]
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    pos: int  # 1-based character offset
-    value: Fraction | None = None
+    __slots__ = ("kind", "text", "pos", "value")  # pos: 1-based character offset
+
+    def __init__(self, kind: str, text: str, pos: int, value: Fraction | None = None):
+        self.kind, self.text, self.pos, self.value = kind, text, pos, value
 
 
 _ALIASES = {"∧": "&", "∨": "|", "¬": "!", "→": "->"}
-_PUNCT = set("<>[]{}(),&|!")
-_NUMBER = re.compile(r"\d+\.?\d*|\.\d+")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Every character starts exactly one alternative; "bad" catches the rest.
+_SCAN = re.compile(
+    r"(?P<space>\s+)|(?P<number>-?(?:\d+\.?\d*|\.\d+))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<bad>.)"
+)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if ch in _ALIASES:
-            tokens.append(_Token(_ALIASES[ch], ch, pos))
-            i += 1
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(_Token("->", "->", pos))
-                i += 2
-                continue
-            m = _NUMBER.match(text, i + 1)
-            if m:
-                tokens.append(_Token("number", "-" + m.group(), pos, -_to_fraction(m.group())))
-                i = m.end()
-                continue
-            raise FormulaSyntaxError("stray '-'", pos, frozenset({"'->'", "number"}))
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER.match(text, i)
-            if m:
-                tokens.append(_Token("number", m.group(), pos, _to_fraction(m.group())))
-                i = m.end()
-                continue
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), pos))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, pos))
-            i += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", n + 1))
+    for m in _SCAN.finditer(text):
+        kind, tok, pos = m.lastgroup, m.group(), m.start() + 1
+        if kind == "punct":
+            tokens.append(_Token(_ALIASES.get(tok, tok), tok, pos))
+        elif kind == "number":
+            tokens.append(_Token(kind, tok, pos, _to_fraction(tok)))
+        elif kind == "ident":
+            tokens.append(_Token(kind, tok, pos))
+        elif kind == "bad":
+            if tok == "-":
+                raise FormulaSyntaxError("stray '-'", pos, frozenset({"'->'", "number"}))
+            raise FormulaSyntaxError(f"unexpected character {tok!r}", pos)
+    tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
 
 def _to_fraction(digits: str) -> Fraction:
-    return Fraction(Decimal(digits))
+    whole, _, frac = digits.partition(".")
+    try:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    except ValueError:  # more digits than int() converts; Decimal has no limit
+        return Fraction(Decimal(digits))
 
 
 _DESC = {
@@ -183,7 +161,7 @@ class _Parser:
         self.idx = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.idx + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.idx + ahead]  # "end" is last and never passed
 
     def advance(self) -> _Token:
         tok = self.tokens[self.idx]
@@ -459,7 +437,8 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
             raise UnboundIdentifier(name)
         bindings[name] = canon(req.bindings[name])
 
-    for source, tr in [("literal", canon(lit)) for lit in _literals(tree)] + [
+    literals = [canon(lit) for lit in _literals(tree)]
+    for source, tr in [("literal", tr) for tr in literals] + [
         (f"binding {name!r}", tr) for name, tr in bindings.items()
     ]:
         report = validate(tr, req.bounds)
@@ -469,9 +448,11 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
                 f"{source} {format_triple(tr)} outside active bounds: {detail}", report
             )
 
+    admitted = iter(literals)  # fold visits literals in _literals' order
+
     def fold(node: Formula) -> NeutroTriple:
         if isinstance(node, Literal):
-            return canon(node.value)
+            return next(admitted)
         if isinstance(node, Var):
             return bindings[node.name]
         if isinstance(node, Not):

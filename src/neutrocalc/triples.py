@@ -66,7 +66,7 @@ class IntervalValued(Component):
     def __post_init__(self):
         object.__setattr__(self, "lo", as_fraction(self.lo))
         object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
+        if self.lo.numerator * self.hi.denominator > self.hi.numerator * self.lo.denominator:
             raise InvalidInterval(f"[{_plain(self.lo)}, {_plain(self.hi)}] is reversed")
 
     def __str__(self) -> str:
@@ -205,13 +205,14 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
-def _component_values(c: Component) -> list[Fraction]:
+def _component_values(c: Component):
+    """The underlying values in report order, their least and their greatest."""
     if isinstance(c, SingleValued):
-        return [c.value]
+        return (c.value,), c.value, c.value
     if isinstance(c, IntervalValued):
-        return [c.lo, c.hi]
+        return (c.lo, c.hi), c.lo, c.hi
     if isinstance(c, Hesitant):
-        return list(c.values)
+        return c.values, c.values[0], c.values[-1]
     # Range checks look only at underlying values; decorations at the
     # boundary (left monad of psi, right monad of omega) still pass.
     values = []
@@ -220,7 +221,7 @@ def _component_values(c: Component) -> list[Fraction]:
             values.append(m.value)
         else:
             values.extend([m.lo.value, m.hi.value])
-    return values
+    return values, min(values), max(values)
 
 
 def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationReport:
@@ -229,26 +230,35 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
     Violations are reported, never raised; offset data is legitimate
     input and the caller decides what to do with a failing report.
     """
+    psi, omega = bounds.psi, bounds.omega
+    pn, pd, on, od = psi.numerator, psi.denominator, omega.numerator, omega.denominator
     violations: list[Violation] = []
+    # Integer cross-products throughout; every denominator is positive.
+    # lo_n/lo_d and hi_n/hi_d sum the value extremes: the values of
+    # triple_sums(x), since decorations never move a sum's value.
+    lo_n = hi_n = 0
+    lo_d = hi_d = 1
     for where, c in (("t", x.t), ("i", x.i), ("f", x.f)):
-        for v in _component_values(c):
-            if v < bounds.psi:
+        values, lo, hi = _component_values(c)
+        for v in values:
+            n, d = v.numerator, v.denominator
+            if n * pd < pn * d:
                 violations.append(
-                    Violation(where, f"value {_plain(v)} below lower bound {_plain(bounds.psi)}")
+                    Violation(where, f"value {_plain(v)} below lower bound {_plain(psi)}")
                 )
-            elif v > bounds.omega:
+            elif n * od > on * d:
                 violations.append(
-                    Violation(where, f"value {_plain(v)} above upper bound {_plain(bounds.omega)}")
+                    Violation(where, f"value {_plain(v)} above upper bound {_plain(omega)}")
                 )
-    n_inf, n_sup = triple_sums(x)
-    lo, hi = 3 * bounds.psi, 3 * bounds.omega
-    if n_inf.value < lo:
+        lo_n, lo_d = lo_n * lo.denominator + lo.numerator * lo_d, lo_d * lo.denominator
+        hi_n, hi_d = hi_n * hi.denominator + hi.numerator * hi_d, hi_d * hi.denominator
+    if lo_n * pd < 3 * pn * lo_d:
         violations.append(
-            Violation("sum", f"lower sum {_plain(n_inf.value)} below {_plain(lo)}")
+            Violation("sum", f"lower sum {_plain(Fraction(lo_n, lo_d))} below {_plain(3 * psi)}")
         )
-    if n_sup.value > hi:
+    if hi_n * od > 3 * on * hi_d:
         violations.append(
-            Violation("sum", f"upper sum {_plain(n_sup.value)} above {_plain(hi)}")
+            Violation("sum", f"upper sum {_plain(Fraction(hi_n, hi_d))} above {_plain(3 * omega)}")
         )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

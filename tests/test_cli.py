@@ -1,6 +1,7 @@
 """Command line surface: output formats, golden tables, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate as check_schema
 
+import neutrocalc
 from neutrocalc.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -395,10 +397,15 @@ class TestExitCodes:
 
 
 def test_module_entry_point():
+    # The child imports the same checkout as this test, also when pytest
+    # put it on sys.path through its pythonpath setting.
+    src = str(Path(neutrocalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "neutrocalc", "compare", "L(0.5)", "R(0.5)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "<N\n"

@@ -1,5 +1,6 @@
 """Kernels, the three operator families, and shape handling."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from neutrocalc import (
     tnorm,
 )
 from strategies import (
+    grid_fractions,
     hesitant_triples,
     interval_triples,
     single_triples,
@@ -263,8 +265,111 @@ class TestShapeAndClamp:
         assert out == NeutroTriple.single(1, 0, 0)
 
     def test_in_range_degrees_do_not_warn(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             conj(NeutroTriple.single(1, 0, 0), NeutroTriple.single(0, 0, 1))
+
+
+# Clamp-then-Fraction definitions of the kernels, independent of the
+# package's integer arithmetic.
+def _ref_tnorm(a, b, k):
+    if k is MINMAX:
+        return min(a, b)
+    if k is PRODUCT:
+        return a * b
+    return max(Fraction(0), a + b - 1)
+
+
+def _ref_tconorm(a, b, k):
+    if k is MINMAX:
+        return max(a, b)
+    if k is PRODUCT:
+        return a + b - a * b
+    return min(Fraction(1), a + b)
+
+
+def _ref_clamp(v):
+    return min(max(v, Fraction(0)), Fraction(1))
+
+
+def _ref_combine(x, y, cfg, is_conj):
+    def meet(a, b):
+        return _ref_tnorm(_ref_clamp(a), _ref_clamp(b), cfg.tnorm)
+
+    def join(a, b):
+        return _ref_tconorm(_ref_clamp(a), _ref_clamp(b), cfg.tnorm)
+
+    t_op, f_op = (meet, join) if is_conj else (join, meet)
+    if cfg.family is TI:
+        i_op = t_op
+    elif cfg.family is IF:
+        i_op = f_op
+    else:
+        def i_op(a, b):
+            return (meet(a, b) + join(a, b)) / 2
+
+    return NeutroTriple.single(
+        t_op(x.t.value, y.t.value), i_op(x.i.value, y.i.value), f_op(x.f.value, y.f.value)
+    )
+
+
+def _offset(v):
+    return not 0 <= v <= 1
+
+
+offset_triples = st.builds(NeutroTriple.single, grid_fractions, grid_fractions, grid_fractions)
+
+
+class TestOffsetOperands:
+    """Operands in [-2, 2]: the kernels unclamped, the connectives clamped."""
+
+    @given(grid_fractions, grid_fractions, st.sampled_from(ALL_KERNELS))
+    def test_kernels_match_fraction_definitions(self, a, b, k):
+        assert tnorm(a, b, k) == _ref_tnorm(a, b, k)
+        assert tconorm(a, b, k) == _ref_tconorm(a, b, k)
+        assert tnorm(a, b, k) == tnorm(b, a, k)
+        assert tconorm(a, b, k) == tconorm(b, a, k)
+
+    @given(offset_triples, offset_triples, st.sampled_from(ALL_CONFIGS), st.booleans())
+    def test_connectives_clamp_then_combine(self, x, y, cfg, is_conj):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = (conj if is_conj else disj)(x, y, cfg)
+        assert out == _ref_combine(x, y, cfg, is_conj)
+        # One warning per clamped operand of each kernel application; the
+        # plithogenic blend applies both kernels to I.
+        i_uses = 2 if cfg.family is PLITH else 1
+        expected = sum(_offset(c.value) for c in (x.t, y.t, x.f, y.f))
+        expected += i_uses * sum(_offset(c.value) for c in (x.i, y.i))
+        assert len(caught) == expected
+        assert all(issubclass(w.category, ClampWarning) for w in caught)
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    def test_no_warning_at_exactly_zero_and_one(self, cfg):
+        x = NeutroTriple.single(0, 1, 0)
+        y = NeutroTriple.single(1, 0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for op in (conj, disj, impl):
+                op(x, y, cfg)
+                op(y, x, cfg)
+
+
+class TestConfigTypes:
+    X = NeutroTriple.single(0.5, 0.2, 0.6)
+    Y = NeutroTriple.single(0.8, 0.4, 0.3)
+
+    def test_kernel_family_must_be_an_enum(self):
+        assert tnorm(0.5, 0.5, PRODUCT) == Fraction(1, 4)
+        for fn in (tnorm, tconorm):
+            with pytest.raises(TypeError, match="family"):
+                fn(Fraction(1, 2), Fraction(1, 2), "product")
+
+    def test_operator_config_fields_must_be_enums(self):
+        assert conj(self.X, self.Y, OperatorConfig(TI, PRODUCT)) == NeutroTriple.single(
+            0.4, 0.08, 0.72
+        )
+        with pytest.raises(TypeError, match="family"):
+            OperatorConfig("ti", "product")
+        with pytest.raises(TypeError, match="tnorm"):
+            OperatorConfig(TI, "product")

@@ -37,9 +37,11 @@ from neutrocalc import (
     parse,
     parse_nsnumber,
     right,
+    scale_triple,
     std,
     unparse,
 )
+from neutrocalc.formula import _lex
 
 IF_MINMAX = OperatorConfig(OperatorFamily.F_ALIGNED, TNormFamily.MIN_MAX)
 
@@ -140,6 +142,61 @@ class TestParseErrors:
         with pytest.raises(FormulaSyntaxError) as exc:
             parse("@")
         assert exc.value.offset == 1
+
+
+_HALF = Fraction(1, 2)
+
+# Input -> [(kind, text, 1-based offset, value)] tokens without "end", or
+# the FormulaSyntaxError as (message, offset, expected).
+_LEX_CASES = [
+    ("-", ("stray '-' (at position 1)", 1, {"'->'", "number"})),
+    ("a - b", ("stray '-' (at position 3)", 3, {"'->'", "number"})),
+    ("-.5", [("number", "-.5", 1, -_HALF)]),
+    ("5.", [("number", "5.", 1, Fraction(5))]),
+    (".", ("unexpected character '.' (at position 1)", 1, set())),
+    ("<.>", ("unexpected character '.' (at position 2)", 2, set())),
+    ("²", ("unexpected character '²' (at position 1)", 1, set())),
+    ("a²", ("unexpected character '²' (at position 2)", 2, set())),
+    ("٣", [("number", "٣", 1, Fraction(3))]),
+    ("<٣.٥,0,0>", [
+        ("<", "<", 1, None), ("number", "٣.٥", 2, Fraction(7, 2)), (",", ",", 5, None),
+        ("number", "0", 6, Fraction(0)), (",", ",", 7, None), ("number", "0", 8, Fraction(0)),
+        (">", ">", 9, None),
+    ]),
+    ("a\u00a0&\tb\n|c", [  # NBSP, tab and newline are whitespace
+        ("ident", "a", 1, None), ("&", "&", 3, None), ("ident", "b", 5, None),
+        ("|", "|", 7, None), ("ident", "c", 8, None),
+    ]),
+    ("¬a ∧ b → c ∨ d", [
+        ("!", "¬", 1, None), ("ident", "a", 2, None), ("&", "∧", 4, None),
+        ("ident", "b", 6, None), ("->", "→", 8, None), ("ident", "c", 10, None),
+        ("|", "∨", 12, None), ("ident", "d", 14, None),
+    ]),
+    ("->-0.5", [("->", "->", 1, None), ("number", "-0.5", 3, -_HALF)]),
+    ("x1->-.5 ", [("ident", "x1", 1, None), ("->", "->", 3, None), ("number", "-.5", 5, -_HALF)]),
+    ("1.5e3", [("number", "1.5", 1, Fraction(3, 2)), ("ident", "e3", 4, None)]),
+    ("-->", ("stray '-' (at position 1)", 1, {"'->'", "number"})),
+    ("a @", ("unexpected character '@' (at position 3)", 3, set())),
+]
+
+
+@pytest.mark.parametrize("text, expected", _LEX_CASES)
+def test_lexer_table(text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            _lex(text)
+        assert (str(exc.value), exc.value.offset, set(exc.value.expected)) == expected
+        return
+    tokens = _lex(text)
+    assert [(t.kind, t.text, t.pos, t.value) for t in tokens[:-1]] == expected
+    assert (tokens[-1].kind, tokens[-1].pos) == ("end", len(text) + 1)
+
+
+def test_lexer_reads_digits_exactly():
+    digits = "0." + "0" * 5000 + "1"
+    (tok, _) = _lex(digits)
+    assert tok.value == Fraction(1, 10**5001)
+    assert _lex("-0012.50")[0].value == Fraction(-25, 2)
 
 
 class TestParseNsNumber:
@@ -275,6 +332,26 @@ class TestEvaluate:
             "x", scale="percent", bindings={"x": NeutroTriple.single(50, 0, 50)}
         )
         assert evaluate(req) == NeutroTriple.single(0.5, 0, 0.5)
+
+    def test_percent_scales_each_literal_and_binding_once(self, monkeypatch):
+        import neutrocalc.formula as formula_module
+
+        calls = []
+
+        def counting(tr, factor):
+            calls.append(tr)
+            return scale_triple(tr, factor)
+
+        monkeypatch.setattr(formula_module, "scale_triple", counting)
+        req = EvalRequest(
+            "<100,0,0> & x | !(x -> <0,0,100>)",
+            scale="percent",
+            bindings={"x": NeutroTriple.single(50, 0, 50)},
+        )
+        result = evaluate(req)
+        assert len(calls) == 3  # two literals, one binding used twice
+        monkeypatch.undo()
+        assert result == evaluate(req)
 
     def test_offset_literal_rejected_under_unit_bounds(self):
         with pytest.raises(BoundsViolation):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from neutrocalc import (
     ComponentBounds,
@@ -14,6 +15,7 @@ from neutrocalc import (
     NeutroTriple,
     Nonstandard,
     NsInterval,
+    NsNumber,
     OffsetBounds,
     Role,
     ShapeMismatch,
@@ -31,7 +33,7 @@ from neutrocalc import (
     truth_grade,
     validate,
 )
-from strategies import single_triples, unit_fractions
+from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
 class TestShapes:
@@ -136,6 +138,95 @@ class TestValidate:
     @given(unit_fractions, unit_fractions, unit_fractions)
     def test_unit_triples_always_pass(self, t, i, f):
         assert validate(NeutroTriple.single(t, i, f)).ok
+
+
+def _grid_interval(pair):
+    return IntervalValued(*sorted(pair))
+
+
+def _ns_member_interval(pair):
+    return NsInterval(*sorted(pair, key=lambda n: n.value))
+
+
+_ns_members = st.one_of(
+    ns_numbers,
+    st.builds(
+        _ns_member_interval,
+        st.tuples(ns_numbers, ns_numbers).filter(lambda p: p[0].value != p[1].value),
+    ),
+)
+
+#: Triples of each of the four shapes, values in [-2, 2].
+GRID_TRIPLES = {
+    "single": triples(st.builds(SingleValued, grid_fractions)),
+    "interval": triples(st.builds(_grid_interval, st.tuples(grid_fractions, grid_fractions))),
+    "hesitant": triples(st.builds(Hesitant, st.lists(grid_fractions, min_size=1, max_size=4))),
+    "nonstandard": triples(st.builds(Nonstandard, st.lists(_ns_members, min_size=1, max_size=3))),
+}
+
+# Bounds near the unit interval half the time, so sums cross them often.
+offset_bounds = st.builds(
+    OffsetBounds,
+    st.integers(-2000, 0).map(lambda k: Fraction(k, 1000)) | st.just(Fraction(0)),
+    st.integers(1000, 3000).map(lambda k: Fraction(k, 1000)) | st.just(Fraction(1)),
+)
+
+
+def _values(c):
+    if isinstance(c, SingleValued):
+        return [c.value]
+    if isinstance(c, IntervalValued):
+        return [c.lo, c.hi]
+    if isinstance(c, Hesitant):
+        return list(c.values)
+    out = []
+    for m in c.members:
+        out += [m.value] if isinstance(m, NsNumber) else [m.lo.value, m.hi.value]
+    return out
+
+
+class TestValidateAgainstFractions:
+    """validate's integer comparisons against plain Fraction definitions."""
+
+    @pytest.mark.parametrize("shape", list(GRID_TRIPLES))
+    @given(data=st.data())
+    def test_violations_agree_with_triple_sums(self, shape, data):
+        x, bounds = data.draw(GRID_TRIPLES[shape]), data.draw(offset_bounds)
+        expected = []
+        for where in "tif":
+            for v in _values(getattr(x, where)):
+                if v < bounds.psi:
+                    expected.append((where, f"value {std(v)} below lower bound {std(bounds.psi)}"))
+                elif v > bounds.omega:
+                    expected.append((where, f"value {std(v)} above upper bound {std(bounds.omega)}"))
+        n_inf, n_sup = triple_sums(x)
+        if n_inf.value < 3 * bounds.psi:
+            expected.append(("sum", f"lower sum {std(n_inf.value)} below {std(3 * bounds.psi)}"))
+        if n_sup.value > 3 * bounds.omega:
+            expected.append(("sum", f"upper sum {std(n_sup.value)} above {std(3 * bounds.omega)}"))
+        report = validate(x, bounds)
+        assert [(v.where, v.message) for v in report.violations] == expected
+        assert report.ok is not expected
+
+    @given(offset_bounds, st.sampled_from("tif"))
+    def test_exact_bounds_pass_and_one_billionth_outside_fails(self, bounds, where):
+        eps = Fraction(1, 10**9)
+
+        def with_value(v, rest=Fraction(0)):
+            values = {"t": rest, "i": rest, "f": rest, where: v}
+            return NeutroTriple.single(values["t"], values["i"], values["f"])
+
+        for edge in (bounds.psi, bounds.omega):
+            assert validate(with_value(edge), bounds).ok
+            assert validate(with_value(edge, rest=edge), bounds).ok
+        below = validate(with_value(bounds.psi - eps), bounds).violations
+        above = validate(with_value(bounds.omega + eps), bounds).violations
+        assert [v.where for v in below if v.where != "sum"] == [where]
+        assert "below lower bound" in below[0].message
+        assert [v.where for v in above] == [where]
+        assert "above upper bound" in above[0].message
+        low_sum = validate(with_value(bounds.psi - eps, rest=bounds.psi), bounds).violations
+        assert [v.where for v in low_sum] == [where, "sum"]
 
 
 class TestClassify:
