@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on evaluation or validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -56,6 +57,17 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        # The message argparse gives for type=int.
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
 
 
 def _kind_value(text: str) -> NsNumber:
@@ -235,6 +247,7 @@ def _cmd_anomaly(args) -> int:
     ]
     report = anomaly_check(a, b, probes)
     members = sum(report.outer_membership)
+    discrepancies = len(report.discrepancies)
     if args.json:
         _emit(
             {
@@ -242,8 +255,8 @@ def _cmd_anomaly(args) -> int:
                 "inner": report.inner_notation,
                 "probes": len(report.probes),
                 "members": members,
-                "discrepancies": len(report.discrepancies),
-                "memberships_coincide": report.memberships_coincide,
+                "discrepancies": discrepancies,
+                "memberships_coincide": not discrepancies,
             }
         )
         return 0
@@ -251,8 +264,8 @@ def _cmd_anomaly(args) -> int:
     print(f"inner interval: {report.inner_notation}")
     print(f"probes: {len(report.probes)}")
     print(f"members of each: {members}")
-    print(f"discrepancies: {len(report.discrepancies)}")
-    if report.memberships_coincide:
+    print(f"discrepancies: {discrepancies}")
+    if not discrepancies:
         print(
             "membership predicates coincide: the nominally wider and narrower "
             "intervals contain exactly the same probes"
@@ -260,7 +273,13 @@ def _cmd_anomaly(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every subcommand.
+
+    Built on first use and shared by every later call in the process,
+    so callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="neutrocalc",
         description="Nonstandard neutrosophic calculus evaluator",
@@ -323,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anomaly", help="rough-interval membership demonstration")
     p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--b", type=_fraction, required=True)
-    p.add_argument("--probes", type=int, default=1000)
+    p.add_argument("--probes", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_anomaly)

@@ -15,6 +15,10 @@ class InvalidInterval(NeutroCalcError):
     """Interval endpoints are not in non-decreasing neutrosophic order."""
 
 
+class InvalidBounds(NeutroCalcError, ValueError):
+    """Offset bounds that do not satisfy psi <= 0 < 1 <= omega."""
+
+
 class EmptySet(NeutroCalcError):
     """inf/sup requested over an empty collection."""
 

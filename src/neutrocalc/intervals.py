@@ -15,17 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import EmptySet, InvalidInterval
-from .monads import (
-    MonadKind,
-    NsNumber,
-    OrderRelation,
-    as_fraction,
-    compare_ns,
-    left,
-    right,
-    roughly_leq,
-    std,
-)
+from .monads import _AT_MOST, MonadKind, NsNumber, as_fraction, compare_ns, left, right, std
 
 __all__ = [
     "NsInterval",
@@ -39,9 +29,6 @@ __all__ = [
     "anomaly_check",
     "AnomalyReport",
 ]
-
-_AT_MOST = frozenset({OrderRelation.LT_N, OrderRelation.LE_N, OrderRelation.EQ_N})
-
 
 @dataclass(frozen=True)
 class NsInterval:
@@ -147,7 +134,7 @@ def rough_contains(a, b, x: NsNumber) -> bool:
     a, b = as_fraction(a), as_fraction(b)
     if a > b:
         raise ValueError("rough interval requires a <= b")
-    return roughly_leq(std(a), x) and roughly_leq(x, std(b))
+    return a <= x.value <= b
 
 
 @dataclass(frozen=True)
@@ -183,23 +170,22 @@ class AnomalyReport:
 def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     """Probe the two rough intervals ]a, R(b)[ and ]R(a), L(b)[.
 
-    Decorations drop out of the rough membership predicate, so both
-    columns of the report are computed by the same test on (a, b); the
-    point of the report is that the nominally wider and nominally
-    narrower intervals admit exactly the same probes.
+    Decorations drop out of the rough membership predicate, so one
+    column, the rough test on (a, b), serves as both the outer and the
+    inner membership; the point of the report is that the nominally
+    wider and nominally narrower intervals admit exactly the same probes.
     """
     a, b = as_fraction(a), as_fraction(b)
     if not a < b:
         raise ValueError("anomaly check requires a < b")
     probes = tuple(probes)
-    outer = tuple(rough_contains(a, b, x) for x in probes)
-    inner = tuple(rough_contains(a, b, x) for x in probes)
+    membership = tuple(a <= x.value <= b for x in probes)
     return AnomalyReport(
         lower=a,
         upper=b,
         outer_notation=f"]{std(a)}, {right(b)}[",
         inner_notation=f"]{right(a)}, {left(b)}[",
         probes=probes,
-        outer_membership=outer,
-        inner_membership=inner,
+        outer_membership=membership,
+        inner_membership=membership,
     )

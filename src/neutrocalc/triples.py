@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import EmptyComponent, InvalidInterval, ShapeMismatch
+from .errors import EmptyComponent, InvalidBounds, InvalidInterval, ShapeMismatch
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
 from .monads import MonadKind, NsNumber, add_ns, as_fraction, std, _plain
 
@@ -157,7 +157,7 @@ class OffsetBounds:
         object.__setattr__(self, "psi", as_fraction(self.psi))
         object.__setattr__(self, "omega", as_fraction(self.omega))
         if not (self.psi <= 0 < 1 <= self.omega):
-            raise ValueError("bounds must satisfy psi <= 0 < 1 <= omega")
+            raise InvalidBounds("bounds must satisfy psi <= 0 < 1 <= omega")
 
 
 UNIT_BOUNDS = OffsetBounds(Fraction(0), Fraction(1))

@@ -134,6 +134,19 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def run_module(argv):
+    # The child imports the same checkout as this test, also when pytest
+    # put it on sys.path through its pythonpath setting.
+    src = str(Path(neutrocalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "neutrocalc", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEval:
     def test_plain_output(self, capsys):
         code, out, _ = run(capsys, ["eval", "<0.8,0.4,0.3> & <0.6,0.2,0.5>"])
@@ -388,6 +401,7 @@ class TestExitCodes:
             ["eval", "x", "--bind", "not an identifier=<1,0,0>"],
             ["eval", "x", "--bind", "x=<1,0>"],
             ["table", "inequalities", "--a", "0.5"],
+            ["anomaly", "--a", "0", "--b", "1", "--probes", "-3"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -396,16 +410,41 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-def test_module_entry_point():
-    # The child imports the same checkout as this test, also when pytest
-    # put it on sys.path through its pythonpath setting.
-    src = str(Path(neutrocalc.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "neutrocalc", "compare", "L(0.5)", "R(0.5)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "<0.1,0.2,0.3>", "--psi", "0.5"],
+            ["validate", "0.1", "0.2", "0.3", "--omega", "0.5"],
+        ],
     )
+    def test_invalid_bounds_exit_1(self, argv):
+        proc = run_module(argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bounds must satisfy")
+        assert "Traceback" not in proc.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    triple = "<0.5,0.5,0.5> & <0.5,0.5,0.5>"
+    code, out, _ = run(capsys, ["eval", "x", "--bind", "x=<0.2,0.5,0.9>"])
+    assert (code, out) == (0, "<0.2, 0.5, 0.9>\n")
+    code, _, err = run(capsys, ["eval", "x"])
+    assert code == 1
+    assert "has no binding" in err
+
+    payload = run_json(capsys, ["eval", triple, "--json", "--family", "ti", "--tnorm", "product"])
+    assert payload["config"]["family"] == "ti"
+    code, out, _ = run(capsys, ["eval", triple])
+    assert (code, out) == (0, "<0.5, 0.5, 0.5>\n")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "0.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, ["compare", "L(0.5)", "0.5"]) == (0, "<N\n", "")
+
+
+def test_module_entry_point():
+    proc = run_module(["compare", "L(0.5)", "R(0.5)"])
     assert proc.returncode == 0
     assert proc.stdout == "<N\n"

@@ -11,7 +11,9 @@ from neutrocalc import (
     EmptyComponent,
     Hesitant,
     IntervalValued,
+    InvalidBounds,
     InvalidInterval,
+    NeutroCalcError,
     NeutroTriple,
     Nonstandard,
     NsInterval,
@@ -104,6 +106,12 @@ class TestOffsetBounds:
     def test_rejects_bad_bounds(self, psi, omega):
         with pytest.raises(ValueError):
             OffsetBounds(psi, omega)
+
+    def test_bad_bounds_raise_a_typed_error(self):
+        with pytest.raises(InvalidBounds) as exc:
+            OffsetBounds(0.5, 1)
+        assert isinstance(exc.value, NeutroCalcError)
+        assert isinstance(exc.value, ValueError)
 
 
 class TestValidate:
