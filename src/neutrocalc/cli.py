@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -52,7 +53,22 @@ _KIND = {
 _KIND_ORDER = (MonadKind.STD, MonadKind.LEFT, MonadKind.RIGHT, MonadKind.BIMONAD)
 
 
+# The exponent of e-notation as Fraction's string grammar spells it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+#: Most probes `anomaly` accepts; it builds every probe in memory.
+_MAX_PROBES = 100_000
+
+
 def _fraction(text: str) -> Fraction:
+    # Fraction("1e9999999") first builds 10**9999999, which takes seconds
+    # to minutes, so exponents past the interpreter's int/str digit limit
+    # (0: no limit) are refused before it is called.  The length test
+    # keeps int() itself within that limit.
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+        raise argparse.ArgumentTypeError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -67,6 +83,8 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if n < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if n > _MAX_PROBES:
+        raise argparse.ArgumentTypeError(f"at most {_MAX_PROBES} probes, got {text!r}")
     return n
 
 
@@ -342,7 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anomaly", help="rough-interval membership demonstration")
     p.add_argument("--a", type=_fraction, required=True)
     p.add_argument("--b", type=_fraction, required=True)
-    p.add_argument("--probes", type=_count, default=1000)
+    p.add_argument(
+        "--probes",
+        type=_count,
+        default=1000,
+        help=f"number of random probes, 0 to {_MAX_PROBES} (default: %(default)s)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_anomaly)

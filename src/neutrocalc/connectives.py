@@ -130,7 +130,12 @@ def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     return _KERNELS[family][1](as_fraction(a), as_fraction(b))
 
 
+def _in_unit(v: Fraction) -> bool:
+    return 0 <= v.numerator <= v.denominator
+
+
 def _clamped(v: Fraction) -> Fraction:
+    # The _in_unit test written out: this runs for every kernel operand.
     if not 0 <= v.numerator <= v.denominator:
         warnings.warn(
             f"degree {float(v)} clamped into [0, 1] for kernel application",
@@ -166,7 +171,16 @@ def _family_ops(family: OperatorFamily, meet, join, blend, is_conj: bool):
     return t_op, i_op, f_op
 
 
+def _midpoint(a: Fraction, b: Fraction) -> Fraction:
+    """(a + b) / 2 on integer cross-products."""
+    return Fraction(
+        a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator
+    )
+
+
 def _kernel_ops(kernel: TNormFamily):
+    """(meet, join, blend) clamping each operand, then the bare kernels
+    for operands already known to lie in [0, 1]."""
     tn, tc = _KERNELS[kernel]
 
     def meet(a, b):
@@ -176,14 +190,20 @@ def _kernel_ops(kernel: TNormFamily):
         return tc(_clamped(a), _clamped(b))
 
     def blend(a, b):
-        return (meet(a, b) + join(a, b)) / 2
+        return _midpoint(meet(a, b), join(a, b))
 
-    return meet, join, blend
+    def bare_blend(a, b):
+        return _midpoint(tn(a, b), tc(a, b))
+
+    return (meet, join, blend), (tn, tc, bare_blend)
 
 
-#: (t_op, i_op, f_op) for every (family, kernel, is_conj), built once.
+#: For every (family, kernel, is_conj), built once: the clamping
+#: (t_op, i_op, f_op) triple and the bare one.
 _OPERATORS = {
-    (family, kernel, is_conj): _family_ops(family, *_kernel_ops(kernel), is_conj)
+    (family, kernel, is_conj): tuple(
+        _family_ops(family, *ops, is_conj) for ops in _kernel_ops(kernel)
+    )
     for family in OperatorFamily
     for kernel in TNormFamily
     for is_conj in (True, False)
@@ -195,22 +215,28 @@ def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: boo
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
     if isinstance(x.t, Nonstandard):
         return _combine_nonstandard(x, y, cfg, is_conj)
-    t_op, i_op, f_op = _OPERATORS[cfg.family, cfg.tnorm, is_conj]
+    (t_op, i_op, f_op), (t_bare, i_bare, f_bare) = _OPERATORS[cfg.family, cfg.tnorm, is_conj]
     return NeutroTriple(
-        t=_map2(t_op, x.t, y.t),
-        i=_map2(i_op, x.i, y.i),
-        f=_map2(f_op, x.f, y.f),
+        t=_map2(t_op, t_bare, x.t, y.t),
+        i=_map2(i_op, i_bare, x.i, y.i),
+        f=_map2(f_op, f_bare, x.f, y.f),
     )
 
 
-def _map2(op, cx, cy):
+def _map2(op, bare, cx, cy):
+    """Apply op to the component values; bare (op without the clamp) to a
+    hesitant product whose operand values all lie in [0, 1]."""
     if isinstance(cx, SingleValued):
         return SingleValued(op(cx.value, cy.value))
     if isinstance(cx, IntervalValued):
         # Kernels are monotone in both arguments, so endpointwise
         # application yields the exact image interval.
         return IntervalValued(op(cx.lo, cy.lo), op(cx.hi, cy.hi))
-    return Hesitant(op(u, v) for u in cx.values for v in cy.values)
+    xs, ys = cx.values, cy.values
+    # Hesitant values are sorted, so the extremes decide for all of them.
+    if _in_unit(xs[0]) and _in_unit(xs[-1]) and _in_unit(ys[0]) and _in_unit(ys[-1]):
+        return Hesitant(bare(u, v) for u in xs for v in ys)
+    return Hesitant(op(u, v) for u in xs for v in ys)
 
 
 def _ns_operand(c: Nonstandard) -> NsNumber:

@@ -80,9 +80,23 @@ class Hesitant(Component):
     values: tuple[Fraction, ...]
 
     def __init__(self, values):
-        canonical = tuple(sorted({as_fraction(v) for v in values}))
-        if not canonical:
+        # Deduplicate on the normalised (numerator, denominator) pair,
+        # which skips Fraction.__hash__, and sort on (float, Fraction)
+        # pairs: int / int is correctly rounded, hence monotone, so the
+        # floats order every two values they tell apart, and the exact
+        # Fraction comparison runs only on their ties.
+        unique = {}
+        for v in values:
+            f = as_fraction(v)
+            unique[f.as_integer_ratio()] = f
+        if not unique:
             raise EmptyComponent("hesitant component needs at least one value")
+        try:
+            keyed = sorted([(n / d, f) for (n, d), f in unique.items()])
+        except OverflowError:  # a magnitude beyond the float range
+            canonical = tuple(sorted(unique.values()))
+        else:
+            canonical = tuple([f for _, f in keyed])
         object.__setattr__(self, "values", canonical)
 
     def __str__(self) -> str:

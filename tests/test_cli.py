@@ -10,7 +10,7 @@ import pytest
 from jsonschema import validate as check_schema
 
 import neutrocalc
-from neutrocalc.cli import main
+from neutrocalc.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,6 +234,18 @@ class TestEval:
         assert payload["config"]["psi"] == -0.5
         assert len(payload["warnings"]) == 1
 
+    def test_clamp_warnings_on_hesitant_operands(self, capsys):
+        # One warning per clamped operand of each of the four T pairs.
+        code, out, err = run(
+            capsys, ["eval", "<{1.5,2},{0},{0}> & <{0.5,0.7},{0},{0}>", "--omega", "2"]
+        )
+        assert code == 0
+        assert out == "<{0.5, 0.7}, {0}, {0}>\n"
+        assert err.splitlines() == [
+            f"warning: degree {v} clamped into [0, 1] for kernel application"
+            for v in ("1.5", "1.5", "2.0", "2.0")
+        ]
+
 
 class TestCompare:
     @pytest.mark.parametrize(
@@ -402,12 +414,34 @@ class TestExitCodes:
             ["eval", "x", "--bind", "x=<1,0>"],
             ["table", "inequalities", "--a", "0.5"],
             ["anomaly", "--a", "0", "--b", "1", "--probes", "-3"],
+            ["anomaly", "--a", "0", "--b", "1", "--probes", "100001"],
+            ["classify", "1e999999", "0", "0"],
+            ["validate", "0", "0", "0", "--omega", "1E-99999"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_limits_are_inclusive_and_documented(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, ["classify", f"1e{limit}", "0", "0"]) == (0, "overtrue\n", "")
+        assert run(capsys, ["validate", "0", "0", f"1e-{limit}"])[:2] == (0, "pass\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", f"1e{limit + 1}", "0", "0"])
+        assert exc.value.code == 2
+        args = build_parser().parse_args(["anomaly", "--a", "0", "--b", "1", "--probes", "100000"])
+        assert args.probes == 100000
+        with pytest.raises(SystemExit):
+            main(["anomaly", "--help"])
+        assert "0 to 100000" in capsys.readouterr().out
+
+    def test_huge_exponent_is_a_usage_error(self):
+        proc = run_module(["classify", "1e999999", "0", "0"])
+        assert proc.returncode == 2
+        assert "error: argument t: exponent of '1e999999' exceeds" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrocalc import (
@@ -292,7 +292,7 @@ def _ref_clamp(v):
     return min(max(v, Fraction(0)), Fraction(1))
 
 
-def _ref_combine(x, y, cfg, is_conj):
+def _ref_ops(cfg, is_conj):
     def meet(a, b):
         return _ref_tnorm(_ref_clamp(a), _ref_clamp(b), cfg.tnorm)
 
@@ -308,6 +308,11 @@ def _ref_combine(x, y, cfg, is_conj):
         def i_op(a, b):
             return (meet(a, b) + join(a, b)) / 2
 
+    return t_op, i_op, f_op
+
+
+def _ref_combine(x, y, cfg, is_conj):
+    t_op, i_op, f_op = _ref_ops(cfg, is_conj)
     return NeutroTriple.single(
         t_op(x.t.value, y.t.value), i_op(x.i.value, y.i.value), f_op(x.f.value, y.f.value)
     )
@@ -318,6 +323,10 @@ def _offset(v):
 
 
 offset_triples = st.builds(NeutroTriple.single, grid_fractions, grid_fractions, grid_fractions)
+offset_hesitant_triples = st.builds(
+    NeutroTriple,
+    *[st.builds(Hesitant, st.lists(grid_fractions, min_size=1, max_size=3))] * 3,
+)
 
 
 class TestOffsetOperands:
@@ -343,6 +352,32 @@ class TestOffsetOperands:
         expected += i_uses * sum(_offset(c.value) for c in (x.i, y.i))
         assert len(caught) == expected
         assert all(issubclass(w.category, ClampWarning) for w in caught)
+
+    @pytest.mark.parametrize("name", ["conj", "disj", "impl"])
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    @settings(max_examples=25)  # 27 parameter cases share the budget
+    @given(x=offset_hesitant_triples, y=offset_hesitant_triples)
+    def test_hesitant_connectives_clamp_every_pair(self, cfg, name, x, y):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = {"conj": conj, "disj": disj, "impl": impl}[name](x, y, cfg)
+        if name == "impl":
+            x = neg(x)
+        # Each pair warns once per clamped operand, in pair order; the
+        # plithogenic blend clamps the I pair for both kernels.
+        clamped = []
+        for part, ref_op in zip("tif", _ref_ops(cfg, is_conj=name == "conj")):
+            uses = 2 if part == "i" and cfg.family is PLITH else 1
+            image = set()
+            for u in getattr(x, part).values:
+                for v in getattr(y, part).values:
+                    image.add(ref_op(u, v))
+                    clamped += [w for w in (u, v) if _offset(w)] * uses
+            assert getattr(out, part).values == tuple(sorted(image))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ClampWarning, f"degree {float(w)} clamped into [0, 1] for kernel application")
+            for w in clamped
+        ]
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS)
     def test_no_warning_at_exactly_zero_and_one(self, cfg):

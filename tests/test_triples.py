@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from neutrocalc import (
@@ -24,6 +24,7 @@ from neutrocalc import (
     SingleValued,
     TruthGrade,
     UNIT_BOUNDS,
+    as_fraction,
     bimonad,
     classify_logic,
     component_bounds,
@@ -38,9 +39,33 @@ from neutrocalc import (
 from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
+# Pairwise coprime (Mersenne prime) denominators.
+_COPRIME = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+
+#: Hesitant inputs that are hard to sort exactly: offset values, ints,
+#: any finite float, large coprime denominators, values 1/10**30 apart
+#: (which share one float), one half spelled three ways, and
+#: magnitudes beyond the float range.
+adversarial_values = st.one_of(
+    grid_fractions,
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from(_COPRIME)),
+    st.integers(-3, 3).map(lambda k: Fraction(1, 2) + Fraction(k, 10**30)),
+    st.sampled_from([0.5, Fraction(1, 2), "1/2"]),
+    st.sampled_from([10**400, -(10**400), Fraction(10**400 + 1, 3)]),
+)
+
+
 class TestShapes:
     def test_hesitant_dedupes_and_sorts(self):
         assert Hesitant([0.5, 0.2, 0.5]).values == (Fraction(1, 5), Fraction(1, 2))
+
+    @given(st.lists(adversarial_values, min_size=1, max_size=12))
+    @example(["1/2", 0.5, Fraction(1, 2), 1, -(10**400)])
+    @example([Fraction(1, 2) + Fraction(k, 10**30) for k in (2, -1, 0, 1, -2)])
+    def test_hesitant_canonical_order(self, vs):
+        assert Hesitant(vs).values == tuple(sorted(set(map(as_fraction, vs))))
 
     def test_hesitant_must_be_nonempty(self):
         with pytest.raises(EmptyComponent):
