@@ -27,15 +27,7 @@ from .formula import (
 )
 from .intervals import NsInterval, anomaly_check, inf_ns, sup_ns
 from .monads import MonadKind, NsNumber, compare_ns, infinitely_close, roughly_leq, std
-from .triples import (
-    Hesitant,
-    IntervalValued,
-    NeutroTriple,
-    OffsetBounds,
-    SingleValued,
-    classify_logic,
-    validate,
-)
+from .triples import NeutroTriple, OffsetBounds, classify_logic, validate
 
 _FAMILY = {f.value: f for f in OperatorFamily}
 _TNORM = {t.value: t for t in TNormFamily}
@@ -108,33 +100,6 @@ def _binding(text: str) -> tuple[str, NeutroTriple]:
     return name, node.value
 
 
-def _component_json(c) -> dict:
-    if isinstance(c, SingleValued):
-        return {"shape": "single", "kind": "std", "value": float(c.value)}
-    if isinstance(c, IntervalValued):
-        return {"shape": "interval", "lo": float(c.lo), "hi": float(c.hi)}
-    if isinstance(c, Hesitant):
-        return {"shape": "hesitant", "values": [float(v) for v in c.values]}
-    members = []
-    for m in c.members:
-        if isinstance(m, NsNumber):
-            members.append({"kind": m.kind.value, "value": float(m.value)})
-        else:
-            members.append(
-                {
-                    "kind_lo": m.lo.kind.value,
-                    "lo": float(m.lo.value),
-                    "kind_hi": m.hi.kind.value,
-                    "hi": float(m.hi.value),
-                }
-            )
-    return {"shape": "nonstandard", "members": members}
-
-
-def _nsnumber_json(n: NsNumber) -> dict:
-    return {"kind": n.kind.value, "value": float(n.value)}
-
-
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
@@ -155,9 +120,9 @@ def _cmd_eval(args) -> int:
         _emit(
             {
                 "result": {
-                    "t": _component_json(result.t),
-                    "i": _component_json(result.i),
-                    "f": _component_json(result.f),
+                    "t": result.t.to_json(),
+                    "i": result.i.to_json(),
+                    "f": result.f.to_json(),
                 },
                 "config": {
                     "family": args.family,
@@ -180,7 +145,7 @@ def _cmd_compare(args) -> int:
     x, y = parse_nsnumber(args.x), parse_nsnumber(args.y)
     rel = compare_ns(x, y)
     if args.json:
-        _emit({"x": _nsnumber_json(x), "y": _nsnumber_json(y), "relation": rel.value})
+        _emit({"x": x.to_json(), "y": y.to_json(), "relation": rel.value})
     else:
         print(rel.value)
     return 0
@@ -195,7 +160,7 @@ def _cmd_rough_compare(args) -> int:
     else:
         symbol = "≳"
     if args.json:
-        _emit({"x": _nsnumber_json(x), "y": _nsnumber_json(y), "relation": symbol})
+        _emit({"x": x.to_json(), "y": y.to_json(), "relation": symbol})
     else:
         print(symbol)
     return 0
@@ -205,7 +170,7 @@ def _cmd_interval(args) -> int:
     interval = NsInterval(args.lo, args.hi)
     result = inf_ns(interval) if args.which == "inf" else sup_ns(interval)
     if args.json:
-        _emit({"which": args.which, "result": _nsnumber_json(result)})
+        _emit({"which": args.which, "result": result.to_json()})
     else:
         print(str(result))
     return 0

@@ -19,14 +19,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig
-from .monads import MonadKind, NsNumber, add_ns, as_fraction, max_ns, min_ns
-from .triples import (
-    Hesitant,
-    IntervalValued,
-    NeutroTriple,
-    Nonstandard,
-    SingleValued,
-)
+from .monads import NsNumber, add_ns, as_fraction, max_ns, min_ns
+from .triples import NeutroTriple, Nonstandard
 
 __all__ = [
     "TNormFamily",
@@ -81,33 +75,39 @@ class ClampWarning(UserWarning):
 
 
 # Kernels on integer cross-products (denominators are positive), which
-# skip the ABC checks of Fraction comparison and arithmetic.
+# skip the ABC checks of Fraction comparison and arithmetic.  Each reads
+# an operand's pair once: numerator and denominator are properties.
 def _min(a: Fraction, b: Fraction) -> Fraction:
-    return a if a.numerator * b.denominator <= b.numerator * a.denominator else b
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return a if an * bd <= bn * ad else b
 
 
 def _max(a: Fraction, b: Fraction) -> Fraction:
-    return b if b.numerator * a.denominator > a.numerator * b.denominator else a
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return b if bn * ad > an * bd else a
 
 
 def _product_tnorm(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return Fraction(an * bn, ad * bd)
 
 
 def _product_tconorm(a: Fraction, b: Fraction) -> Fraction:
-    n = a.numerator * b.denominator + b.numerator * a.denominator - a.numerator * b.numerator
-    return Fraction(n, a.denominator * b.denominator)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return Fraction(an * bd + bn * ad - an * bn, ad * bd)
 
 
 def _luk_tnorm(a: Fraction, b: Fraction) -> Fraction:
-    d = a.denominator * b.denominator
-    n = a.numerator * b.denominator + b.numerator * a.denominator - d
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    d = ad * bd
+    n = an * bd + bn * ad - d
     return Fraction(n, d) if n > 0 else _ZERO
 
 
 def _luk_tconorm(a: Fraction, b: Fraction) -> Fraction:
-    d = a.denominator * b.denominator
-    n = a.numerator * b.denominator + b.numerator * a.denominator
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    d = ad * bd
+    n = an * bd + bn * ad
     return Fraction(n, d) if n < d else _ONE
 
 
@@ -130,19 +130,15 @@ def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     return _KERNELS[family][1](as_fraction(a), as_fraction(b))
 
 
-def _in_unit(v: Fraction) -> bool:
-    return 0 <= v.numerator <= v.denominator
-
-
 def _clamped(v: Fraction) -> Fraction:
-    # The _in_unit test written out: this runs for every kernel operand.
-    if not 0 <= v.numerator <= v.denominator:
+    n, d = v.as_integer_ratio()
+    if not 0 <= n <= d:
         warnings.warn(
             f"degree {float(v)} clamped into [0, 1] for kernel application",
             ClampWarning,
             stacklevel=4,
         )
-        return _ZERO if v.numerator < 0 else _ONE
+        return _ZERO if n < 0 else _ONE
     return v
 
 
@@ -164,23 +160,33 @@ def impl(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG)
     return disj(neg(x), y, cfg)
 
 
-def _family_ops(family: OperatorFamily, meet, join, blend, is_conj: bool):
-    """(t_op, i_op, f_op): I follows T, follows F, or blends both."""
+def _family_ops(family: OperatorFamily, meet, join, midpoint, is_conj: bool):
+    """(t_op, i_op, f_op): I follows T, follows F, or blends both as the
+    midpoint of meet and join."""
     t_op, f_op = (meet, join) if is_conj else (join, meet)
+
+    def blend(a, b):
+        return midpoint(meet(a, b), join(a, b))
+
     i_op = {OperatorFamily.T_ALIGNED: t_op, OperatorFamily.F_ALIGNED: f_op}.get(family, blend)
     return t_op, i_op, f_op
 
 
 def _midpoint(a: Fraction, b: Fraction) -> Fraction:
     """(a + b) / 2 on integer cross-products."""
-    return Fraction(
-        a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator
-    )
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return Fraction(an * bd + bn * ad, 2 * ad * bd)
+
+
+def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:
+    """(a + b) / 2; halving moves no decoration."""
+    total = add_ns(a, b)
+    return NsNumber(total.value / 2, total.kind)
 
 
 def _kernel_ops(kernel: TNormFamily):
-    """(meet, join, blend) clamping each operand, then the bare kernels
-    for operands already known to lie in [0, 1]."""
+    """(meet, join) clamping each operand, then the bare kernels for
+    operands already known to lie in [0, 1]."""
     tn, tc = _KERNELS[kernel]
 
     def meet(a, b):
@@ -189,23 +195,26 @@ def _kernel_ops(kernel: TNormFamily):
     def join(a, b):
         return tc(_clamped(a), _clamped(b))
 
-    def blend(a, b):
-        return _midpoint(meet(a, b), join(a, b))
-
-    def bare_blend(a, b):
-        return _midpoint(tn(a, b), tc(a, b))
-
-    return (meet, join, blend), (tn, tc, bare_blend)
+    return (meet, join), (tn, tc)
 
 
 #: For every (family, kernel, is_conj), built once: the clamping
 #: (t_op, i_op, f_op) triple and the bare one.
 _OPERATORS = {
     (family, kernel, is_conj): tuple(
-        _family_ops(family, *ops, is_conj) for ops in _kernel_ops(kernel)
+        _family_ops(family, *ops, _midpoint, is_conj) for ops in _kernel_ops(kernel)
     )
     for family in OperatorFamily
     for kernel in TNormFamily
+    for is_conj in (True, False)
+}
+
+
+#: For every (family, is_conj), built once: the (t_op, i_op, f_op) triple
+#: over decorated numbers, which only the min/max kernel ranks.
+_NS_OPERATORS = {
+    (family, is_conj): _family_ops(family, min_ns, max_ns, _ns_midpoint, is_conj)
+    for family in OperatorFamily
     for is_conj in (True, False)
 }
 
@@ -214,58 +223,15 @@ def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: boo
     if type(x.t) is not type(y.t):
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
     if isinstance(x.t, Nonstandard):
-        return _combine_nonstandard(x, y, cfg, is_conj)
-    (t_op, i_op, f_op), (t_bare, i_bare, f_bare) = _OPERATORS[cfg.family, cfg.tnorm, is_conj]
+        if cfg.tnorm is not TNormFamily.MIN_MAX:
+            raise UnsupportedNonstandardConfig(
+                "nonstandard operands support only the min/max kernel"
+            )
+        ops = bare = _NS_OPERATORS[cfg.family, is_conj]
+    else:
+        ops, bare = _OPERATORS[cfg.family, cfg.tnorm, is_conj]
     return NeutroTriple(
-        t=_map2(t_op, t_bare, x.t, y.t),
-        i=_map2(i_op, i_bare, x.i, y.i),
-        f=_map2(f_op, f_bare, x.f, y.f),
+        t=x.t.apply(y.t, ops[0], bare[0]),
+        i=x.i.apply(y.i, ops[1], bare[1]),
+        f=x.f.apply(y.f, ops[2], bare[2]),
     )
-
-
-def _map2(op, bare, cx, cy):
-    """Apply op to the component values; bare (op without the clamp) to a
-    hesitant product whose operand values all lie in [0, 1]."""
-    if isinstance(cx, SingleValued):
-        return SingleValued(op(cx.value, cy.value))
-    if isinstance(cx, IntervalValued):
-        # Kernels are monotone in both arguments, so endpointwise
-        # application yields the exact image interval.
-        return IntervalValued(op(cx.lo, cy.lo), op(cx.hi, cy.hi))
-    xs, ys = cx.values, cy.values
-    # Hesitant values are sorted, so the extremes decide for all of them.
-    if _in_unit(xs[0]) and _in_unit(xs[-1]) and _in_unit(ys[0]) and _in_unit(ys[-1]):
-        return Hesitant(bare(u, v) for u in xs for v in ys)
-    return Hesitant(op(u, v) for u in xs for v in ys)
-
-
-def _ns_operand(c: Nonstandard) -> NsNumber:
-    if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):
-        raise UnsupportedNonstandardConfig(
-            "connectives accept nonstandard components holding exactly one number"
-        )
-    n = c.members[0]
-    if n.kind is MonadKind.BIMONAD:
-        raise UnsupportedNonstandardConfig("bimonad operands cannot be ranked by min/max")
-    return n
-
-
-def _ns_half(n: NsNumber) -> NsNumber:
-    return NsNumber(n.value / 2, n.kind)
-
-
-def _combine_nonstandard(
-    x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool
-) -> NeutroTriple:
-    if cfg.tnorm is not TNormFamily.MIN_MAX:
-        raise UnsupportedNonstandardConfig(
-            "nonstandard operands support only the min/max kernel"
-        )
-
-    def blend(a, b):
-        return add_ns(_ns_half(min_ns(a, b)), _ns_half(max_ns(a, b)))
-
-    t_op, i_op, f_op = _family_ops(cfg.family, min_ns, max_ns, blend, is_conj)
-    pairs = [(x.t, y.t, t_op), (x.i, y.i, i_op), (x.f, y.f, f_op)]
-    t, i, f = (Nonstandard(op(_ns_operand(cx), _ns_operand(cy))) for cx, cy, op in pairs)
-    return NeutroTriple(t=t, i=i, f=f)

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     UnboundIdentifier,
 )
-from .monads import MonadKind, NsNumber, _plain, std
+from .monads import MonadKind, NsNumber, std
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -264,20 +264,29 @@ class _Parser:
                 vals.append(self.number())
             self.expect("}", frozenset({"','", "'}'"}))
             return ("hesitant", vals)
-        if tok.kind == "ident" and tok.text in _MONAD_LETTER and self.peek(1).kind == "(":
-            self.advance()
-            self.advance()
-            v = self.number()
-            self.expect(")")
-            return ("ns", NsNumber(v, _MONAD_LETTER[tok.text]))
         if tok.kind == "number":
             self.advance()
             return ("num", tok.value)
+        decorated = self.decorated()
+        if decorated is not None:
+            return ("ns", decorated)
         raise FormulaSyntaxError(
             f"expected a triple component, found {_describe(tok.kind)}",
             tok.pos,
             _COMP_EXPECTED,
         )
+
+    def decorated(self) -> NsNumber | None:
+        """L(x), R(x) or B(x) at the cursor, consumed; None, consuming
+        nothing, when no decorated number starts there."""
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text in _MONAD_LETTER and self.peek(1).kind == "(":
+            self.advance()
+            self.advance()
+            v = self.number()
+            self.expect(")")
+            return NsNumber(v, _MONAD_LETTER[tok.text])
+        return None
 
     def number(self) -> Fraction:
         return self.expect("number").value
@@ -316,13 +325,7 @@ def parse_nsnumber(text: str) -> NsNumber:
     if tok.kind == "number":
         p.advance()
         n = std(tok.value)
-    elif tok.kind == "ident" and tok.text in _MONAD_LETTER and p.peek(1).kind == "(":
-        p.advance()
-        p.advance()
-        v = p.number()
-        p.expect(")")
-        n = NsNumber(v, _MONAD_LETTER[tok.text])
-    else:
+    elif (n := p.decorated()) is None:
         raise FormulaSyntaxError(
             f"expected a decorated number, found {_describe(tok.kind)}",
             tok.pos,
@@ -332,20 +335,10 @@ def parse_nsnumber(text: str) -> NsNumber:
     return n
 
 
-def format_component(c) -> str:
-    if isinstance(c, SingleValued):
-        return _plain(c.value)
-    if isinstance(c, IntervalValued):
-        return f"[{_plain(c.lo)}, {_plain(c.hi)}]"
-    if isinstance(c, Hesitant):
-        return "{" + ", ".join(_plain(v) for v in c.values) + "}"
-    if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):
-        raise ValueError("nonstandard unions have no literal syntax")
-    return str(c.members[0])
-
-
 def format_triple(tr: NeutroTriple) -> str:
-    return f"<{format_component(tr.t)}, {format_component(tr.i)}, {format_component(tr.f)}>"
+    """The triple in formula syntax; a nonstandard union, which no literal
+    spells, renders as its members joined by ∪."""
+    return f"<{tr.t}, {tr.i}, {tr.f}>"
 
 
 _PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Literal: 5, Var: 5}

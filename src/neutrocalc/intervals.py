@@ -42,6 +42,14 @@ class NsInterval:
     def __str__(self) -> str:
         return f"]{self.lo}, {self.hi}["
 
+    def to_json(self) -> dict:
+        return {
+            "kind_lo": self.lo.kind.value,
+            "lo": float(self.lo.value),
+            "kind_hi": self.hi.kind.value,
+            "hi": float(self.hi.value),
+        }
+
 
 #: Truth-degree carrier: everything from infinitesimally below 0 up to
 #: infinitesimally above 1.

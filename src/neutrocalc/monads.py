@@ -130,6 +130,9 @@ class NsNumber:
             return text
         return f"{_NOTATION[self.kind]}({text})"
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind.value, "value": float(self.value)}
+
 
 _NOTATION = {MonadKind.LEFT: "L", MonadKind.RIGHT: "R", MonadKind.BIMONAD: "B"}
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import EmptyComponent, InvalidBounds, InvalidInterval, ShapeMismatch
+from .errors import (
+    EmptyComponent,
+    InvalidBounds,
+    InvalidInterval,
+    ShapeMismatch,
+    UnsupportedNonstandardConfig,
+)
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
 from .monads import MonadKind, NsNumber, add_ns, as_fraction, std, _plain
 
@@ -42,14 +48,25 @@ __all__ = [
 
 
 class Component:
-    """Marker base for the four component shapes."""
+    """Base of the four component shapes; each keeps its behaviour on its class.
+
+    ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
+    and supremum, ``value_range()`` the underlying values in report order
+    with their least and greatest, ``scaled(q)`` every degree times q,
+    ``apply(other, op, bare)`` op on the degrees of two same-shape
+    components (``bare`` is op without the clamp, which a shape may take
+    where every operand lies in [0, 1]), and ``to_json()`` the ``--json``
+    form.  ``str()`` is the formula syntax.
+    """
 
     __slots__ = ()
+    shape: str
 
 
 @dataclass(frozen=True)
 class SingleValued(Component):
     value: Fraction
+    shape = "single"
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_fraction(self.value))
@@ -57,11 +74,28 @@ class SingleValued(Component):
     def __str__(self) -> str:
         return _plain(self.value)
 
+    def bounds(self) -> "ComponentBounds":
+        n = std(self.value)
+        return ComponentBounds(n, n)
+
+    def value_range(self):
+        return (self.value,), self.value, self.value
+
+    def scaled(self, q: Fraction) -> "SingleValued":
+        return SingleValued(self.value * q)
+
+    def apply(self, other: "SingleValued", op, bare) -> "SingleValued":
+        return SingleValued(op(self.value, other.value))
+
+    def to_json(self) -> dict:
+        return {"shape": self.shape, "kind": "std", "value": float(self.value)}
+
 
 @dataclass(frozen=True)
 class IntervalValued(Component):
     lo: Fraction
     hi: Fraction
+    shape = "interval"
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_fraction(self.lo))
@@ -72,12 +106,30 @@ class IntervalValued(Component):
     def __str__(self) -> str:
         return f"[{_plain(self.lo)}, {_plain(self.hi)}]"
 
+    def bounds(self) -> "ComponentBounds":
+        return ComponentBounds(std(self.lo), std(self.hi))
+
+    def value_range(self):
+        return (self.lo, self.hi), self.lo, self.hi
+
+    def scaled(self, q: Fraction) -> "IntervalValued":
+        return IntervalValued(self.lo * q, self.hi * q)
+
+    def apply(self, other: "IntervalValued", op, bare) -> "IntervalValued":
+        # Kernels are monotone in both arguments, so endpointwise
+        # application yields the exact image interval.
+        return IntervalValued(op(self.lo, other.lo), op(self.hi, other.hi))
+
+    def to_json(self) -> dict:
+        return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
+
 
 @dataclass(frozen=True)
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted."""
 
     values: tuple[Fraction, ...]
+    shape = "hesitant"
 
     def __init__(self, values):
         # Deduplicate on the normalised (numerator, denominator) pair,
@@ -102,12 +154,33 @@ class Hesitant(Component):
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
 
+    def bounds(self) -> "ComponentBounds":
+        return ComponentBounds(std(self.values[0]), std(self.values[-1]))
+
+    def value_range(self):
+        return self.values, self.values[0], self.values[-1]
+
+    def scaled(self, q: Fraction) -> "Hesitant":
+        return Hesitant(v * q for v in self.values)
+
+    def apply(self, other: "Hesitant", op, bare) -> "Hesitant":
+        """op on every pair of values; bare when the sorted values'
+        extremes put every operand in [0, 1]."""
+        xs, ys = self.values, other.values
+        if all(0 <= v.numerator <= v.denominator for v in (xs[0], xs[-1], ys[0], ys[-1])):
+            return Hesitant(bare(u, v) for u in xs for v in ys)
+        return Hesitant(op(u, v) for u in xs for v in ys)
+
+    def to_json(self) -> dict:
+        return {"shape": self.shape, "values": [float(v) for v in self.values]}
+
 
 @dataclass(frozen=True)
 class Nonstandard(Component):
     """A finite union of decorated numbers and decorated intervals."""
 
     members: tuple
+    shape = "nonstandard"
 
     def __init__(self, members):
         if isinstance(members, (NsNumber, NsInterval)):
@@ -122,6 +195,45 @@ class Nonstandard(Component):
 
     def __str__(self) -> str:
         return " ∪ ".join(str(m) for m in self.members)
+
+    def bounds(self) -> "ComponentBounds":
+        los = [m if isinstance(m, NsNumber) else m.lo for m in self.members]
+        his = [m if isinstance(m, NsNumber) else m.hi for m in self.members]
+        return ComponentBounds(inf_ns_set(los), sup_ns_set(his))
+
+    def value_range(self):
+        # Range checks look only at underlying values; decorations at the
+        # boundary (left monad of psi, right monad of omega) still pass.
+        values = []
+        for m in self.members:
+            if isinstance(m, NsNumber):
+                values.append(m.value)
+            else:
+                values.extend([m.lo.value, m.hi.value])
+        return values, min(values), max(values)
+
+    def scaled(self, q: Fraction) -> "Nonstandard":
+        def scale(n: NsNumber) -> NsNumber:
+            return NsNumber(n.value * q, n.kind)
+
+        return Nonstandard(
+            scale(m) if isinstance(m, NsNumber) else NsInterval(scale(m.lo), scale(m.hi))
+            for m in self.members
+        )
+
+    def apply(self, other: "Nonstandard", op, bare) -> "Nonstandard":
+        """op on the one rankable decorated number each operand holds."""
+        for c in (self, other):
+            if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):
+                raise UnsupportedNonstandardConfig(
+                    "connectives accept nonstandard components holding exactly one number"
+                )
+            if c.members[0].kind is MonadKind.BIMONAD:
+                raise UnsupportedNonstandardConfig("bimonad operands cannot be ranked by min/max")
+        return Nonstandard(op(self.members[0], other.members[0]))
+
+    def to_json(self) -> dict:
+        return {"shape": self.shape, "members": [m.to_json() for m in self.members]}
 
 
 @dataclass(frozen=True)
@@ -144,12 +256,7 @@ class NeutroTriple:
 
     @property
     def shape(self) -> str:
-        return {
-            SingleValued: "single",
-            IntervalValued: "interval",
-            Hesitant: "hesitant",
-            Nonstandard: "nonstandard",
-        }[type(self.t)]
+        return self.t.shape
 
     @classmethod
     def single(cls, t, i, f) -> "NeutroTriple":
@@ -185,18 +292,9 @@ class ComponentBounds:
 
 def component_bounds(c: Component) -> ComponentBounds:
     """Decorated infimum and supremum of one component."""
-    if isinstance(c, SingleValued):
-        n = std(c.value)
-        return ComponentBounds(n, n)
-    if isinstance(c, IntervalValued):
-        return ComponentBounds(std(c.lo), std(c.hi))
-    if isinstance(c, Hesitant):
-        return ComponentBounds(std(c.values[0]), std(c.values[-1]))
-    if isinstance(c, Nonstandard):
-        los = [m if isinstance(m, NsNumber) else m.lo for m in c.members]
-        his = [m if isinstance(m, NsNumber) else m.hi for m in c.members]
-        return ComponentBounds(inf_ns_set(los), sup_ns_set(his))
-    raise TypeError(f"not a component: {type(c).__name__}")
+    if not isinstance(c, Component):
+        raise TypeError(f"not a component: {type(c).__name__}")
+    return c.bounds()
 
 
 def triple_sums(x: NeutroTriple) -> tuple[NsNumber, NsNumber]:
@@ -219,25 +317,6 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
-def _component_values(c: Component):
-    """The underlying values in report order, their least and their greatest."""
-    if isinstance(c, SingleValued):
-        return (c.value,), c.value, c.value
-    if isinstance(c, IntervalValued):
-        return (c.lo, c.hi), c.lo, c.hi
-    if isinstance(c, Hesitant):
-        return c.values, c.values[0], c.values[-1]
-    # Range checks look only at underlying values; decorations at the
-    # boundary (left monad of psi, right monad of omega) still pass.
-    values = []
-    for m in c.members:
-        if isinstance(m, NsNumber):
-            values.append(m.value)
-        else:
-            values.extend([m.lo.value, m.hi.value])
-    return values, min(values), max(values)
-
-
 def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationReport:
     """Check component ranges and the triple sum against the bounds.
 
@@ -253,7 +332,7 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
     lo_n = hi_n = 0
     lo_d = hi_d = 1
     for where, c in (("t", x.t), ("i", x.i), ("f", x.f)):
-        values, lo, hi = _component_values(c)
+        values, lo, hi = c.value_range()
         for v in values:
             n, d = v.numerator, v.denominator
             if n * pd < pn * d:
@@ -357,24 +436,6 @@ def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     return TruthGrade.ORDINARY
 
 
-def _scale_component(c: Component, q: Fraction) -> Component:
-    if isinstance(c, SingleValued):
-        return SingleValued(c.value * q)
-    if isinstance(c, IntervalValued):
-        return IntervalValued(c.lo * q, c.hi * q)
-    if isinstance(c, Hesitant):
-        return Hesitant(v * q for v in c.values)
-    members = []
-    for m in c.members:
-        if isinstance(m, NsNumber):
-            members.append(NsNumber(m.value * q, m.kind))
-        else:
-            members.append(
-                NsInterval(NsNumber(m.lo.value * q, m.lo.kind), NsNumber(m.hi.value * q, m.hi.kind))
-            )
-    return Nonstandard(members)
-
-
 def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:
     """Multiply every degree by a positive factor; decorations stay put.
 
@@ -383,6 +444,4 @@ def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:
     q = as_fraction(factor)
     if q <= 0:
         raise ValueError("scale factor must be positive")
-    return NeutroTriple(
-        _scale_component(x.t, q), _scale_component(x.i, q), _scale_component(x.f, q)
-    )
+    return NeutroTriple(x.t.scaled(q), x.i.scaled(q), x.f.scaled(q))

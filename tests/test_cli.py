@@ -178,6 +178,29 @@ class TestEval:
     def test_json_schema_across_shapes(self, capsys, expr):
         check_schema(run_json(capsys, ["eval", expr, "--json"]), EVAL_SCHEMA)
 
+    def test_json_nonstandard_union(self, capsys, monkeypatch):
+        # No literal spells a union, so the result is put in evaluate's place.
+        union = neutrocalc.Nonstandard(
+            [neutrocalc.left(0.2), neutrocalc.NsInterval(neutrocalc.std(0.3), neutrocalc.right(2))]
+        )
+        zero = neutrocalc.Nonstandard(neutrocalc.std(0))
+        result = neutrocalc.NeutroTriple(union, zero, zero)
+        monkeypatch.setattr(neutrocalc.cli, "evaluate", lambda req: result)
+        payload = run_json(capsys, ["eval", "<0,0,0>", "--json"])
+        check_schema(payload, EVAL_SCHEMA)
+        assert payload["result"]["t"] == {
+            "shape": "nonstandard",
+            "members": [
+                {"kind": "left", "value": 0.2},
+                {"kind_lo": "std", "lo": 0.3, "kind_hi": "right", "hi": 2.0},
+            ],
+        }
+        assert list(payload["result"]["t"]["members"][1]) == ["kind_lo", "lo", "kind_hi", "hi"]
+        assert payload["result"]["i"] == {
+            "shape": "nonstandard",
+            "members": [{"kind": "std", "value": 0.0}],
+        }
+
     def test_family_and_tnorm_flags(self, capsys):
         code, out, _ = run(
             capsys,

@@ -21,6 +21,7 @@ from neutrocalc import (
     NeutroTriple,
     Nonstandard,
     Not,
+    NsInterval,
     NsNumber,
     OffsetBounds,
     OperatorConfig,
@@ -367,6 +368,20 @@ class TestEvaluate:
         req = EvalRequest("x", bindings={"x": NeutroTriple.single(1.2, 0, 0)})
         with pytest.raises(BoundsViolation):
             evaluate(req)
+
+    def test_union_binding_renders_in_errors_and_results(self):
+        def union_triple():
+            union = Nonstandard([left(0.2), NsInterval(std(0.3), right(2))])
+            return NeutroTriple(union, Nonstandard(std(0)), Nonstandard(std(0)))
+
+        with pytest.raises(BoundsViolation) as info:
+            evaluate(EvalRequest("x", bindings={"x": union_triple()}))
+        assert str(info.value) == (
+            "binding 'x' <L(0.2) ∪ ]0.3, R(2)[, 0, 0> outside active bounds: "
+            "t: value 2 above upper bound 1"
+        )
+        req = EvalRequest("x", bounds=OffsetBounds(0, 2), bindings={"x": union_triple()})
+        assert format_triple(evaluate(req)) == "<L(0.2) ∪ ]0.3, R(2)[, 0, 0>"
 
     def test_nonstandard_evaluation(self):
         result = evaluate(EvalRequest("<R(1),0,0> & <0,0,R(1)>", IF_MINMAX))

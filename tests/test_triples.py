@@ -328,6 +328,28 @@ class TestScale:
         scaled = scale_triple(x, Fraction(1, 100))
         assert scaled == NeutroTriple.nonstandard(right(1), std(0), left(0.5))
 
+    def test_interval_and_hesitant(self):
+        x = NeutroTriple(IntervalValued(10, 50), IntervalValued(0, 0), IntervalValued(20, 30))
+        assert scale_triple(x, Fraction(1, 100)) == NeutroTriple(
+            IntervalValued(0.1, 0.5), IntervalValued(0, 0), IntervalValued(0.2, 0.3)
+        )
+        h = NeutroTriple(Hesitant([50, 20, 50]), Hesitant([0]), Hesitant([100, 30]))
+        assert scale_triple(h, Fraction(1, 100)) == NeutroTriple(
+            Hesitant([0.2, 0.5]), Hesitant([0]), Hesitant([0.3, 1])
+        )
+
+    def test_nonstandard_union_with_interval_member(self):
+        x = NeutroTriple(
+            Nonstandard([left(20), NsInterval(std(30), right(200))]),
+            Nonstandard(std(0)),
+            Nonstandard(bimonad(50)),
+        )
+        assert scale_triple(x, Fraction(1, 100)) == NeutroTriple(
+            Nonstandard([left(0.2), NsInterval(std(0.3), right(2))]),
+            Nonstandard(std(0)),
+            Nonstandard(bimonad(0.5)),
+        )
+
     def test_factor_must_be_positive(self):
         with pytest.raises(ValueError):
             scale_triple(NeutroTriple.single(1, 0, 0), 0)
