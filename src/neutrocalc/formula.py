@@ -1,18 +1,20 @@
 """Formula text: grammar, AST, printing, and evaluation.
 
-    formula := impl
-    impl    := disj ("->" impl)?          right-associative
-    disj    := conj ("|" conj)*
-    conj    := unary ("&" unary)*
-    unary   := "!" unary | atom
+    formula := "!" formula | formula ("&" | "|" | "->") formula | atom
     atom    := triple | ident | "(" formula ")"
     triple  := "<" comp "," comp "," comp ">"
     comp    := nsnum | "[" number "," number "]" | "{" number ("," number)* "}"
     nsnum   := number | "L(" number ")" | "R(" number ")" | "B(" number ")"
 
-Whitespace is insignificant.  The unicode spellings ∧ ∨ ¬ → are accepted
-on input and never emitted.  Printing a parsed formula and re-parsing it
-reproduces the same tree.
+From tightest to loosest the operators bind as ! & | ->; -> groups to the
+right, & and | to the left.  Whitespace is insignificant.  The unicode
+spellings ∧ ∨ ¬ → are accepted on input and never emitted.  Printing a
+parsed formula and re-parsing it reproduces the same tree.
+
+Parser, printer and evaluator walk on explicit stacks, so formulas nest
+to any depth.  `evaluate` names the first input that fails, in source
+order: the first unbound identifier, else the first literal outside the
+bounds, else the first binding outside them.
 """
 
 from __future__ import annotations
@@ -72,28 +74,34 @@ class Var:
     name: str
 
 
+# The operator table, which parser and printer both read: `prec` is the
+# binding strength (higher binds tighter), and `right_assoc` the grouping.
 @dataclass(frozen=True)
 class Not:
     operand: "Formula"
+    prec = 4
 
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
     left: "Formula"
     right: "Formula"
+    right_assoc = False
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    symbol, prec = "&", 3
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    symbol, prec = "|", 2
 
+
+class Implies(_Binary):
+    symbol, prec, right_assoc = "->", 1, True
+
+
+_BINARY = {cls.symbol: cls for cls in (And, Or, Implies)}
 
 Formula = Union[Literal, Var, Not, And, Or, Implies]
 
@@ -150,6 +158,7 @@ def _describe(kind: str) -> str:
     return _DESC.get(kind, f"'{kind}'")
 
 
+_PERCENT = Fraction(1, 100)
 _MONAD_LETTER = {"L": MonadKind.LEFT, "R": MonadKind.RIGHT, "B": MonadKind.BIMONAD}
 
 _COMP_EXPECTED = frozenset({"number", "'['", "'{'", "'L('", "'R('", "'B('"})
@@ -181,58 +190,51 @@ class _Parser:
         return self.advance()
 
     def formula(self) -> Formula:
-        node = self.impl()
-        tok = self.peek()
-        if tok.kind != "end":
-            exp = frozenset({"'&'", "'|'", "'->'", "end of input"})
-            raise FormulaSyntaxError(
-                f"unexpected {_describe(tok.kind)} after formula", tok.pos, exp
-            )
-        return node
+        """Precedence climbing: an operator waits on `ops` until one binding
+        less tightly, or as tightly and grouping left, follows it.  After
+        each operand, closing parentheses reduce to their opening one."""
+        operands: list[Formula] = []
+        ops: list = []  # Not, binary classes, and None for an open "("
 
-    def impl(self) -> Formula:
-        node = self.disj()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(node, self.impl())
-        return node
+        def reduce() -> None:
+            op = ops.pop()
+            arity = 1 if op is Not else 2
+            operands[-arity:] = [op(*operands[-arity:])]
 
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek().kind == "|":
+        while True:
+            tok = self.peek()
+            if tok.kind in ("!", "("):
+                ops.append(Not if tok.kind == "!" else None)
+                self.advance()
+                continue
+            if tok.kind == "<":
+                operands.append(self.triple())
+            elif tok.kind == "ident":
+                self.advance()
+                operands.append(Var(tok.text))
+            else:
+                exp = frozenset({"'<'", "identifier", "'('", "'!'"})
+                raise FormulaSyntaxError(
+                    f"expected a formula atom, found {_describe(tok.kind)}", tok.pos, exp
+                )
+            while (cls := _BINARY.get(self.peek().kind)) is None:
+                while ops and ops[-1] is not None:
+                    reduce()
+                if ops:
+                    self.expect(")")
+                    ops.pop()
+                    continue
+                tok = self.peek()
+                if tok.kind != "end":
+                    exp = frozenset({"'&'", "'|'", "'->'", "end of input"})
+                    raise FormulaSyntaxError(
+                        f"unexpected {_describe(tok.kind)} after formula", tok.pos, exp
+                    )
+                return operands[0]
+            while ops and ops[-1] is not None and ops[-1].prec >= cls.prec + cls.right_assoc:
+                reduce()
+            ops.append(cls)
             self.advance()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.peek().kind == "!":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "<":
-            return self.triple()
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.impl()
-            self.expect(")")
-            return node
-        exp = frozenset({"'<'", "identifier", "'('", "'!'"})
-        raise FormulaSyntaxError(
-            f"expected a formula atom, found {_describe(tok.kind)}", tok.pos, exp
-        )
 
     def triple(self) -> Literal:
         start = self.expect("<").pos
@@ -341,44 +343,50 @@ def format_triple(tr: NeutroTriple) -> str:
     return f"<{tr.t}, {tr.i}, {tr.f}>"
 
 
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Literal: 5, Var: 5}
-
-
 def unparse(f: Formula) -> str:
     """Canonical ASCII rendering; parse(unparse(f)) == f for parser output."""
-    return _unparse(f)
+    pieces: list[str] = []
+    # Pairs of a node or text to emit and the least binding strength it
+    # prints bare at; the next one is last.
+    todo: list = [(f, 0)]
+    while todo:
+        node, least = todo.pop()
+        if isinstance(node, str):
+            pieces.append(node)
+        elif isinstance(node, _Binary) and node.prec < least:
+            todo += ((")", 0), (node, 0), ("(", 0))
+        elif isinstance(node, Literal):
+            pieces.append(format_triple(node.value))
+        elif isinstance(node, Var):
+            pieces.append(node.name)
+        elif isinstance(node, Not):
+            pieces.append("!")
+            todo.append((node.operand, node.prec))
+        else:
+            todo += (
+                (node.right, node.prec + (not node.right_assoc)),
+                (f" {node.symbol} ", 0),
+                (node.left, node.prec + node.right_assoc),
+            )
+    return "".join(pieces)
 
 
-def _wrap(child: Formula, parent_prec: int, tight: bool) -> str:
-    text = _unparse(child)
-    child_prec = _PREC[type(child)]
-    if child_prec < parent_prec or (tight and child_prec == parent_prec):
-        return f"({text})"
-    return text
-
-
-def _unparse(f: Formula) -> str:
-    if isinstance(f, Literal):
-        return format_triple(f.value)
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _wrap(f.operand, _PREC[Not], tight=False)
-    if isinstance(f, And):
-        return f"{_wrap(f.left, 3, False)} & {_wrap(f.right, 3, True)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.left, 2, False)} | {_wrap(f.right, 2, True)}"
-    return f"{_wrap(f.left, 1, True)} -> {_wrap(f.right, 1, False)}"
+def _postorder(f: Formula) -> list[Formula]:
+    """Every node of f, children before parents and leaves in source order:
+    the root-first, right-first preorder, reversed."""
+    order, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Not):
+            todo.append(node.operand)
+        elif isinstance(node, _Binary):
+            todo += (node.left, node.right)
+    return order[::-1]
 
 
 def free_identifiers(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset({f.name})
-    if isinstance(f, Not):
-        return free_identifiers(f.operand)
-    if isinstance(f, (And, Or, Implies)):
-        return free_identifiers(f.left) | free_identifiers(f.right)
-    return frozenset()
+    return frozenset(node.name for node in _postorder(f) if isinstance(node, Var))
 
 
 @dataclass(frozen=True)
@@ -400,16 +408,6 @@ class EvalRequest:
             raise ValueError("scale must be 'unit' or 'percent'")
 
 
-def _literals(f: Formula):
-    if isinstance(f, Literal):
-        yield f.value
-    elif isinstance(f, Not):
-        yield from _literals(f.operand)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _literals(f.left)
-        yield from _literals(f.right)
-
-
 def evaluate(req: EvalRequest) -> NeutroTriple:
     """Parse, admit, and fold a formula to a single triple.
 
@@ -418,19 +416,17 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
     failing input raises BoundsViolation rather than silently clamping
     at this stage.
     """
-    tree = parse(req.formula)
-    factor = Fraction(1, 100) if req.scale == "percent" else None
+    nodes = _postorder(parse(req.formula))
 
     def canon(tr: NeutroTriple) -> NeutroTriple:
-        return scale_triple(tr, factor) if factor else tr
+        return scale_triple(tr, _PERCENT) if req.scale == "percent" else tr
 
-    bindings = {}
-    for name in free_identifiers(tree):
-        if name not in req.bindings:
-            raise UnboundIdentifier(name)
-        bindings[name] = canon(req.bindings[name])
+    names = dict.fromkeys(node.name for node in nodes if isinstance(node, Var))
+    if unbound := [name for name in names if name not in req.bindings]:
+        raise UnboundIdentifier(unbound[0])
+    bindings = {name: canon(req.bindings[name]) for name in names}
 
-    literals = [canon(lit) for lit in _literals(tree)]
+    literals = [canon(node.value) for node in nodes if isinstance(node, Literal)]
     for source, tr in [("literal", tr) for tr in literals] + [
         (f"binding {name!r}", tr) for name, tr in bindings.items()
     ]:
@@ -441,19 +437,17 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
                 f"{source} {format_triple(tr)} outside active bounds: {detail}", report
             )
 
-    admitted = iter(literals)  # fold visits literals in _literals' order
-
-    def fold(node: Formula) -> NeutroTriple:
+    admitted = iter(literals)
+    values: list[NeutroTriple] = []
+    for node in nodes:
         if isinstance(node, Literal):
-            return next(admitted)
-        if isinstance(node, Var):
-            return bindings[node.name]
-        if isinstance(node, Not):
-            return neg(fold(node.operand))
-        if isinstance(node, And):
-            return conj(fold(node.left), fold(node.right), req.config)
-        if isinstance(node, Or):
-            return disj(fold(node.left), fold(node.right), req.config)
-        return impl(fold(node.left), fold(node.right), req.config)
-
-    return fold(tree)
+            values.append(next(admitted))
+        elif isinstance(node, Var):
+            values.append(bindings[node.name])
+        elif isinstance(node, Not):
+            values[-1] = neg(values[-1])
+        else:
+            op = conj if isinstance(node, And) else disj if isinstance(node, Or) else impl
+            y = values.pop()
+            values[-1] = op(values[-1], y, req.config)
+    return values[0]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import EmptySet, InvalidInterval
-from .monads import _AT_MOST, MonadKind, NsNumber, as_fraction, compare_ns, left, right, std
+from .monads import _AT_LEAST, _AT_MOST, MonadKind, NsNumber, as_fraction, compare_ns, left, right, std
 
 __all__ = [
     "NsInterval",
@@ -79,26 +79,37 @@ def sup_ns(interval: NsInterval) -> NsNumber:
     return interval.hi
 
 
+def _bound_kinds(order: frozenset) -> dict:
+    """For every pair of kinds at one value, read off compare_ns: the greatest
+    lower bound (order _AT_MOST) or the least upper bound (_AT_LEAST)."""
+
+    def rel(a: MonadKind, b: MonadKind) -> bool:
+        return compare_ns(NsNumber(0, a), NsNumber(0, b)) in order
+
+    table = {}
+    for a in MonadKind:
+        for b in MonadKind:
+            bounds = [k for k in MonadKind if rel(k, a) and rel(k, b)]
+            table[a, b] = next(k for k in bounds if all(rel(j, k) for j in bounds))
+    return table
+
+
 # At a fixed value the four kinds form a diamond: LEFT below everything,
 # RIGHT above everything, STD and BIMONAD incomparable in the middle.
-def _kind_glb(a: MonadKind, b: MonadKind) -> MonadKind:
-    if a is b:
-        return a
-    if MonadKind.LEFT in (a, b):
-        return MonadKind.LEFT
-    if MonadKind.RIGHT in (a, b):
-        return a if b is MonadKind.RIGHT else b
-    return MonadKind.LEFT  # std meets bimonad from below
+_KIND_MEET, _KIND_JOIN = _bound_kinds(_AT_MOST), _bound_kinds(_AT_LEAST)
 
 
-def _kind_lub(a: MonadKind, b: MonadKind) -> MonadKind:
-    if a is b:
-        return a
-    if MonadKind.RIGHT in (a, b):
-        return MonadKind.RIGHT
-    if MonadKind.LEFT in (a, b):
-        return a if b is MonadKind.LEFT else b
-    return MonadKind.RIGHT  # std joins bimonad from above
+def _bound_set(values: Iterable[NsNumber], name: str, pick, table: dict) -> NsNumber:
+    """The bound at the `pick` of the values, the kinds there folded by `table`."""
+    items = list(values)
+    if not items:
+        raise EmptySet(f"{name} over an empty set")
+    m = pick(x.value for x in items)
+    kind = None
+    for x in items:
+        if x.value == m:
+            kind = x.kind if kind is None else table[kind, x.kind]
+    return NsNumber(m, kind)
 
 
 def inf_ns_set(values: Iterable[NsNumber]) -> NsNumber:
@@ -109,28 +120,12 @@ def inf_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     particular a std/bimonad mix has no comparable member below it other
     than the left monad of that value.
     """
-    items = list(values)
-    if not items:
-        raise EmptySet("inf over an empty set")
-    m = min(x.value for x in items)
-    kind = None
-    for x in items:
-        if x.value == m:
-            kind = x.kind if kind is None else _kind_glb(kind, x.kind)
-    return NsNumber(m, kind)
+    return _bound_set(values, "inf", min, _KIND_MEET)
 
 
 def sup_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     """Least NsNumber that is ≥N every element of the set."""
-    items = list(values)
-    if not items:
-        raise EmptySet("sup over an empty set")
-    m = max(x.value for x in items)
-    kind = None
-    for x in items:
-        if x.value == m:
-            kind = x.kind if kind is None else _kind_lub(kind, x.kind)
-    return NsNumber(m, kind)
+    return _bound_set(values, "sup", max, _KIND_JOIN)
 
 
 def rough_contains(a, b, x: NsNumber) -> bool:

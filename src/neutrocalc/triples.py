@@ -54,13 +54,22 @@ class Component:
     and supremum, ``value_range()`` the underlying values in report order
     with their least and greatest, ``scaled(q)`` every degree times q,
     ``apply(other, op, bare)`` op on the degrees of two same-shape
-    components (``bare`` is op without the clamp, which a shape may take
+    components (``bare`` is op without the clamp, which the numeric shapes take
     where every operand lies in [0, 1]), and ``to_json()`` the ``--json``
     form.  ``str()`` is the formula syntax.
     """
 
     __slots__ = ()
     shape: str
+
+
+def _kernel(op, bare, *degrees):
+    """bare if every degree lies in [0, 1], where op's clamp does nothing."""
+    for v in degrees:
+        n, d = v.as_integer_ratio()
+        if not 0 <= n <= d:
+            return op
+    return bare
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ class SingleValued(Component):
         return SingleValued(self.value * q)
 
     def apply(self, other: "SingleValued", op, bare) -> "SingleValued":
-        return SingleValued(op(self.value, other.value))
+        return SingleValued(_kernel(op, bare, self.value, other.value)(self.value, other.value))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "kind": "std", "value": float(self.value)}
@@ -118,7 +127,8 @@ class IntervalValued(Component):
     def apply(self, other: "IntervalValued", op, bare) -> "IntervalValued":
         # Kernels are monotone in both arguments, so endpointwise
         # application yields the exact image interval.
-        return IntervalValued(op(self.lo, other.lo), op(self.hi, other.hi))
+        k = _kernel(op, bare, self.lo, self.hi, other.lo, other.hi)
+        return IntervalValued(k(self.lo, other.lo), k(self.hi, other.hi))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
@@ -165,11 +175,10 @@ class Hesitant(Component):
 
     def apply(self, other: "Hesitant", op, bare) -> "Hesitant":
         """op on every pair of values; bare when the sorted values'
-        extremes put every operand in [0, 1]."""
+        extremes lie in [0, 1]."""
         xs, ys = self.values, other.values
-        if all(0 <= v.numerator <= v.denominator for v in (xs[0], xs[-1], ys[0], ys[-1])):
-            return Hesitant(bare(u, v) for u in xs for v in ys)
-        return Hesitant(op(u, v) for u in xs for v in ys)
+        k = _kernel(op, bare, xs[0], xs[-1], ys[0], ys[-1])
+        return Hesitant(k(u, v) for u in xs for v in ys)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "values": [float(v) for v in self.values]}

@@ -134,7 +134,7 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
-def run_module(argv):
+def run_module(argv, env=None):
     # The child imports the same checkout as this test, also when pytest
     # put it on sys.path through its pythonpath setting.
     src = str(Path(neutrocalc.__file__).resolve().parent.parent)
@@ -143,7 +143,7 @@ def run_module(argv):
         [sys.executable, "-m", "neutrocalc", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 
@@ -421,6 +421,21 @@ class TestExitCodes:
         code, _, err = run(capsys, ["eval", "x & <1,0,0>"])
         assert code == 1
         assert "has no binding" in err
+
+    @pytest.mark.parametrize("expr", ["x & y", "y & x"])
+    @pytest.mark.parametrize(
+        "bind", [[], ["--bind", "x=<2,0,0>", "--bind", "y=<3,0,0>"]], ids=["unbound", "bad"]
+    )
+    def test_first_identifier_named_under_every_hash_seed(self, expr, bind):
+        for seed in range(6):
+            proc = run_module(["eval", expr, *bind], env={"PYTHONHASHSEED": str(seed)})
+            assert proc.returncode == 1
+            assert f" {expr[0]!r} " in proc.stderr, (seed, proc.stderr)
+
+    def test_deep_formula_exits_0(self):
+        proc = run_module(["eval", "!" * 100_000 + "<1,0,0>"])
+        assert (proc.returncode, proc.stdout) == (0, "<1, 0, 0>\n")
+        assert "Traceback" not in proc.stderr
 
     def test_unsupported_nonstandard_config_exits_1(self, capsys):
         code, _, err = run(

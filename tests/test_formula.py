@@ -324,6 +324,21 @@ class TestEvaluate:
         with pytest.raises(UnboundIdentifier):
             evaluate(EvalRequest("x & <1,0,0>"))
 
+    def test_first_unbound_identifier_in_source_order(self):
+        names = ["d", "a", "c", "b"]
+        for k in range(len(names)):
+            order = names[k:] + names[:k]
+            with pytest.raises(UnboundIdentifier) as info:
+                evaluate(EvalRequest(" & ".join(order)))
+            assert info.value.name == order[0]
+
+    def test_first_bad_binding_in_source_order(self):
+        bad = {name: NeutroTriple.single(2, 0, 0) for name in "dacb"}
+        for text in ("d & a | c -> b", "b -> c | a & d", "c & !(a | d) & b"):
+            with pytest.raises(BoundsViolation) as info:
+                evaluate(EvalRequest(text, bindings=bad))
+            assert str(info.value).startswith(f"binding {text[0]!r} ")
+
     def test_percent_scale(self):
         result = evaluate(EvalRequest("<100,0,0> & <0,0,100>", scale="percent"))
         assert result == NeutroTriple.single(0, 0, 1)
@@ -390,3 +405,24 @@ class TestEvaluate:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             EvalRequest("<1,0,0>", scale="permille")
+
+
+# Deep inputs, at the default recursion limit.  Trees are compared through
+# their printed text: the dataclasses' own __eq__ and __repr__ recurse.
+DEEP = {
+    "parentheses": ("(" * 100_000 + "x" + ")" * 100_000, "x"),
+    "negations": ("!" * 100_000 + "x", "!" * 100_000 + "x"),
+    "conjunctions": (" & ".join(["x"] * 10_000), " & ".join(["x"] * 10_000)),
+    "implications": (" -> ".join(["x"] * 10_000), " -> ".join(["x"] * 10_000)),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_formulas(name):
+    text, printed = DEEP[name]
+    tree = parse(text)
+    assert unparse(tree) == printed
+    assert free_identifiers(tree) == frozenset({"x"})
+    # <1,0,0> is a fixed point of x & x and x -> x, and of !!x.
+    x = NeutroTriple.single(1, 0, 0)
+    assert evaluate(EvalRequest(text, bindings={"x": x})) == x

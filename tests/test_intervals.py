@@ -99,6 +99,23 @@ class TestInfSup:
         assert inf_ns_set([std(0.5), bimonad(0.5)]) == left(0.5)
         assert sup_ns_set([std(0.5), bimonad(0.5)]) == right(0.5)
 
+    @pytest.mark.parametrize("a", oracles.KINDS)
+    @pytest.mark.parametrize("b", oracles.KINDS)
+    def test_kind_pairs_at_one_value_match_the_oracle(self, a, b):
+        # The greatest kind below both and the least above both, judged
+        # by the oracle's set geometry alone.
+        v = Fraction(3, 10)
+        pair = [NsNumber(v, a), NsNumber(v, b)]
+        cands = [NsNumber(v, k) for k in oracles.KINDS]
+
+        def leq(x, y):
+            return oracles.classify(x, y) in AT_MOST
+
+        lower = [c for c in cands if all(leq(c, x) for x in pair)]
+        upper = [c for c in cands if all(leq(x, c) for x in pair)]
+        assert [inf_ns_set(pair)] == [c for c in lower if all(leq(d, c) for d in lower)]
+        assert [sup_ns_set(pair)] == [c for c in upper if all(leq(c, d) for d in upper)]
+
     def test_empty_set_raises(self):
         with pytest.raises(EmptySet):
             inf_ns_set([])
