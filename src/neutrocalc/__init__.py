@@ -3,184 +3,25 @@
 Monad-decorated numbers with a six-valued order, decorated intervals,
 homogeneous (T, I, F) triples, logic connectives over three t-norm
 kernels, and a formula grammar with a CLI evaluator.
+
+Each module's ``__all__`` is its public list; the package exports the
+union of them.
 """
 
-from .connectives import (
-    ClampWarning,
-    DEFAULT_CONFIG,
-    OperatorConfig,
-    OperatorFamily,
-    TNormFamily,
-    conj,
-    disj,
-    impl,
-    neg,
-    tconorm,
-    tnorm,
-)
-from .errors import (
-    ArityError,
-    BoundsViolation,
-    EmptyComponent,
-    EmptySet,
-    FormulaSyntaxError,
-    IncomparableOperands,
-    InvalidBounds,
-    InvalidInterval,
-    NeutroCalcError,
-    ShapeMismatch,
-    UnboundIdentifier,
-    UnsupportedNonstandardConfig,
-)
-from .formula import (
-    And,
-    EvalRequest,
-    Formula,
-    Implies,
-    Literal,
-    Not,
-    Or,
-    Var,
-    evaluate,
-    format_triple,
-    free_identifiers,
-    parse,
-    parse_nsnumber,
-    unparse,
-)
-from .intervals import (
-    AnomalyReport,
-    NsInterval,
-    UNIT_INTERVAL,
-    anomaly_check,
-    contains,
-    inf_ns,
-    inf_ns_set,
-    rough_contains,
-    sup_ns,
-    sup_ns_set,
-)
-from .monads import (
-    MonadKind,
-    NsNumber,
-    OrderRelation,
-    add_ns,
-    as_fraction,
-    bimonad,
-    compare_ns,
-    equal_ns,
-    infinitely_close,
-    left,
-    max_ns,
-    min_ns,
-    right,
-    roughly_leq,
-    std,
-)
-from .triples import (
-    Component,
-    ComponentBounds,
-    Hesitant,
-    IntervalValued,
-    NeutroTriple,
-    Nonstandard,
-    OffsetBounds,
-    Role,
-    SingleValued,
-    TruthGrade,
-    UNIT_BOUNDS,
-    ValidationReport,
-    Violation,
-    classify_logic,
-    component_bounds,
-    scale_triple,
-    triple_sums,
-    truth_grade,
-    validate,
-)
+from . import connectives, errors, formula, intervals, monads, triples
+from .connectives import *
+from .errors import *
+from .formula import *
+from .intervals import *
+from .monads import *
+from .triples import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnomalyReport",
-    "And",
-    "ArityError",
-    "BoundsViolation",
-    "ClampWarning",
-    "Component",
-    "ComponentBounds",
-    "DEFAULT_CONFIG",
-    "EmptyComponent",
-    "EmptySet",
-    "EvalRequest",
-    "Formula",
-    "FormulaSyntaxError",
-    "Hesitant",
-    "Implies",
-    "IncomparableOperands",
-    "IntervalValued",
-    "InvalidBounds",
-    "InvalidInterval",
-    "Literal",
-    "MonadKind",
-    "NeutroCalcError",
-    "NeutroTriple",
-    "Nonstandard",
-    "Not",
-    "NsInterval",
-    "NsNumber",
-    "OffsetBounds",
-    "OperatorConfig",
-    "OperatorFamily",
-    "Or",
-    "OrderRelation",
-    "Role",
-    "ShapeMismatch",
-    "SingleValued",
-    "TNormFamily",
-    "TruthGrade",
-    "UNIT_BOUNDS",
-    "UNIT_INTERVAL",
-    "UnboundIdentifier",
-    "UnsupportedNonstandardConfig",
-    "ValidationReport",
-    "Var",
-    "Violation",
-    "add_ns",
-    "anomaly_check",
-    "as_fraction",
-    "bimonad",
-    "classify_logic",
-    "compare_ns",
-    "component_bounds",
-    "conj",
-    "contains",
-    "disj",
-    "equal_ns",
-    "evaluate",
-    "format_triple",
-    "free_identifiers",
-    "impl",
-    "inf_ns",
-    "inf_ns_set",
-    "infinitely_close",
-    "left",
-    "max_ns",
-    "min_ns",
-    "neg",
-    "parse",
-    "parse_nsnumber",
-    "right",
-    "rough_contains",
-    "roughly_leq",
-    "scale_triple",
-    "std",
-    "sup_ns",
-    "sup_ns_set",
-    "tconorm",
-    "tnorm",
-    "triple_sums",
-    "truth_grade",
-    "unparse",
-    "validate",
-]
+__all__ = []
+__all__ += connectives.__all__
+__all__ += errors.__all__
+__all__ += formula.__all__
+__all__ += intervals.__all__
+__all__ += monads.__all__
+__all__ += triples.__all__

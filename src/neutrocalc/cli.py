@@ -14,35 +14,20 @@ import sys
 import warnings
 from fractions import Fraction
 from random import Random
+from typing import Callable, NamedTuple
 
 from .connectives import OperatorConfig, OperatorFamily, TNormFamily
 from .errors import FormulaSyntaxError, NeutroCalcError
-from .formula import (
-    EvalRequest,
-    Literal,
-    evaluate,
-    format_triple,
-    parse,
-    parse_nsnumber,
-)
+from .formula import EvalRequest, Literal, evaluate, format_triple, parse, parse_nsnumber
 from .intervals import NsInterval, anomaly_check, inf_ns, sup_ns
 from .monads import MonadKind, NsNumber, compare_ns, infinitely_close, roughly_leq, std
 from .triples import NeutroTriple, OffsetBounds, classify_logic, validate
 
 _FAMILY = {f.value: f for f in OperatorFamily}
 _TNORM = {t.value: t for t in TNormFamily}
-_KIND = {
-    "std": MonadKind.STD,
-    "s": MonadKind.STD,
-    "left": MonadKind.LEFT,
-    "l": MonadKind.LEFT,
-    "right": MonadKind.RIGHT,
-    "r": MonadKind.RIGHT,
-    "bimonad": MonadKind.BIMONAD,
-    "b": MonadKind.BIMONAD,
-}
-
-_KIND_ORDER = (MonadKind.STD, MonadKind.LEFT, MonadKind.RIGHT, MonadKind.BIMONAD)
+# Kinds by name and by initial, in declaration order.
+_KIND_ORDER = tuple(MonadKind)
+_KIND = {spelling: k for k in _KIND_ORDER for spelling in (k.value, k.value[0])}
 
 
 # The exponent of e-notation as Fraction's string grammar spells it.
@@ -100,11 +85,18 @@ def _binding(text: str) -> tuple[str, NeutroTriple]:
     return name, node.value
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
+class _Output(NamedTuple):
+    """What a subcommand prints.  main prints payload() as JSON under
+    --json, else the warnings on stderr and then lines() on stdout.  Both
+    are built only when printed, so the form not asked for cannot fail."""
+
+    code: int
+    payload: Callable[[], dict] | None
+    lines: Callable[[], list[str]]
+    warnings: tuple[str, ...] = ()
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> _Output:
     req = EvalRequest(
         formula=args.expr,
         config=OperatorConfig(_FAMILY[args.family], _TNORM[args.tnorm]),
@@ -116,107 +108,75 @@ def _cmd_eval(args) -> int:
         warnings.simplefilter("always")
         result = evaluate(req)
     notes = [str(w.message) for w in caught]
-    if args.json:
-        _emit(
-            {
-                "result": {
-                    "t": result.t.to_json(),
-                    "i": result.i.to_json(),
-                    "f": result.f.to_json(),
-                },
-                "config": {
-                    "family": args.family,
-                    "tnorm": args.tnorm,
-                    "scale": args.scale,
-                    "psi": float(args.psi),
-                    "omega": float(args.omega),
-                },
-                "warnings": notes,
-            }
-        )
-    else:
-        for note in notes:
-            print(f"warning: {note}", file=sys.stderr)
-        print(format_triple(result))
-    return 0
+    payload = lambda: {
+        "result": {"t": result.t.to_json(), "i": result.i.to_json(), "f": result.f.to_json()},
+        "config": {
+            "family": args.family,
+            "tnorm": args.tnorm,
+            "scale": args.scale,
+            "psi": float(args.psi),
+            "omega": float(args.omega),
+        },
+        "warnings": notes,
+    }
+    warned = tuple(f"warning: {note}" for note in notes)
+    return _Output(0, payload, lambda: [format_triple(result)], warned)
 
 
-def _cmd_compare(args) -> int:
+def _relation(args, relate) -> _Output:
     x, y = parse_nsnumber(args.x), parse_nsnumber(args.y)
-    rel = compare_ns(x, y)
-    if args.json:
-        _emit({"x": x.to_json(), "y": y.to_json(), "relation": rel.value})
-    else:
-        print(rel.value)
-    return 0
+    symbol = relate(x, y)
+    payload = lambda: {"x": x.to_json(), "y": y.to_json(), "relation": symbol}
+    return _Output(0, payload, lambda: [symbol])
 
 
-def _cmd_rough_compare(args) -> int:
-    x, y = parse_nsnumber(args.x), parse_nsnumber(args.y)
+def _cmd_compare(args) -> _Output:
+    return _relation(args, lambda x, y: compare_ns(x, y).value)
+
+
+def _rough_symbol(x: NsNumber, y: NsNumber) -> str:
     if infinitely_close(x, y):
-        symbol = "≈"
-    elif roughly_leq(x, y):
-        symbol = "≲"
-    else:
-        symbol = "≳"
-    if args.json:
-        _emit({"x": x.to_json(), "y": y.to_json(), "relation": symbol})
-    else:
-        print(symbol)
-    return 0
+        return "≈"
+    return "≲" if roughly_leq(x, y) else "≳"
 
 
-def _cmd_interval(args) -> int:
+def _cmd_rough_compare(args) -> _Output:
+    return _relation(args, _rough_symbol)
+
+
+def _cmd_interval(args) -> _Output:
     interval = NsInterval(args.lo, args.hi)
     result = inf_ns(interval) if args.which == "inf" else sup_ns(interval)
-    if args.json:
-        _emit({"which": args.which, "result": result.to_json()})
-    else:
-        print(str(result))
-    return 0
+    payload = lambda: {"which": args.which, "result": result.to_json()}
+    return _Output(0, payload, lambda: [str(result)])
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> _Output:
     labels = sorted(classify_logic(args.t, args.i, args.f, scale=args.scale))
-    if args.json:
-        _emit({"labels": labels})
-    else:
-        for label in labels:
-            print(label)
-    return 0
+    return _Output(0, lambda: {"labels": labels}, lambda: labels)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Output:
     triple = NeutroTriple.single(args.t, args.i, args.f)
     report = validate(triple, OffsetBounds(args.psi, args.omega))
-    if args.json:
-        _emit(
-            {
-                "ok": report.ok,
-                "violations": [
-                    {"where": v.where, "message": v.message} for v in report.violations
-                ],
-            }
-        )
-    else:
-        if report.ok:
-            print("pass")
-        for v in report.violations:
-            print(f"{v.where}: {v.message}")
-    return 0 if report.ok else 1
+    return _Output(
+        0 if report.ok else 1,
+        lambda: {"ok": report.ok, "violations": [vars(v) for v in report.violations]},
+        lambda: [f"{v.where}: {v.message}" for v in report.violations] or ["pass"],
+    )
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> _Output:
     a, b = std(args.a), std(args.b)
-    print("kind_a\tkind_b\trelation")
+    rows = ["kind_a\tkind_b\trelation"]
     for ka in _KIND_ORDER:
         for kb in _KIND_ORDER:
             rel = compare_ns(NsNumber(a.value, ka), NsNumber(b.value, kb))
-            print(f"{ka.value}\t{kb.value}\t{rel.value}")
-    return 0
+            rows.append(f"{ka.value}\t{kb.value}\t{rel.value}")
+    return _Output(0, None, lambda: rows)
 
 
-def _cmd_anomaly(args) -> int:
+def _cmd_anomaly(args) -> _Output:
     a, b = args.a, args.b
     if not a < b:
         raise NeutroCalcError("anomaly check requires a < b")
@@ -231,29 +191,27 @@ def _cmd_anomaly(args) -> int:
     report = anomaly_check(a, b, probes)
     members = sum(report.outer_membership)
     discrepancies = len(report.discrepancies)
-    if args.json:
-        _emit(
-            {
-                "outer": report.outer_notation,
-                "inner": report.inner_notation,
-                "probes": len(report.probes),
-                "members": members,
-                "discrepancies": discrepancies,
-                "memberships_coincide": not discrepancies,
-            }
-        )
-        return 0
-    print(f"outer interval: {report.outer_notation}")
-    print(f"inner interval: {report.inner_notation}")
-    print(f"probes: {len(report.probes)}")
-    print(f"members of each: {members}")
-    print(f"discrepancies: {discrepancies}")
+    payload = lambda: {
+        "outer": report.outer_notation,
+        "inner": report.inner_notation,
+        "probes": len(report.probes),
+        "members": members,
+        "discrepancies": discrepancies,
+        "memberships_coincide": not discrepancies,
+    }
+    lines = [
+        f"outer interval: {report.outer_notation}",
+        f"inner interval: {report.inner_notation}",
+        f"probes: {len(report.probes)}",
+        f"members of each: {members}",
+        f"discrepancies: {discrepancies}",
+    ]
     if not discrepancies:
-        print(
+        lines.append(
             "membership predicates coincide: the nominally wider and narrower "
             "intervals contain exactly the same probes"
         )
-    return 0
+    return _Output(0, payload, lambda: lines)
 
 
 @functools.cache
@@ -341,13 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
     except FormulaSyntaxError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NeutroCalcError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if getattr(args, "json", False):  # table has no --json
+        sys.stdout.write(json.dumps(out.payload(), ensure_ascii=False) + "\n")
+    else:
+        for note in out.warnings:
+            print(note, file=sys.stderr)
+        sys.stdout.write("".join(line + "\n" for line in out.lines()))
+    return out.code
 
 
 if __name__ == "__main__":

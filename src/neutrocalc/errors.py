@@ -2,6 +2,21 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "NeutroCalcError",
+    "IncomparableOperands",
+    "InvalidInterval",
+    "InvalidBounds",
+    "EmptySet",
+    "EmptyComponent",
+    "ShapeMismatch",
+    "UnsupportedNonstandardConfig",
+    "UnboundIdentifier",
+    "BoundsViolation",
+    "FormulaSyntaxError",
+    "ArityError",
+]
+
 
 class NeutroCalcError(Exception):
     """Base class for every error raised by this package."""

@@ -11,10 +11,11 @@ right, & and | to the left.  Whitespace is insignificant.  The unicode
 spellings ∧ ∨ ¬ → are accepted on input and never emitted.  Printing a
 parsed formula and re-parsing it reproduces the same tree.
 
-Parser, printer and evaluator walk on explicit stacks, so formulas nest
-to any depth.  `evaluate` names the first input that fails, in source
-order: the first unbound identifier, else the first literal outside the
-bounds, else the first binding outside them.
+Parser, printer, evaluator and the trees' ==, hash and repr walk on
+explicit stacks, so formulas nest to any depth.  `evaluate` names the
+first input that fails, in source order: the first unbound identifier,
+else the first literal outside the bounds, else the first binding
+outside them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     UnboundIdentifier,
 )
-from .monads import MonadKind, NsNumber, std
+from .monads import _NOTATION, NsNumber, std
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -74,16 +75,43 @@ class Var:
     name: str
 
 
+class _Compound:
+    """Not and the binary operators.  Equality, hashing and repr walk the
+    tree on explicit stacks; the ones dataclass writes recurse."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _signature(self) == _signature(other)
+
+    def __hash__(self):
+        return hash(_signature(self))
+
+    def __repr__(self) -> str:
+        pieces, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                pieces.append(node)
+            elif isinstance(node, Not):
+                todo += (")", node.operand, "Not(operand=")
+            elif isinstance(node, _Binary):
+                todo += (")", node.right, ", right=", node.left, f"{type(node).__name__}(left=")
+            else:
+                pieces.append(repr(node))
+        return "".join(pieces)
+
+
 # The operator table, which parser and printer both read: `prec` is the
 # binding strength (higher binds tighter), and `right_assoc` the grouping.
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Compound):
     operand: "Formula"
     prec = 4
 
 
-@dataclass(frozen=True)
-class _Binary:
+@dataclass(frozen=True, eq=False, repr=False)
+class _Binary(_Compound):
     left: "Formula"
     right: "Formula"
     right_assoc = False
@@ -159,9 +187,9 @@ def _describe(kind: str) -> str:
 
 
 _PERCENT = Fraction(1, 100)
-_MONAD_LETTER = {"L": MonadKind.LEFT, "R": MonadKind.RIGHT, "B": MonadKind.BIMONAD}
-
-_COMP_EXPECTED = frozenset({"number", "'['", "'{'", "'L('", "'R('", "'B('"})
+_MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
+_NSNUM_EXPECTED = frozenset({"number", *(f"'{letter}('" for letter in _MONAD_LETTER)})
+_COMP_EXPECTED = _NSNUM_EXPECTED | {"'['", "'{'"}
 
 
 class _Parser:
@@ -331,7 +359,7 @@ def parse_nsnumber(text: str) -> NsNumber:
         raise FormulaSyntaxError(
             f"expected a decorated number, found {_describe(tok.kind)}",
             tok.pos,
-            frozenset({"number", "'L('", "'R('", "'B('"}),
+            _NSNUM_EXPECTED,
         )
     p.expect("end")
     return n
@@ -383,6 +411,12 @@ def _postorder(f: Formula) -> list[Formula]:
         elif isinstance(node, _Binary):
             todo += (node.left, node.right)
     return order[::-1]
+
+
+def _signature(f: Formula) -> tuple:
+    """f's nodes in post-order, each Not or binary node as its class: equal
+    exactly when the trees are, and flat."""
+    return tuple(type(n) if isinstance(n, _Compound) else n for n in _postorder(f))
 
 
 def free_identifiers(f: Formula) -> frozenset[str]:

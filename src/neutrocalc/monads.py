@@ -137,25 +137,29 @@ class NsNumber:
 _NOTATION = {MonadKind.LEFT: "L", MonadKind.RIGHT: "R", MonadKind.BIMONAD: "B"}
 
 
-def _plain(q: Fraction) -> str:
+def _plain(q: Fraction, digits=str) -> str:
     """Render a Fraction as its exact decimal when one exists."""
     num, den = q.numerator, q.denominator
-    if den == 1:
-        return str(num)
-    d, e2, e5 = den, 0, 0
-    while d % 2 == 0:
-        d //= 2
-        e2 += 1
-    while d % 5 == 0:
-        d //= 5
-        e5 += 1
-    if d != 1:
-        return f"{num}/{den}"
-    k = max(e2, e5)
-    scaled = abs(num) * (10**k // den)
-    digits = str(scaled).rjust(k + 1, "0")
+    try:
+        if den == 1:
+            return digits(num)
+        d, e2, e5 = den, 0, 0
+        while d % 2 == 0:
+            d //= 2
+            e2 += 1
+        while d % 5 == 0:
+            d //= 5
+            e5 += 1
+        if d != 1:
+            return f"{digits(num)}/{digits(den)}"
+        k = max(e2, e5)
+        text = digits(abs(num) * (10**k // den)).rjust(k + 1, "0")
+    except ValueError:
+        # str() refuses integers past sys.get_int_max_str_digits();
+        # Decimal converts them exactly.
+        return _plain(q, lambda n: str(Decimal(n)))
     sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-k]}.{digits[-k:]}"
+    return f"{sign}{text[:-k]}.{text[-k:]}"
 
 
 def std(value) -> NsNumber:

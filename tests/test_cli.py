@@ -496,6 +496,288 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
 
+# argv -> (exit code, stdout, stderr) for every subcommand in text and
+# --json, and for typed errors, which print only to stderr either way.
+CLI_CASES = [
+    (
+        ["eval", "<0.8,0.4,0.3> & <0.6,0.2,0.5>"],
+        0,
+        "<0.6, 0.4, 0.5>\n",
+        "",
+    ),
+    (
+        ["eval", "<[0.1,0.4],[0,0],[0.2,0.3]> | !<[0.3,0.5],[0,0],[0.1,0.2]>", "--json"],
+        0,
+        (
+            '{"result": {"t": {"shape": "interval", "lo": 0.1, "hi": 0.4}, '
+            '"i": {"shape": "interval", "lo": 0.0, "hi": 0.0}, "f": {"shape": "interval", '
+            '"lo": 0.2, "hi": 0.3}}, "config": {"family": "if", "tnorm": "minmax", '
+            '"scale": "unit", "psi": 0.0, "omega": 1.0}, "warnings": []}\n'
+        ),
+        "",
+    ),
+    (
+        ["eval", "<1.2,0,0> -> <0,0,1>", "--psi", "-0.5", "--omega", "1.5"],
+        0,
+        "<0, 0, 1>\n",
+        "warning: degree 1.2 clamped into [0, 1] for kernel application\n",
+    ),
+    (
+        ["eval", "<1.2,0,0> -> <0,0,1>", "--psi", "-0.5", "--omega", "1.5", "--json"],
+        0,
+        (
+            '{"result": {"t": {"shape": "single", "kind": "std", "value": 0.0}, '
+            '"i": {"shape": "single", "kind": "std", "value": 0.0}, "f": {"shape": "single", '
+            '"kind": "std", "value": 1.0}}, "config": {"family": "if", "tnorm": "minmax", '
+            '"scale": "unit", "psi": -0.5, "omega": 1.5}, '
+            '"warnings": ["degree 1.2 clamped into [0, 1] for kernel application"]}\n'
+        ),
+        "",
+    ),
+    (
+        ["eval", "<0.5,0.5,0.5> & <[0,1],[0,1],[0,1]>"],
+        1,
+        "",
+        "error: operand shapes differ: single vs interval\n",
+    ),
+    (
+        ["eval", "<0.5,[0,1],0.5>"],
+        1,
+        "",
+        "error: triple components must share one shape\n",
+    ),
+    (
+        ["eval", "<[0.5,0.2],[0,1],[0,1]>", "--json"],
+        1,
+        "",
+        "error: [0.5, 0.2] is reversed\n",
+    ),
+    (
+        ["eval", "<B(0.5),0,0> & <L(0.5),0,0>"],
+        1,
+        "",
+        "error: bimonad operands cannot be ranked by min/max\n",
+    ),
+    (
+        ["eval", "x", "--bind", "x=<2,0,0>", "--json"],
+        1,
+        "",
+        "error: binding 'x' <2, 0, 0> outside active bounds: t: value 2 above upper bound 1\n",
+    ),
+    (
+        ["eval", "<0.5,S(0),0>"],
+        2,
+        "",
+        "error: expected a triple component, found identifier (at position 6)\n",
+    ),
+    (
+        ["compare", "R(0.5)", "B(0.5)"],
+        0,
+        "≥N\n",
+        "",
+    ),
+    (
+        ["compare", "R(0.5)", "B(0.5)", "--json"],
+        0,
+        (
+            '{"x": {"kind": "right", "value": 0.5}, "y": {"kind": "bimonad", "value": 0.5}, '
+            '"relation": "≥N"}\n'
+        ),
+        "",
+    ),
+    (
+        ["compare", "x", "0"],
+        2,
+        "",
+        "error: expected a decorated number, found identifier (at position 1)\n",
+    ),
+    (
+        ["compare", "L(0.5", "0", "--json"],
+        2,
+        "",
+        "error: expected ')', found end of input (at position 6)\n",
+    ),
+    (
+        ["rough-compare", "0.25", "R(0.25)"],
+        0,
+        "≈\n",
+        "",
+    ),
+    (
+        ["rough-compare", "0.25", "L(0.5)", "--json"],
+        0,
+        (
+            '{"x": {"kind": "std", "value": 0.25}, "y": {"kind": "left", "value": 0.5}, '
+            '"relation": "≲"}\n'
+        ),
+        "",
+    ),
+    (
+        ["rough-compare", "(", "0"],
+        2,
+        "",
+        "error: expected a decorated number, found '(' (at position 1)\n",
+    ),
+    (
+        ["interval", "sup", "--lo", "Left:0.2", "--hi", "B:0.8"],
+        0,
+        "B(0.8)\n",
+        "",
+    ),
+    (
+        ["interval", "inf", "--lo", "s:0.2", "--hi", "right:0.8", "--json"],
+        0,
+        '{"which": "inf", "result": {"kind": "std", "value": 0.2}}\n',
+        "",
+    ),
+    (
+        ["interval", "sup", "--lo", "b:0.5", "--hi", "std:0.5", "--json"],
+        1,
+        "",
+        "error: ]B(0.5), 0.5[ has endpoints out of order\n",
+    ),
+    (
+        ["classify", "0.5", "0.5", "0.5"],
+        0,
+        (
+            "multi-valued\n"
+            "paraconsistent\n"
+        ),
+        "",
+    ),
+    (
+        ["classify", "120", "0", "0", "--scale", "percent", "--json"],
+        0,
+        '{"labels": ["overtrue"]}\n',
+        "",
+    ),
+    (
+        ["validate", "1.2", "-0.3", "0.9"],
+        1,
+        (
+            "t: value 1.2 above upper bound 1\n"
+            "i: value -0.3 below lower bound 0\n"
+        ),
+        "",
+    ),
+    (
+        ["validate", "1.2", "-0.3", "0.9", "--json"],
+        1,
+        (
+            '{"ok": false, "violations": [{"where": "t", '
+            '"message": "value 1.2 above upper bound 1"}, {"where": "i", '
+            '"message": "value -0.3 below lower bound 0"}]}\n'
+        ),
+        "",
+    ),
+    (
+        ["validate", "1/3", "1/3", "1/3", "--json"],
+        0,
+        '{"ok": true, "violations": []}\n',
+        "",
+    ),
+    (
+        ["table", "inequalities", "--a", "1/3", "--b", "0.5"],
+        0,
+        (
+            "kind_a\tkind_b\trelation\n"
+            "std\tstd\t<N\n"
+            "std\tleft\t<N\n"
+            "std\tright\t<N\n"
+            "std\tbimonad\t<N\n"
+            "left\tstd\t<N\n"
+            "left\tleft\t<N\n"
+            "left\tright\t<N\n"
+            "left\tbimonad\t<N\n"
+            "right\tstd\t<N\n"
+            "right\tleft\t<N\n"
+            "right\tright\t<N\n"
+            "right\tbimonad\t<N\n"
+            "bimonad\tstd\t<N\n"
+            "bimonad\tleft\t<N\n"
+            "bimonad\tright\t<N\n"
+            "bimonad\tbimonad\t<N\n"
+        ),
+        "",
+    ),
+    (
+        ["anomaly", "--a", "-0.5", "--b", "0.5", "--probes", "20", "--seed", "7"],
+        0,
+        (
+            "outer interval: ]-0.5, R(0.5)[\n"
+            "inner interval: ]R(-0.5), L(0.5)[\n"
+            "probes: 20\n"
+            "members of each: 9\n"
+            "discrepancies: 0\n"
+            "m"
+            "e"
+            "m"
+            "b"
+            "e"
+            "r"
+            "s"
+            "h"
+            "i"
+            "p"
+            " "
+            "p"
+            "r"
+            "e"
+            "d"
+            "i"
+            "c"
+            "a"
+            "t"
+            "e"
+            "s"
+            " "
+            "c"
+            "o"
+            "incide: the nominally wider and narrower intervals contain exactly the same probes\n"
+        ),
+        "",
+    ),
+    (
+        ["anomaly", "--a", "-0.5", "--b", "0.5", "--probes", "20", "--seed", "7", "--json"],
+        0,
+        (
+            '{"outer": "]-0.5, R(0.5)[", "inner": "]R(-0.5), L(0.5)[", "probes": 20, '
+            '"members": 9, "discrepancies": 0, "memberships_coincide": true}\n'
+        ),
+        "",
+    ),
+    (
+        ["anomaly", "--a", "0.5", "--b", "0.5", "--json"],
+        1,
+        "",
+        "error: anomaly check requires a < b\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", CLI_CASES, ids=[f"{i:02d}-{c[0][0]}" for i, c in enumerate(CLI_CASES)]
+)
+def test_cli_outputs(capsys, argv, code, out, err):
+    assert run(capsys, argv) == (code, out, err)
+
+
+def test_integers_past_the_str_digit_limit_render_exactly():
+    # str() of an int with more than 4300 digits raises ValueError.
+    env = {"PYTHONINTMAXSTRDIGITS": "4300"}
+    proc = run_module(["validate", "1e4300", "0", "0"], env=env)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        f"t: value 1{'0' * 4300} above upper bound 1",
+        f"sum: upper sum 1{'0' * 4300} above 3",
+    ]
+    assert "Traceback" not in proc.stderr
+    literal = "0." + "1" * 4399
+    proc = run_module(["eval", f"<{literal},0,0>"], env=env)
+    assert (proc.returncode, proc.stdout) == (0, f"<{literal}, 0, 0>\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     triple = "<0.5,0.5,0.5> & <0.5,0.5,0.5>"
     code, out, _ = run(capsys, ["eval", "x", "--bind", "x=<0.2,0.5,0.9>"])

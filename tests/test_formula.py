@@ -42,7 +42,7 @@ from neutrocalc import (
     std,
     unparse,
 )
-from neutrocalc.formula import _lex
+from neutrocalc.formula import _lex, _postorder
 
 IF_MINMAX = OperatorConfig(OperatorFamily.F_ALIGNED, TNormFamily.MIN_MAX)
 
@@ -132,6 +132,14 @@ class TestParseErrors:
         with pytest.raises(FormulaSyntaxError) as exc:
             parse("<a, 0, 0>")
         assert {"number", "'['", "'{'", "'L('", "'R('", "'B('"} == set(exc.value.expected)
+
+    def test_decorated_number_expected_set(self):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_nsnumber("x")
+        assert (exc.value.offset, exc.value.expected) == (
+            1,
+            frozenset({"number", "'L('", "'R('", "'B('"}),
+        )
 
     def test_mixed_component_shapes(self):
         with pytest.raises(ShapeMismatch):
@@ -407,8 +415,7 @@ class TestEvaluate:
             EvalRequest("<1,0,0>", scale="permille")
 
 
-# Deep inputs, at the default recursion limit.  Trees are compared through
-# their printed text: the dataclasses' own __eq__ and __repr__ recurse.
+# Deep inputs, at the default recursion limit.
 DEEP = {
     "parentheses": ("(" * 100_000 + "x" + ")" * 100_000, "x"),
     "negations": ("!" * 100_000 + "x", "!" * 100_000 + "x"),
@@ -426,3 +433,45 @@ def test_deep_formulas(name):
     # <1,0,0> is a fixed point of x & x and x -> x, and of !!x.
     x = NeutroTriple.single(1, 0, 0)
     assert evaluate(EvalRequest(text, bindings={"x": x})) == x
+
+
+_X = Var("x")
+
+
+@pytest.mark.parametrize(
+    "grow",
+    [Not, lambda tree: And(tree, _X), lambda tree: Implies(_X, tree)],
+    ids=["negations", "conjunctions", "implications"],
+)
+def test_deep_trees_compare_hash_and_print(grow):
+    def build(leaf):
+        tree = leaf
+        for _ in range(100_000):
+            tree = grow(tree)
+        return tree
+
+    tree, again, other = build(_X), build(Var("x")), build(Var("y"))
+    assert tree == again and hash(tree) == hash(again)
+    assert tree != other and tree != Not(tree)
+    assert len({tree, again}) == 1
+    printed = repr(tree)
+    assert printed.startswith(type(tree).__name__ + "(")
+    # Every node, Var leaves included, prints one pair of parentheses.
+    assert printed.count("(") == printed.count(")") == len(_postorder(tree))
+
+
+def test_tree_equality_and_repr_follow_the_dataclass_forms():
+    x, y = Var("x"), Var("y")
+    assert repr(And(Not(x), Or(y, x))) == (
+        "And(left=Not(operand=Var(name='x')), right=Or(left=Var(name='y'), right=Var(name='x')))"
+    )
+    assert repr(parse("<1,0,0> -> x")) == (
+        "Implies(left=Literal(value=NeutroTriple(t=SingleValued(value=Fraction(1, 1)), "
+        "i=SingleValued(value=Fraction(0, 1)), f=SingleValued(value=Fraction(0, 1)))), "
+        "right=Var(name='x'))"
+    )
+    assert And(x, y) == And(x, y) and hash(And(x, y)) == hash(And(x, y))
+    assert And(x, y) != Or(x, y)
+    assert And(x, y) != And(y, x)
+    assert And(Not(x), y) != And(x, Not(y))
+    assert Not(x) != x and Not(x) != "Not(operand=Var(name='x'))"
