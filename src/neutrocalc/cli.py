@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -20,7 +19,7 @@ from .connectives import OperatorConfig, OperatorFamily, TNormFamily
 from .errors import FormulaSyntaxError, NeutroCalcError
 from .formula import EvalRequest, Literal, evaluate, format_triple, parse, parse_nsnumber
 from .intervals import NsInterval, anomaly_check, inf_ns, sup_ns
-from .monads import MonadKind, NsNumber, compare_ns, infinitely_close, roughly_leq, std
+from .monads import MonadKind, NsNumber, as_fraction, compare_ns, infinitely_close, roughly_leq
 from .triples import NeutroTriple, OffsetBounds, classify_logic, validate
 
 _FAMILY = {f.value: f for f in OperatorFamily}
@@ -30,26 +29,16 @@ _KIND_ORDER = tuple(MonadKind)
 _KIND = {spelling: k for k in _KIND_ORDER for spelling in (k.value, k.value[0])}
 
 
-# The exponent of e-notation as Fraction's string grammar spells it.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
 #: Most probes `anomaly` accepts; it builds every probe in memory.
 _MAX_PROBES = 100_000
 
 
 def _fraction(text: str) -> Fraction:
-    # Fraction("1e9999999") first builds 10**9999999, which takes seconds
-    # to minutes, so exponents past the interpreter's int/str digit limit
-    # (0: no limit) are refused before it is called.  The length test
-    # keeps int() itself within that limit.
-    exponent = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits()
-    if exponent and limit and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
-        raise argparse.ArgumentTypeError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        refused = str(e).startswith("exponent of")  # as_fraction's own refusal
+        raise argparse.ArgumentTypeError(str(e) if refused else f"not a number: {text!r}")
 
 
 def _count(text: str) -> int:
@@ -167,11 +156,10 @@ def _cmd_validate(args) -> _Output:
 
 
 def _cmd_table(args) -> _Output:
-    a, b = std(args.a), std(args.b)
     rows = ["kind_a\tkind_b\trelation"]
     for ka in _KIND_ORDER:
         for kb in _KIND_ORDER:
-            rel = compare_ns(NsNumber(a.value, ka), NsNumber(b.value, kb))
+            rel = compare_ns(NsNumber(args.a, ka), NsNumber(args.b, kb))
             rows.append(f"{ka.value}\t{kb.value}\t{rel.value}")
     return _Output(0, None, lambda: rows)
 
@@ -307,7 +295,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if getattr(args, "json", False):  # table has no --json
-        sys.stdout.write(json.dumps(out.payload(), ensure_ascii=False) + "\n")
+        try:
+            sys.stdout.write(json.dumps(out.payload(), ensure_ascii=False) + "\n")
+        except OverflowError:  # float() of a value past the float range
+            print("error: --json cannot show a value beyond the float range", file=sys.stderr)
+            return 1
     else:
         for note in out.warnings:
             print(note, file=sys.stderr)

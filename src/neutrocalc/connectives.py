@@ -1,11 +1,14 @@
 """Triple-valued logic connectives over three t-norm kernels.
 
 Conjunction always meets T and joins F; disjunction mirrors that.  The
-families differ only in how indeterminacy travels:
+families differ only in how indeterminacy travels (``_FAMILY_RULES``): I
+follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
-* t-aligned:  I follows the T column
-* f-aligned:  I follows the F column
-* plithogenic: I is the even blend of both directions
+Each call reads its operators from one table keyed by (kernel, number
+domain): "unit" when every degree of both operands lies in [0, 1] (the
+bare kernels), "offset" otherwise (every operand clamped into [0, 1]
+first, with a ClampWarning per clamp), and "decorated" for nonstandard
+operands (min_ns/max_ns, under the min/max kernel only).
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -19,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig
-from .monads import NsNumber, add_ns, as_fraction, max_ns, min_ns
+from .monads import NsNumber, _plain, add_ns, as_fraction, max_ns, min_ns
 from .triples import NeutroTriple, Nonstandard
 
 __all__ = [
@@ -133,8 +136,12 @@ def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
 def _clamped(v: Fraction) -> Fraction:
     n, d = v.as_integer_ratio()
     if not 0 <= n <= d:
+        try:
+            shown = float(v)
+        except OverflowError:  # beyond the float range: the exact decimal
+            shown = _plain(v)
         warnings.warn(
-            f"degree {float(v)} clamped into [0, 1] for kernel application",
+            f"degree {shown} clamped into [0, 1] for kernel application",
             ClampWarning,
             stacklevel=4,
         )
@@ -160,18 +167,6 @@ def impl(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG)
     return disj(neg(x), y, cfg)
 
 
-def _family_ops(family: OperatorFamily, meet, join, midpoint, is_conj: bool):
-    """(t_op, i_op, f_op): I follows T, follows F, or blends both as the
-    midpoint of meet and join."""
-    t_op, f_op = (meet, join) if is_conj else (join, meet)
-
-    def blend(a, b):
-        return midpoint(meet(a, b), join(a, b))
-
-    i_op = {OperatorFamily.T_ALIGNED: t_op, OperatorFamily.F_ALIGNED: f_op}.get(family, blend)
-    return t_op, i_op, f_op
-
-
 def _midpoint(a: Fraction, b: Fraction) -> Fraction:
     """(a + b) / 2 on integer cross-products."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
@@ -184,54 +179,62 @@ def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:
     return NsNumber(total.value / 2, total.kind)
 
 
-def _kernel_ops(kernel: TNormFamily):
-    """(meet, join) clamping each operand, then the bare kernels for
-    operands already known to lie in [0, 1]."""
-    tn, tc = _KERNELS[kernel]
-
-    def meet(a, b):
-        return tn(_clamped(a), _clamped(b))
-
-    def join(a, b):
-        return tc(_clamped(a), _clamped(b))
-
-    return (meet, join), (tn, tc)
+def _clamping(kernel):
+    """kernel on operands clamped into [0, 1] first."""
+    return lambda a, b: kernel(_clamped(a), _clamped(b))
 
 
-#: For every (family, kernel, is_conj), built once: the clamping
-#: (t_op, i_op, f_op) triple and the bare one.
+#: Each family's (T, I, F) rules for conjunction; disjunction swaps meet and join.
+_FAMILY_RULES = {
+    OperatorFamily.T_ALIGNED: ("meet", "meet", "join"),
+    OperatorFamily.F_ALIGNED: ("meet", "join", "join"),
+    OperatorFamily.PLITHOGENIC: ("meet", "blend", "join"),
+}
+
+
+def _rows(meet, join, midpoint) -> dict:
+    """(t_op, i_op, f_op) per (family, is_conj); blend is the midpoint of meet and join."""
+
+    def blend(a, b):
+        return midpoint(meet(a, b), join(a, b))
+
+    return {
+        (family, is_conj): tuple({"meet": m, "join": j, "blend": blend}[r] for r in rules)
+        for family, rules in _FAMILY_RULES.items()
+        for is_conj, (m, j) in ((True, (meet, join)), (False, (join, meet)))
+    }
+
+
+#: The one operator table: (kernel, domain) -> rows.  Only min/max ranks decorated numbers.
 _OPERATORS = {
-    (family, kernel, is_conj): tuple(
-        _family_ops(family, *ops, _midpoint, is_conj) for ops in _kernel_ops(kernel)
-    )
-    for family in OperatorFamily
-    for kernel in TNormFamily
-    for is_conj in (True, False)
+    (kernel, domain): _rows(*ops, _midpoint)
+    for kernel, (tn, tc) in _KERNELS.items()
+    for domain, ops in (("unit", (tn, tc)), ("offset", (_clamping(tn), _clamping(tc))))
 }
+_OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(min_ns, max_ns, _ns_midpoint)
 
 
-#: For every (family, is_conj), built once: the (t_op, i_op, f_op) triple
-#: over decorated numbers, which only the min/max kernel ranks.
-_NS_OPERATORS = {
-    (family, is_conj): _family_ops(family, min_ns, max_ns, _ns_midpoint, is_conj)
-    for family in OperatorFamily
-    for is_conj in (True, False)
-}
+def _domain(x: NeutroTriple, y: NeutroTriple) -> str:
+    """The number domain of one call; see the module docstring."""
+    if isinstance(x.t, Nonstandard):
+        return "decorated"
+    for c in (x.t, x.i, x.f, y.t, y.i, y.f):
+        _, lo, hi = c.value_range()
+        if lo.numerator < 0 or hi.numerator > hi.denominator:
+            return "offset"
+    return "unit"
 
 
 def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:
     if type(x.t) is not type(y.t):
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
-    if isinstance(x.t, Nonstandard):
-        if cfg.tnorm is not TNormFamily.MIN_MAX:
-            raise UnsupportedNonstandardConfig(
-                "nonstandard operands support only the min/max kernel"
-            )
-        ops = bare = _NS_OPERATORS[cfg.family, is_conj]
-    else:
-        ops, bare = _OPERATORS[cfg.family, cfg.tnorm, is_conj]
+    rows = _OPERATORS.get((cfg.tnorm, _domain(x, y)))
+    if rows is None:
+        raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
+    t_op, i_op, f_op = rows[cfg.family, is_conj]
+    # One line per component, so that clamp warnings keep distinct locations.
     return NeutroTriple(
-        t=x.t.apply(y.t, ops[0], bare[0]),
-        i=x.i.apply(y.i, ops[1], bare[1]),
-        f=x.f.apply(y.f, ops[2], bare[2]),
+        t=x.t.apply(y.t, t_op),
+        i=x.i.apply(y.i, i_op),
+        f=x.f.apply(y.f, f_op),
     )

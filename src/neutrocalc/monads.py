@@ -33,6 +33,8 @@ with the mirror relation for the transposed pairs.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -58,12 +60,16 @@ __all__ = [
     "add_ns",
 ]
 
+# The exponent of e-notation, as Fraction's grammar and str(Decimal) spell it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
 
 def as_fraction(value) -> Fraction:
     """Coerce a numeric input to an exact Fraction.
 
     Floats go through their shortest decimal repr, so as_fraction(0.2)
-    is exactly 1/5 rather than the binary approximation.
+    is exactly 1/5 rather than the binary approximation.  A str or Decimal
+    exponent past sys.get_int_max_str_digits() raises ValueError, not a hang.
     """
     if isinstance(value, Fraction):
         return value
@@ -76,6 +82,10 @@ def as_fraction(value) -> Fraction:
             raise ValueError("value must be finite")
         return Fraction(Decimal(repr(value)))
     if isinstance(value, (str, Decimal)):
+        exponent, limit = _EXPONENT.search(str(value)), sys.get_int_max_str_digits()
+        # The length test keeps int() itself within the limit.
+        if exponent and limit and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+            raise ValueError(f"exponent of {value!r} exceeds {limit} in magnitude")
         return Fraction(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact number")
 

@@ -53,23 +53,13 @@ class Component:
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
     and supremum, ``value_range()`` the underlying values in report order
     with their least and greatest, ``scaled(q)`` every degree times q,
-    ``apply(other, op, bare)`` op on the degrees of two same-shape
-    components (``bare`` is op without the clamp, which the numeric shapes take
-    where every operand lies in [0, 1]), and ``to_json()`` the ``--json``
-    form.  ``str()`` is the formula syntax.
+    ``apply(other, op)`` op on the degrees of two same-shape components,
+    as given (the connectives pick op, clamping or not), and ``to_json()``
+    the ``--json`` form.  ``str()`` is the formula syntax.
     """
 
     __slots__ = ()
     shape: str
-
-
-def _kernel(op, bare, *degrees):
-    """bare if every degree lies in [0, 1], where op's clamp does nothing."""
-    for v in degrees:
-        n, d = v.as_integer_ratio()
-        if not 0 <= n <= d:
-            return op
-    return bare
 
 
 @dataclass(frozen=True)
@@ -93,8 +83,8 @@ class SingleValued(Component):
     def scaled(self, q: Fraction) -> "SingleValued":
         return SingleValued(self.value * q)
 
-    def apply(self, other: "SingleValued", op, bare) -> "SingleValued":
-        return SingleValued(_kernel(op, bare, self.value, other.value)(self.value, other.value))
+    def apply(self, other: "SingleValued", op) -> "SingleValued":
+        return SingleValued(op(self.value, other.value))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "kind": "std", "value": float(self.value)}
@@ -124,11 +114,10 @@ class IntervalValued(Component):
     def scaled(self, q: Fraction) -> "IntervalValued":
         return IntervalValued(self.lo * q, self.hi * q)
 
-    def apply(self, other: "IntervalValued", op, bare) -> "IntervalValued":
+    def apply(self, other: "IntervalValued", op) -> "IntervalValued":
         # Kernels are monotone in both arguments, so endpointwise
         # application yields the exact image interval.
-        k = _kernel(op, bare, self.lo, self.hi, other.lo, other.hi)
-        return IntervalValued(k(self.lo, other.lo), k(self.hi, other.hi))
+        return IntervalValued(op(self.lo, other.lo), op(self.hi, other.hi))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
@@ -173,12 +162,9 @@ class Hesitant(Component):
     def scaled(self, q: Fraction) -> "Hesitant":
         return Hesitant(v * q for v in self.values)
 
-    def apply(self, other: "Hesitant", op, bare) -> "Hesitant":
-        """op on every pair of values; bare when the sorted values'
-        extremes lie in [0, 1]."""
-        xs, ys = self.values, other.values
-        k = _kernel(op, bare, xs[0], xs[-1], ys[0], ys[-1])
-        return Hesitant(k(u, v) for u in xs for v in ys)
+    def apply(self, other: "Hesitant", op) -> "Hesitant":
+        """op on every pair of values, in pair order."""
+        return Hesitant(op(u, v) for u in self.values for v in other.values)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "values": [float(v) for v in self.values]}
@@ -230,7 +216,7 @@ class Nonstandard(Component):
             for m in self.members
         )
 
-    def apply(self, other: "Nonstandard", op, bare) -> "Nonstandard":
+    def apply(self, other: "Nonstandard", op) -> "Nonstandard":
         """op on the one rankable decorated number each operand holds."""
         for c in (self, other):
             if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):

@@ -481,6 +481,24 @@ class TestExitCodes:
         assert "error: argument t: exponent of '1e999999' exceeds" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_clamp_message_past_the_float_range(self):
+        big = "1" + "0" * 310
+        proc = run_module(["eval", f"<{big},0,0> | <0.5,0,0>", "--omega", "1e400"])
+        assert (proc.returncode, proc.stdout) == (0, "<1, 0, 0>\n")
+        assert proc.stderr == f"warning: degree {big} clamped into [0, 1] for kernel application\n"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["eval", "<0,0,0>", "--omega", "1e400"], "<0, 0, 0>"),
+            (["compare", "1" * 310, "0"], ">N"),
+            (["interval", "inf", "--lo", f"s:{'1' * 310}", "--hi", "s:1e400"], "1" * 310),
+        ],
+    )
+    def test_json_past_the_float_range_is_an_error(self, capsys, argv, text):
+        error = "error: --json cannot show a value beyond the float range\n"
+        assert run(capsys, [*argv, "--json"]) == (1, "", error)
+        assert run(capsys, argv) == (0, text + "\n", "")  # text mode renders exactly
 
     @pytest.mark.parametrize(
         "argv",

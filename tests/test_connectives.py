@@ -323,6 +323,10 @@ def _offset(v):
 
 
 offset_triples = st.builds(NeutroTriple.single, grid_fractions, grid_fractions, grid_fractions)
+offset_interval_triples = st.builds(
+    NeutroTriple,
+    *[st.builds(lambda a, b: IntervalValued(*sorted((a, b))), grid_fractions, grid_fractions)] * 3,
+)
 offset_hesitant_triples = st.builds(
     NeutroTriple,
     *[st.builds(Hesitant, st.lists(grid_fractions, min_size=1, max_size=3))] * 3,
@@ -374,6 +378,31 @@ class TestOffsetOperands:
                     image.add(ref_op(u, v))
                     clamped += [w for w in (u, v) if _offset(w)] * uses
             assert getattr(out, part).values == tuple(sorted(image))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ClampWarning, f"degree {float(w)} clamped into [0, 1] for kernel application")
+            for w in clamped
+        ]
+
+    @pytest.mark.parametrize("name", ["conj", "disj", "impl"])
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    @settings(max_examples=25)  # 27 parameter cases share the budget
+    @given(x=offset_interval_triples, y=offset_interval_triples)
+    def test_interval_connectives_clamp_endpointwise(self, cfg, name, x, y):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = {"conj": conj, "disj": disj, "impl": impl}[name](x, y, cfg)
+        if name == "impl":
+            x = neg(x)
+        # Each component warns for its lo pair, then its hi pair, once per
+        # clamped operand; the plithogenic blend clamps the I pairs for
+        # both kernels.
+        clamped = []
+        for part, ref_op in zip("tif", _ref_ops(cfg, is_conj=name == "conj")):
+            a, b = getattr(x, part), getattr(y, part)
+            assert getattr(out, part) == IntervalValued(ref_op(a.lo, b.lo), ref_op(a.hi, b.hi))
+            uses = 2 if part == "i" and cfg.family is PLITH else 1
+            for u, v in ((a.lo, b.lo), (a.hi, b.hi)):
+                clamped += [w for w in (u, v) if _offset(w)] * uses
         assert [(w.category, str(w.message)) for w in caught] == [
             (ClampWarning, f"degree {float(w)} clamped into [0, 1] for kernel application")
             for w in clamped

@@ -1,12 +1,17 @@
 """Order, closeness, and arithmetic on monad-decorated numbers."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given
 
+import neutrocalc
 import oracles
 from neutrocalc import (
     IncomparableOperands,
@@ -206,6 +211,32 @@ class TestConstruction:
             std(float("inf"))
         with pytest.raises(ValueError):
             std(float("nan"))
+
+    def test_huge_exponents_are_refused_before_the_power_is_built(self):
+        # Building 10**99999999 takes minutes, so the child runs under a
+        # timeout and a hang fails the test instead of stalling the suite.
+        script = """if True:
+            from decimal import Decimal
+            from neutrocalc import SingleValued, as_fraction
+            assert as_fraction("1e4300") == 10**4300 == as_fraction(Decimal("1e4300"))
+            for make, v in [(SingleValued, "1e99999999"), (as_fraction, "-2.5E-9_999_999"),
+                            (as_fraction, Decimal("1e99999999"))]:
+                try:
+                    make(v)
+                except ValueError as e:
+                    print(e)
+        """
+        src = str(Path(neutrocalc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            "exponent of '1e99999999' exceeds 4300 in magnitude",
+            "exponent of '-2.5E-9_999_999' exceeds 4300 in magnitude",
+            "exponent of Decimal('1E+99999999') exceeds 4300 in magnitude",
+        ]
 
     def test_notation(self):
         assert str(std(0.8)) == "0.8"
