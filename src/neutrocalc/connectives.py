@@ -211,7 +211,11 @@ _OPERATORS = {
     for kernel, (tn, tc) in _KERNELS.items()
     for domain, ops in (("unit", (tn, tc)), ("offset", (_clamping(tn), _clamping(tc))))
 }
-_OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(min_ns, max_ns, _ns_midpoint)
+# Looked up at call time, as _clamping looks up _clamped, so that wrappers
+# set on this module after import (a tracer's spans) see every call.
+_OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(
+    lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint
+)
 
 
 def _domain(x: NeutroTriple, y: NeutroTriple) -> str:

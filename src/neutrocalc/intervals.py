@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 from .errors import EmptySet, InvalidInterval
-from .monads import _AT_LEAST, _AT_MOST, MonadKind, NsNumber, as_fraction, compare_ns, left, right, std
+from .monads import _AT_LEAST, _AT_MOST, _AT_VALUE, MonadKind, NsNumber, as_fraction
+from .monads import compare_ns, left, right, std
 
 __all__ = [
     "NsInterval",
@@ -80,17 +82,12 @@ def sup_ns(interval: NsInterval) -> NsNumber:
 
 
 def _bound_kinds(order: frozenset) -> dict:
-    """For every pair of kinds at one value, read off compare_ns: the greatest
-    lower bound (order _AT_MOST) or the least upper bound (_AT_LEAST)."""
-
-    def rel(a: MonadKind, b: MonadKind) -> bool:
-        return compare_ns(NsNumber(0, a), NsNumber(0, b)) in order
-
+    """For every pair of kinds at one value, read off the at-value order: the
+    greatest lower bound (order _AT_MOST) or the least upper bound (_AT_LEAST)."""
     table = {}
-    for a in MonadKind:
-        for b in MonadKind:
-            bounds = [k for k in MonadKind if rel(k, a) and rel(k, b)]
-            table[a, b] = next(k for k in bounds if all(rel(j, k) for j in bounds))
+    for a, b in product(MonadKind, repeat=2):
+        bounds = [k for k in MonadKind if {_AT_VALUE[k, a], _AT_VALUE[k, b]} <= order]
+        table[a, b] = next(k for k in bounds if all(_AT_VALUE[j, k] in order for j in bounds))
     return table
 
 

@@ -11,23 +11,17 @@ part of the monad of `a` it stands for:
 
 No infinite quantity is representable; values are exact rationals.
 
+Each decoration is the set of sides of `a` it occupies (``_SIDES``):
+Std {at}, Left {below}, Right {above}, Bimonad {below, above}.  Everything
+else about decorations is derived from those sets.
+
 Comparison is six-valued.  Distinct underlying values order the operands
 strictly no matter the decorations, because every infinitesimal is smaller
-than any real gap.  At equal values the decorations decide:
-
-====== ====== =========================
-x      y      compare_ns(x, y)
-====== ====== =========================
-same   same   EqN
-Left   Std    LtN
-Left   Right  LtN
-Std    Right  LtN
-Left   Bimonad  LeN   (x is the lower half of y; only non-strict)
-Bimonad Right   LeN   (y continues above x; only non-strict)
-Std    Bimonad  Incomparable  (y straddles x on both sides)
-====== ====== =========================
-
-with the mirror relation for the transposed pairs.
+than any real gap.  At equal values the side sets decide: equal sets are
+EqN, a set wholly below the other is LtN, a set whose least and greatest
+sides are both at or below the other's is LeN (Left against Bimonad,
+Bimonad against Right), the mirror cases are GtN and GeN, and anything
+else is incomparable (Std against Bimonad, which straddles it).
 """
 
 from __future__ import annotations
@@ -62,6 +56,8 @@ __all__ = [
 
 # The exponent of e-notation, as Fraction's grammar and str(Decimal) spell it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# A plain decimal: sign, digits, optional point, optional exponent.
+_DECIMAL = re.compile(r"\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?\s*\Z")
 
 
 def as_fraction(value) -> Fraction:
@@ -69,7 +65,8 @@ def as_fraction(value) -> Fraction:
 
     Floats go through their shortest decimal repr, so as_fraction(0.2)
     is exactly 1/5 rather than the binary approximation.  A str or Decimal
-    exponent past sys.get_int_max_str_digits() raises ValueError, not a hang.
+    exponent past sys.get_int_max_str_digits() raises ValueError, not a hang;
+    a plain decimal string with more digits than that converts exactly.
     """
     if isinstance(value, Fraction):
         return value
@@ -86,7 +83,12 @@ def as_fraction(value) -> Fraction:
         # The length test keeps int() itself within the limit.
         if exponent and limit and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
             raise ValueError(f"exponent of {value!r} exceeds {limit} in magnitude")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # past int()'s digit limit; Decimal has none ('inf' stays refused)
+            if isinstance(value, str) and _DECIMAL.match(value):
+                return Fraction(Decimal(value))
+            raise
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact number")
 
 
@@ -110,16 +112,6 @@ class OrderRelation(Enum):
     def mirror(self) -> "OrderRelation":
         """The relation seen from the swapped operand order."""
         return _MIRROR[self]
-
-
-_MIRROR = {
-    OrderRelation.LT_N: OrderRelation.GT_N,
-    OrderRelation.GT_N: OrderRelation.LT_N,
-    OrderRelation.LE_N: OrderRelation.GE_N,
-    OrderRelation.GE_N: OrderRelation.LE_N,
-    OrderRelation.EQ_N: OrderRelation.EQ_N,
-    OrderRelation.INCOMPARABLE: OrderRelation.INCOMPARABLE,
-}
 
 
 @dataclass(frozen=True)
@@ -188,34 +180,53 @@ def bimonad(value) -> NsNumber:
     return NsNumber(as_fraction(value), MonadKind.BIMONAD)
 
 
-# Relations for equal underlying values, keyed by (x.kind, y.kind).
-# Only one orientation is stored; the other is answered via mirror().
-_EQUAL_VALUE = {
-    (MonadKind.LEFT, MonadKind.STD): OrderRelation.LT_N,
-    (MonadKind.LEFT, MonadKind.RIGHT): OrderRelation.LT_N,
-    (MonadKind.STD, MonadKind.RIGHT): OrderRelation.LT_N,
-    (MonadKind.LEFT, MonadKind.BIMONAD): OrderRelation.LE_N,
-    (MonadKind.BIMONAD, MonadKind.RIGHT): OrderRelation.LE_N,
-    (MonadKind.STD, MonadKind.BIMONAD): OrderRelation.INCOMPARABLE,
+#: The one hand-written fact about decorations: the sides of its value
+#: each occupies, sorted (-1 below, 0 at, 1 above).
+_SIDES = {
+    MonadKind.STD: (0,),
+    MonadKind.LEFT: (-1,),
+    MonadKind.RIGHT: (1,),
+    MonadKind.BIMONAD: (-1, 1),
 }
+
+
+def _side_order(a: tuple, b: tuple) -> OrderRelation:
+    """Side set a against side set b at one value; see the module docstring."""
+    if a == b:
+        return OrderRelation.EQ_N
+    if a[-1] < b[0]:
+        return OrderRelation.LT_N
+    if b[-1] < a[0]:
+        return OrderRelation.GT_N
+    if a[0] <= b[0] and a[-1] <= b[-1]:
+        return OrderRelation.LE_N
+    if b[0] <= a[0] and b[-1] <= a[-1]:
+        return OrderRelation.GE_N
+    return OrderRelation.INCOMPARABLE
+
+
+_PAIRS = [(kx, a, ky, b) for kx, a in _SIDES.items() for ky, b in _SIDES.items()]
+#: (x.kind, y.kind) -> compare_ns(x, y) at equal values.
+_AT_VALUE = {(kx, ky): _side_order(a, b) for kx, a, ky, b in _PAIRS}
+_MIRROR = {rel: _AT_VALUE[k, j] for (j, k), rel in _AT_VALUE.items()}
+#: (x.kind, y.kind) -> add_ns(x, y).kind: the sides off the point that either
+#: operand occupies, else the point.  So L + R gives the pierced B, though the
+#: sum itself is reachable (ROADMAP item 3).
+_KIND_OF = {sides: kind for kind, sides in _SIDES.items()}
+_SUM = {(kx, ky): _KIND_OF[tuple(sorted(set(a + b) - {0})) or (0,)] for kx, a, ky, b in _PAIRS}
 
 
 def compare_ns(x: NsNumber, y: NsNumber) -> OrderRelation:
     """Six-valued comparison of two monad-decorated numbers.
 
     Values decide first: x.value < y.value gives LtN regardless of kinds.
-    At equal values the kind table above applies; same kind is EqN.
+    At equal values the side sets of the kinds decide (``_AT_VALUE``).
     """
     if x.value < y.value:
         return OrderRelation.LT_N
     if x.value > y.value:
         return OrderRelation.GT_N
-    if x.kind is y.kind:
-        return OrderRelation.EQ_N
-    rel = _EQUAL_VALUE.get((x.kind, y.kind))
-    if rel is not None:
-        return rel
-    return _EQUAL_VALUE[(y.kind, x.kind)].mirror()
+    return _AT_VALUE[x.kind, y.kind]
 
 
 def equal_ns(x: NsNumber, y: NsNumber) -> bool:
@@ -260,18 +271,6 @@ def max_ns(x: NsNumber, y: NsNumber) -> NsNumber:
     return x if rel in _AT_LEAST else y
 
 
-def _add_kinds(a: MonadKind, b: MonadKind) -> MonadKind:
-    # Std is neutral; equal one-sided kinds keep their side; any mix of
-    # opposite sides (or a bimonad operand) spreads to both sides.
-    if a is MonadKind.STD:
-        return b
-    if b is MonadKind.STD:
-        return a
-    if a is b:
-        return a
-    return MonadKind.BIMONAD
-
-
 def add_ns(x: NsNumber, y: NsNumber) -> NsNumber:
-    """Sum of decorated numbers: values add, decorations combine."""
-    return NsNumber(x.value + y.value, _add_kinds(x.kind, y.kind))
+    """Sum of decorated numbers: values add, decorations combine (``_SUM``)."""
+    return NsNumber(x.value + y.value, _SUM[x.kind, y.kind])

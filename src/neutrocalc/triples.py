@@ -51,8 +51,9 @@ class Component:
     """Base of the four component shapes; each keeps its behaviour on its class.
 
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
-    and supremum, ``value_range()`` the underlying values in report order
-    with their least and greatest, ``scaled(q)`` every degree times q,
+    and supremum (the std extremes, except for ``Nonstandard``),
+    ``value_range()`` the underlying values in report order with their
+    least and greatest, ``scaled(q)`` every degree times q,
     ``apply(other, op)`` op on the degrees of two same-shape components,
     as given (the connectives pick op, clamping or not), and ``to_json()``
     the ``--json`` form.  ``str()`` is the formula syntax.
@@ -60,6 +61,10 @@ class Component:
 
     __slots__ = ()
     shape: str
+
+    def bounds(self) -> "ComponentBounds":
+        _, lo, hi = self.value_range()
+        return ComponentBounds(std(lo), std(hi))
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,6 @@ class SingleValued(Component):
 
     def __str__(self) -> str:
         return _plain(self.value)
-
-    def bounds(self) -> "ComponentBounds":
-        n = std(self.value)
-        return ComponentBounds(n, n)
 
     def value_range(self):
         return (self.value,), self.value, self.value
@@ -104,9 +105,6 @@ class IntervalValued(Component):
 
     def __str__(self) -> str:
         return f"[{_plain(self.lo)}, {_plain(self.hi)}]"
-
-    def bounds(self) -> "ComponentBounds":
-        return ComponentBounds(std(self.lo), std(self.hi))
 
     def value_range(self):
         return (self.lo, self.hi), self.lo, self.hi
@@ -152,9 +150,6 @@ class Hesitant(Component):
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
-
-    def bounds(self) -> "ComponentBounds":
-        return ComponentBounds(std(self.values[0]), std(self.values[-1]))
 
     def value_range(self):
         return self.values, self.values[0], self.values[-1]

@@ -796,6 +796,22 @@ def test_integers_past_the_str_digit_limit_render_exactly():
     assert "Traceback" not in proc.stderr
 
 
+def test_digit_strings_past_the_str_digit_limit_are_numbers():
+    env = {"PYTHONINTMAXSTRDIGITS": "4300"}
+    ones = "1" * 5000
+    proc = run_module(["validate", ones, "0", "0"], env=env)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        f"t: value {ones} above upper bound 1",
+        f"sum: upper sum {ones} above 3",
+    ]
+    assert proc.stderr == ""
+    for text in ("inf", "nan", "Infinity"):
+        proc = run_module(["validate", text, "0", "0"], env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(f"argument t: not a number: '{text}'\n")
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     triple = "<0.5,0.5,0.5> & <0.5,0.5,0.5>"
     code, out, _ = run(capsys, ["eval", "x", "--bind", "x=<0.2,0.5,0.9>"])

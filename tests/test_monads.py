@@ -79,6 +79,13 @@ class TestCompare:
     def test_right_below_left_when_values_order(self):
         assert compare_ns(right(0.2), left(0.3)) is LT
 
+    @pytest.mark.parametrize(
+        "rel, mirrored",
+        [(LT, GT), (LE, GE), (EQ, EQ), (GE, LE), (GT, LT), (INC, INC)],
+    )
+    def test_mirror(self, rel, mirrored):
+        assert rel.mirror() is mirrored
+
     @given(ns_numbers, ns_numbers)
     def test_mirror_symmetry(self, x, y):
         assert compare_ns(x, y) is compare_ns(y, x).mirror()
@@ -175,6 +182,9 @@ class TestAdd:
             (bimonad(0.1), std(0.2), bimonad(0.3)),
             (bimonad(0.1), left(0.2), bimonad(0.3)),
             (left(0.2), std(0.3), left(0.5)),
+            (right(0.2), std(0.3), right(0.5)),
+            (right(0.2), bimonad(0.3), bimonad(0.5)),
+            (bimonad(0.2), bimonad(0.3), bimonad(0.5)),
         ],
     )
     def test_kind_table(self, x, y, expected):
@@ -237,6 +247,16 @@ class TestConstruction:
             "exponent of '-2.5E-9_999_999' exceeds 4300 in magnitude",
             "exponent of Decimal('1E+99999999') exceeds 4300 in magnitude",
         ]
+
+    def test_digit_strings_past_the_str_digit_limit_convert_exactly(self):
+        # Fraction(str) refuses more digits than int() converts.
+        n = (sys.get_int_max_str_digits() or 4300) + 700
+        repunit = (10**n - 1) // 9
+        assert as_fraction("1" * n) == repunit
+        assert as_fraction(f" -{'1' * n}.5e-3 ") == -Fraction(2 * repunit + 1, 2000)
+        for text in ("inf", "-inf", "nan", "Infinity", "1" * n + "x", "1/" + "1" * n):
+            with pytest.raises(ValueError):
+                as_fraction(text)
 
     def test_notation(self):
         assert str(std(0.8)) == "0.8"
