@@ -61,13 +61,13 @@ class OperatorConfig:
     tnorm: TNormFamily = TNormFamily.MIN_MAX
 
     def __post_init__(self):
-        _check_enum("family", self.family, OperatorFamily)
-        _check_enum("tnorm", self.tnorm, TNormFamily)
+        _check_type("family", self.family, OperatorFamily)
+        _check_type("tnorm", self.tnorm, TNormFamily)
 
 
-def _check_enum(field: str, value, enum: type) -> None:
-    if not isinstance(value, enum):
-        raise TypeError(f"{field} must be a {enum.__name__}, got {value!r}")
+def _check_type(field: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
 
 
 DEFAULT_CONFIG = OperatorConfig()
@@ -123,13 +123,13 @@ _KERNELS = {
 
 def tnorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """min(a, b) / ab / max(0, a + b - 1) on degrees in [0, 1]."""
-    _check_enum("family", family, TNormFamily)
+    _check_type("family", family, TNormFamily)
     return _KERNELS[family][0](as_fraction(a), as_fraction(b))
 
 
 def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """max(a, b) / a + b - ab / min(1, a + b) on degrees in [0, 1]."""
-    _check_enum("family", family, TNormFamily)
+    _check_type("family", family, TNormFamily)
     return _KERNELS[family][1](as_fraction(a), as_fraction(b))
 
 
@@ -151,7 +151,7 @@ def _clamped(v: Fraction) -> Fraction:
 
 def neg(x: NeutroTriple) -> NeutroTriple:
     """Swap truth and falsity; indeterminacy stays put.  Any shape."""
-    return NeutroTriple(t=x.f, i=x.i, f=x.t)
+    return NeutroTriple._of(x.f, x.i, x.t)
 
 
 def conj(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG) -> NeutroTriple:
@@ -236,9 +236,10 @@ def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: boo
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
     t_op, i_op, f_op = rows[cfg.family, is_conj]
-    # One line per component, so that clamp warnings keep distinct locations.
-    return NeutroTriple(
-        t=x.t.apply(y.t, t_op),
-        i=x.i.apply(y.i, i_op),
-        f=x.f.apply(y.f, f_op),
+    # One line per component, so that clamp warnings keep distinct locations;
+    # each apply returns its operands' class, so the shapes still agree.
+    return NeutroTriple._of(
+        x.t.apply(y.t, t_op),
+        x.i.apply(y.i, i_op),
+        x.f.apply(y.f, f_op),
     )

@@ -11,6 +11,14 @@ right, & and | to the left.  Whitespace is insignificant.  The unicode
 spellings ∧ ∨ ¬ → are accepted on input and never emitted.  Printing a
 parsed formula and re-parsing it reproduces the same tree.
 
+Lexer and parser make one pass each.  One scanner regex matches a token
+with the whitespace before it; the lexer emits a plain (kind, text,
+1-based offset, value) tuple per token, value being a number's Fraction,
+and an "end" token last.  The parser walks that list by index, climbing
+precedence on explicit stacks and reading triple literals inline, and
+shares the lexer and decorated-number reader with `parse_nsnumber`.
+Parsed single-valued triples skip the public constructors' coercion.
+
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
 first input that fails, in source order: the first unbound identifier,
@@ -26,7 +34,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .connectives import DEFAULT_CONFIG, OperatorConfig, conj, disj, impl, neg
+from .connectives import DEFAULT_CONFIG, OperatorConfig, _check_type, conj, disj, impl, neg
 from .errors import (
     ArityError,
     BoundsViolation,
@@ -134,37 +142,34 @@ _BINARY = {cls.symbol: cls for cls in (And, Or, Implies)}
 Formula = Union[Literal, Var, Not, And, Or, Implies]
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos", "value")  # pos: 1-based character offset
-
-    def __init__(self, kind: str, text: str, pos: int, value: Fraction | None = None):
-        self.kind, self.text, self.pos, self.value = kind, text, pos, value
-
-
 _ALIASES = {"∧": "&", "∨": "|", "¬": "!", "→": "->"}
-# Every character starts exactly one alternative; "bad" catches the rest.
+# One match per token, whitespace before it included.  "end" matches only
+# once the input is used up and "bad" takes any other character, so no
+# character is skipped and the leading \s* never backtracks.
 _SCAN = re.compile(
-    r"(?P<space>\s+)|(?P<number>-?(?:\d+\.?\d*|\.\d+))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<bad>.)"
+    r"\s*(?:(?P<number>-?(?:\d+\.?\d*|\.\d+))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<end>\Z)|(?P<bad>.))"
 )
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str) -> list[tuple]:
+    """The token tuples of text; see the module docstring."""
+    tokens = []
     for m in _SCAN.finditer(text):
-        kind, tok, pos = m.lastgroup, m.group(), m.start() + 1
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind) + 1
         if kind == "punct":
-            tokens.append(_Token(_ALIASES.get(tok, tok), tok, pos))
+            tokens.append((_ALIASES.get(tok, tok), tok, pos, None))
         elif kind == "number":
-            tokens.append(_Token(kind, tok, pos, _to_fraction(tok)))
-        elif kind == "ident":
-            tokens.append(_Token(kind, tok, pos))
-        elif kind == "bad":
-            if tok == "-":
-                raise FormulaSyntaxError("stray '-'", pos, frozenset({"'->'", "number"}))
+            tokens.append((kind, tok, pos, _to_fraction(tok)))
+        elif kind != "bad":  # an identifier, or the end
+            tokens.append((kind, tok, pos, None))
+            if kind == "end":
+                return tokens
+        elif tok == "-":
+            raise FormulaSyntaxError("stray '-'", pos, frozenset({"'->'", "number"}))
+        else:
             raise FormulaSyntaxError(f"unexpected character {tok!r}", pos)
-    tokens.append(_Token("end", "", len(text) + 1))
-    return tokens
 
 
 def _to_fraction(digits: str) -> Fraction:
@@ -175,193 +180,167 @@ def _to_fraction(digits: str) -> Fraction:
         return Fraction(Decimal(digits))
 
 
-_DESC = {
-    "number": "number",
-    "ident": "identifier",
-    "end": "end of input",
-}
+_DESC = {"number": "number", "ident": "identifier", "end": "end of input"}
 
 
 def _describe(kind: str) -> str:
     return _DESC.get(kind, f"'{kind}'")
 
 
+def _unexpected(tok: tuple, expected: frozenset[str], what: str | None = None):
+    """The error for tok where `what`, by default the list of expected, should be."""
+    what = what or ", ".join(sorted(expected))
+    return FormulaSyntaxError(f"expected {what}, found {_describe(tok[0])}", tok[2], expected)
+
+
+def _check(tokens: list, i: int, kinds: tuple[str, ...]) -> None:
+    """Raise at the first token from tokens[i] on that is not of the next
+    kind; kinds other than the last are never "end", the last token."""
+    for kind in kinds:
+        if tokens[i][0] != kind:
+            raise _unexpected(tokens[i], frozenset({_describe(kind)}))
+        i += 1
+
+
 _PERCENT = Fraction(1, 100)
 _MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
 _NSNUM_EXPECTED = frozenset({"number", *(f"'{letter}('" for letter in _MONAD_LETTER)})
 _COMP_EXPECTED = _NSNUM_EXPECTED | {"'['", "'{'"}
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.idx = 0
-
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.idx + ahead]  # "end" is last and never passed
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        if tok.kind != "end":
-            self.idx += 1
-        return tok
-
-    def expect(self, kind: str, expected: frozenset[str] | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            exp = expected if expected is not None else frozenset({_describe(kind)})
-            raise FormulaSyntaxError(
-                f"expected {', '.join(sorted(exp))}, found {_describe(tok.kind)}",
-                tok.pos,
-                exp,
-            )
-        return self.advance()
-
-    def formula(self) -> Formula:
-        """Precedence climbing: an operator waits on `ops` until one binding
-        less tightly, or as tightly and grouping left, follows it.  After
-        each operand, closing parentheses reduce to their opening one."""
-        operands: list[Formula] = []
-        ops: list = []  # Not, binary classes, and None for an open "("
-
-        def reduce() -> None:
-            op = ops.pop()
-            arity = 1 if op is Not else 2
-            operands[-arity:] = [op(*operands[-arity:])]
-
-        while True:
-            tok = self.peek()
-            if tok.kind in ("!", "("):
-                ops.append(Not if tok.kind == "!" else None)
-                self.advance()
-                continue
-            if tok.kind == "<":
-                operands.append(self.triple())
-            elif tok.kind == "ident":
-                self.advance()
-                operands.append(Var(tok.text))
-            else:
-                exp = frozenset({"'<'", "identifier", "'('", "'!'"})
-                raise FormulaSyntaxError(
-                    f"expected a formula atom, found {_describe(tok.kind)}", tok.pos, exp
-                )
-            while (cls := _BINARY.get(self.peek().kind)) is None:
-                while ops and ops[-1] is not None:
-                    reduce()
-                if ops:
-                    self.expect(")")
-                    ops.pop()
-                    continue
-                tok = self.peek()
-                if tok.kind != "end":
-                    exp = frozenset({"'&'", "'|'", "'->'", "end of input"})
-                    raise FormulaSyntaxError(
-                        f"unexpected {_describe(tok.kind)} after formula", tok.pos, exp
-                    )
-                return operands[0]
-            while ops and ops[-1] is not None and ops[-1].prec >= cls.prec + cls.right_assoc:
-                reduce()
-            ops.append(cls)
-            self.advance()
-
-    def triple(self) -> Literal:
-        start = self.expect("<").pos
-        comps = [self.comp()]
-        while self.peek().kind == ",":
-            self.advance()
-            comps.append(self.comp())
-        self.expect(">", frozenset({"','", "'>'"}))
-        if len(comps) != 3:
-            raise ArityError(
-                f"triple literal has {len(comps)} components, expected 3", start
-            )
-        return Literal(_build_triple(comps))
-
-    def comp(self):
-        tok = self.peek()
-        if tok.kind == "[":
-            self.advance()
-            lo = self.number()
-            self.expect(",")
-            hi = self.number()
-            self.expect("]")
-            return ("interval", lo, hi)
-        if tok.kind == "{":
-            self.advance()
-            vals = [self.number()]
-            while self.peek().kind == ",":
-                self.advance()
-                vals.append(self.number())
-            self.expect("}", frozenset({"','", "'}'"}))
-            return ("hesitant", vals)
-        if tok.kind == "number":
-            self.advance()
-            return ("num", tok.value)
-        decorated = self.decorated()
-        if decorated is not None:
-            return ("ns", decorated)
-        raise FormulaSyntaxError(
-            f"expected a triple component, found {_describe(tok.kind)}",
-            tok.pos,
-            _COMP_EXPECTED,
-        )
-
-    def decorated(self) -> NsNumber | None:
-        """L(x), R(x) or B(x) at the cursor, consumed; None, consuming
-        nothing, when no decorated number starts there."""
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _MONAD_LETTER and self.peek(1).kind == "(":
-            self.advance()
-            self.advance()
-            v = self.number()
-            self.expect(")")
-            return NsNumber(v, _MONAD_LETTER[tok.text])
-        return None
-
-    def number(self) -> Fraction:
-        return self.expect("number").value
-
-
-def _build_triple(comps) -> NeutroTriple:
-    tags = {tag for tag, *_ in comps}
-    if "ns" in tags:
-        if tags - {"ns", "num"}:
-            raise ShapeMismatch(
-                "decorated numbers cannot mix with interval or hesitant components"
-            )
-        parts = [
-            Nonstandard(value if tag == "ns" else std(value)) for tag, value in comps
-        ]
-    elif tags == {"num"}:
-        parts = [SingleValued(c[1]) for c in comps]
-    elif tags == {"interval"}:
-        parts = [IntervalValued(c[1], c[2]) for c in comps]
-    elif tags == {"hesitant"}:
-        parts = [Hesitant(c[1]) for c in comps]
-    else:
-        raise ShapeMismatch("triple components must share one shape")
-    return NeutroTriple(*parts)
+_ATOM_EXPECTED = frozenset({"'<'", "identifier", "'('", "'!'"})
+_AFTER_FORMULA = frozenset({"'&'", "'|'", "'->'", "end of input"})
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text; offsets in errors are 1-based character positions."""
-    return _Parser(_lex(text)).formula()
+    """Parse formula text; offsets in errors are 1-based character positions.
+
+    Precedence climbing over the token list: an operator waits on `ops`
+    until one binding less tightly, or as tightly and grouping left,
+    follows it.  After each operand, closing parentheses reduce to their
+    opening one.
+    """
+    tokens = _lex(text)
+    operands: list[Formula] = []
+    ops: list = []  # Not, binary classes, and None for an open "("
+    i = 0
+    while True:
+        kind = tokens[i][0]
+        if kind == "!" or kind == "(":
+            ops.append(Not if kind == "!" else None)
+            i += 1
+            continue
+        if kind == "<":
+            literal, i = _triple(tokens, i)
+            operands.append(literal)
+        elif kind == "ident":
+            operands.append(Var(tokens[i][1]))
+            i += 1
+        else:
+            raise _unexpected(tokens[i], _ATOM_EXPECTED, "a formula atom")
+        while True:
+            kind = tokens[i][0]
+            cls = _BINARY.get(kind)
+            least = 0 if cls is None else cls.prec + cls.right_assoc
+            while ops and ops[-1] is not None and ops[-1].prec >= least:
+                op = ops.pop()
+                if op is Not:
+                    operands[-1] = Not(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = op(operands[-1], right)
+            if cls is not None:
+                ops.append(cls)
+                i += 1
+                break
+            if not ops:
+                if kind != "end":
+                    raise FormulaSyntaxError(
+                        f"unexpected {_describe(kind)} after formula", tokens[i][2], _AFTER_FORMULA
+                    )
+                return operands[0]
+            if kind != ")":
+                raise _unexpected(tokens[i], frozenset({"')'"}))
+            ops.pop()
+            i += 1
+
+
+def _triple(tokens: list, i: int) -> tuple[Literal, int]:
+    """The triple literal whose "<" is tokens[i], and the index after it."""
+    start = tokens[i][2]
+    comps = []  # (tag, value) pairs
+    while True:
+        i += 1  # past the "<" or ","
+        kind, _, _, value = tokens[i]
+        if kind == "number":
+            comps.append(("num", value))
+            i += 1
+        elif kind == "[":
+            _check(tokens, i + 1, ("number", ",", "number", "]"))
+            comps.append(("interval", (tokens[i + 1][3], tokens[i + 3][3])))
+            i += 5
+        elif kind == "{":
+            values = []
+            while True:
+                if tokens[i + 1][0] != "number":
+                    _check(tokens, i + 1, ("number",))
+                values.append(tokens[i + 1][3])
+                i += 2
+                if tokens[i][0] != ",":
+                    break
+            if tokens[i][0] != "}":
+                raise _unexpected(tokens[i], frozenset({"','", "'}'"}))
+            comps.append(("hesitant", values))
+            i += 1
+        elif (decorated := _decorated(tokens, i)) is not None:
+            comps.append(("ns", decorated))
+            i += 4
+        else:
+            raise _unexpected(tokens[i], _COMP_EXPECTED, "a triple component")
+        if tokens[i][0] != ",":
+            break
+    if tokens[i][0] != ">":
+        raise _unexpected(tokens[i], frozenset({"','", "'>'"}))
+    if len(comps) != 3:
+        raise ArityError(f"triple literal has {len(comps)} components, expected 3", start)
+    return Literal(_build_triple(comps)), i + 1
+
+
+def _decorated(tokens: list, i: int) -> NsNumber | None:
+    """The decorated number L(x), R(x) or B(x) that spans tokens[i:i + 4];
+    None when no decorated number starts at tokens[i]."""
+    kind, text = tokens[i][:2]
+    if kind != "ident" or text not in _MONAD_LETTER or tokens[i + 1][0] != "(":
+        return None
+    _check(tokens, i + 2, ("number", ")"))
+    return NsNumber(tokens[i + 2][3], _MONAD_LETTER[text])
+
+
+def _build_triple(comps) -> NeutroTriple:
+    tags = {tag for tag, _ in comps}
+    if tags == {"num"}:  # the parsed numbers are exact Fractions already
+        parts = [SingleValued._of(value) for _, value in comps]
+    elif tags <= {"ns", "num"}:
+        parts = [Nonstandard(value if tag == "ns" else std(value)) for tag, value in comps]
+    elif tags == {"interval"}:
+        parts = [IntervalValued(*bounds) for _, bounds in comps]
+    elif tags == {"hesitant"}:
+        parts = [Hesitant(values) for _, values in comps]
+    elif "ns" in tags:
+        raise ShapeMismatch("decorated numbers cannot mix with interval or hesitant components")
+    else:
+        raise ShapeMismatch("triple components must share one shape")
+    return NeutroTriple._of(*parts)
 
 
 def parse_nsnumber(text: str) -> NsNumber:
     """Parse a bare decorated-number literal such as 0.8 or L(0.3)."""
-    p = _Parser(_lex(text))
-    tok = p.peek()
-    if tok.kind == "number":
-        p.advance()
-        n = std(tok.value)
-    elif (n := p.decorated()) is None:
-        raise FormulaSyntaxError(
-            f"expected a decorated number, found {_describe(tok.kind)}",
-            tok.pos,
-            _NSNUM_EXPECTED,
-        )
-    p.expect("end")
+    tokens = _lex(text)
+    if tokens[0][0] == "number":
+        n, i = std(tokens[0][3]), 1
+    elif (n := _decorated(tokens, 0)) is not None:
+        i = 4
+    else:
+        raise _unexpected(tokens[0], _NSNUM_EXPECTED, "a decorated number")
+    _check(tokens, i, ("end",))
     return n
 
 
@@ -440,6 +419,8 @@ class EvalRequest:
     def __post_init__(self):
         if self.scale not in ("unit", "percent"):
             raise ValueError("scale must be 'unit' or 'percent'")
+        for name, value in self.bindings.items():
+            _check_type(f"binding {name!r}", value, NeutroTriple)
 
 
 def evaluate(req: EvalRequest) -> NeutroTriple:

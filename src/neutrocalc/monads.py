@@ -78,6 +78,8 @@ def as_fraction(value) -> Fraction:
         if not math.isfinite(value):
             raise ValueError("value must be finite")
         return Fraction(Decimal(repr(value)))
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise ValueError("value must be finite")
     if isinstance(value, (str, Decimal)):
         exponent, limit = _EXPONENT.search(str(value)), sys.get_int_max_str_digits()
         # The length test keeps int() itself within the limit.

@@ -57,6 +57,10 @@ class Component:
     ``apply(other, op)`` op on the degrees of two same-shape components,
     as given (the connectives pick op, clamping or not), and ``to_json()``
     the ``--json`` form.  ``str()`` is the formula syntax.
+
+    Public constructors coerce and check; ``_of`` takes exact Fractions as
+    they are, so single and interval ``apply`` need an op that maps them to
+    Fractions, monotone in both arguments as the kernels are.
     """
 
     __slots__ = ()
@@ -75,6 +79,12 @@ class SingleValued(Component):
     def __post_init__(self):
         object.__setattr__(self, "value", as_fraction(self.value))
 
+    @classmethod
+    def _of(cls, value: Fraction) -> "SingleValued":
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        return self
+
     def __str__(self) -> str:
         return _plain(self.value)
 
@@ -85,7 +95,7 @@ class SingleValued(Component):
         return SingleValued(self.value * q)
 
     def apply(self, other: "SingleValued", op) -> "SingleValued":
-        return SingleValued(op(self.value, other.value))
+        return SingleValued._of(op(self.value, other.value))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "kind": "std", "value": float(self.value)}
@@ -103,6 +113,13 @@ class IntervalValued(Component):
         if self.lo.numerator * self.hi.denominator > self.hi.numerator * self.lo.denominator:
             raise InvalidInterval(f"[{_plain(self.lo)}, {_plain(self.hi)}] is reversed")
 
+    @classmethod
+    def _of(cls, lo: Fraction, hi: Fraction) -> "IntervalValued":
+        self = object.__new__(cls)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        return self
+
     def __str__(self) -> str:
         return f"[{_plain(self.lo)}, {_plain(self.hi)}]"
 
@@ -115,7 +132,7 @@ class IntervalValued(Component):
     def apply(self, other: "IntervalValued", op) -> "IntervalValued":
         # Kernels are monotone in both arguments, so endpointwise
         # application yields the exact image interval.
-        return IntervalValued(op(self.lo, other.lo), op(self.hi, other.hi))
+        return IntervalValued._of(op(self.lo, other.lo), op(self.hi, other.hi))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
@@ -243,6 +260,15 @@ class NeutroTriple:
         for c in (self.t, self.i, self.f):
             if not isinstance(c, Component):
                 raise TypeError("triple fields must be components")
+
+    @classmethod
+    def _of(cls, t: Component, i: Component, f: Component) -> "NeutroTriple":
+        """Trusted: three components of one class, as the checks above ask."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "f", f)
+        return self
 
     @property
     def shape(self) -> str:

@@ -439,6 +439,47 @@ class TestOffsetOperands:
                 op(y, x, cfg)
 
 
+def _rebuilt(x: NeutroTriple) -> NeutroTriple:
+    """x built again by the public constructors, from each value's text."""
+
+    def again(c):
+        if isinstance(c, SingleValued):
+            return SingleValued(str(c.value))
+        return IntervalValued(str(c.lo), str(c.hi))
+
+    return NeutroTriple(again(x.t), again(x.i), again(x.f))
+
+
+class TestTrustedConstruction:
+    """Connective results skip the public constructors' coercion and checks;
+    they must be exactly the triples those constructors build."""
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    @settings(max_examples=25, phases=NO_SHRINK)  # 9 parameter cases share the budget
+    @given(
+        pair=st.one_of(
+            st.tuples(single_triples, single_triples),
+            st.tuples(interval_triples, interval_triples),
+            st.tuples(offset_triples, offset_triples),
+            st.tuples(offset_interval_triples, offset_interval_triples),
+        )
+    )
+    def test_results_equal_and_hash_like_public_ones(self, cfg, pair):
+        x, y = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampWarning)
+            both = conj(x, y, cfg)
+            either = disj(x, y, cfg)
+        for out in (both, either, neg(both), neg(either)):
+            again = _rebuilt(out)
+            assert out == again and hash(out) == hash(again)
+            assert type(out.t) is type(out.i) is type(out.f) is type(x.t)
+            for c in (out.t, out.i, out.f):
+                values, lo, hi = c.value_range()
+                assert all(type(v) is Fraction for v in values)
+                assert lo <= hi
+
+
 class TestConfigTypes:
     X = NeutroTriple.single(0.5, 0.2, 0.6)
     Y = NeutroTriple.single(0.8, 0.4, 0.3)

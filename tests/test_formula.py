@@ -1,5 +1,6 @@
 """Grammar, printing, and formula evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,125 @@ class TestParseErrors:
         assert exc.value.offset == 1
 
 
+_ATOM = {"'<'", "identifier", "'('", "'!'"}
+_AFTER = {"'&'", "'|'", "'->'", "end of input"}
+_COMP = {"number", "'['", "'{'", "'L('", "'R('", "'B('"}
+_NSNUM = {"number", "'L('", "'R('", "'B('"}
+
+# (function, text) -> (error type, str(error), offset, expected): one row or
+# more for every place the lexer, the parser and parse_nsnumber raise.
+_ERROR_CASES = [
+    (parse, "a - b", (FormulaSyntaxError, "stray '-' (at position 3)", 3, {"'->'", "number"})),
+    (parse, "a @ b", (FormulaSyntaxError, "unexpected character '@' (at position 3)", 3, set())),
+    (parse, "", (
+        FormulaSyntaxError, "expected a formula atom, found end of input (at position 1)", 1, _ATOM,
+    )),
+    (parse, "a &", (
+        FormulaSyntaxError, "expected a formula atom, found end of input (at position 4)", 4, _ATOM,
+    )),
+    (parse, "!)", (
+        FormulaSyntaxError, "expected a formula atom, found ')' (at position 2)", 2, _ATOM,
+    )),
+    (parse, "0.5", (
+        FormulaSyntaxError, "expected a formula atom, found number (at position 1)", 1, _ATOM,
+    )),
+    (parse, "a b", (
+        FormulaSyntaxError, "unexpected identifier after formula (at position 3)", 3, _AFTER,
+    )),
+    (parse, "a)", (FormulaSyntaxError, "unexpected ')' after formula (at position 2)", 2, _AFTER)),
+    (parse, "L(0.3)", (
+        FormulaSyntaxError, "unexpected '(' after formula (at position 2)", 2, _AFTER,
+    )),
+    (parse, "(a | b", (
+        FormulaSyntaxError, "expected ')', found end of input (at position 7)", 7, {"')'"},
+    )),
+    (parse, "((a) b", (
+        FormulaSyntaxError, "expected ')', found identifier (at position 6)", 6, {"')'"},
+    )),
+    (parse, "<a, 0, 0>", (
+        FormulaSyntaxError, "expected a triple component, found identifier (at position 2)", 2,
+        _COMP,
+    )),
+    (parse, "<0, L 0.5, 0>", (
+        FormulaSyntaxError, "expected a triple component, found identifier (at position 5)", 5,
+        _COMP,
+    )),
+    (parse, "<0,0 0>", (
+        FormulaSyntaxError, "expected ',', '>', found number (at position 6)", 6, {"','", "'>'"},
+    )),
+    (parse, "<0,0,0", (
+        FormulaSyntaxError, "expected ',', '>', found end of input (at position 7)", 7,
+        {"','", "'>'"},
+    )),
+    (parse, "<{0 1},0,0>", (
+        FormulaSyntaxError, "expected ',', '}', found number (at position 5)", 5, {"','", "'}'"},
+    )),
+    (parse, "<[0 1],0,0>", (
+        FormulaSyntaxError, "expected ',', found number (at position 5)", 5, {"','"},
+    )),
+    (parse, "<[0,1 0>", (
+        FormulaSyntaxError, "expected ']', found number (at position 7)", 7, {"']'"},
+    )),
+    (parse, "<[a,1],0,0>", (
+        FormulaSyntaxError, "expected number, found identifier (at position 3)", 3, {"number"},
+    )),
+    (parse, "<{0,},0,0>", (
+        FormulaSyntaxError, "expected number, found '}' (at position 5)", 5, {"number"},
+    )),
+    (parse, "<L(x),0,0>", (
+        FormulaSyntaxError, "expected number, found identifier (at position 4)", 4, {"number"},
+    )),
+    (parse, "<L(1,0,0>", (
+        FormulaSyntaxError, "expected ')', found ',' (at position 5)", 5, {"')'"},
+    )),
+    (parse, "<0.5,0.5>", (
+        ArityError, "triple literal has 2 components, expected 3 (at position 1)", 1, set(),
+    )),
+    (parse, "a & <1,0,0,0>", (
+        ArityError, "triple literal has 4 components, expected 3 (at position 5)", 5, set(),
+    )),
+    (parse_nsnumber, "x", (
+        FormulaSyntaxError, "expected a decorated number, found identifier (at position 1)", 1,
+        _NSNUM,
+    )),
+    (parse_nsnumber, "[0,1]", (
+        FormulaSyntaxError, "expected a decorated number, found '[' (at position 1)", 1, _NSNUM,
+    )),
+    (parse_nsnumber, "", (
+        FormulaSyntaxError, "expected a decorated number, found end of input (at position 1)", 1,
+        _NSNUM,
+    )),
+    (parse_nsnumber, "R(", (
+        FormulaSyntaxError, "expected number, found end of input (at position 3)", 3, {"number"},
+    )),
+    (parse_nsnumber, "L(0.3", (
+        FormulaSyntaxError, "expected ')', found end of input (at position 6)", 6, {"')'"},
+    )),
+    (parse_nsnumber, "0.8 x", (
+        FormulaSyntaxError, "expected end of input, found identifier (at position 5)", 5,
+        {"end of input"},
+    )),
+    (parse_nsnumber, " L(1) )", (
+        FormulaSyntaxError, "expected end of input, found ')' (at position 7)", 7,
+        {"end of input"},
+    )),
+    (parse_nsnumber, "- 1", (FormulaSyntaxError, "stray '-' (at position 1)", 1, {"'->'", "number"})),
+    (parse_nsnumber, "L(1)?", (
+        FormulaSyntaxError, "unexpected character '?' (at position 5)", 5, set(),
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, text, expected", _ERROR_CASES, ids=[f"{fn.__name__}:{text}" for fn, text, _ in _ERROR_CASES]
+)
+def test_error_table(fn, text, expected):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        fn(text)
+    error = exc.value
+    assert (type(error), str(error), error.offset, set(error.expected)) == expected
+
+
 _HALF = Fraction(1, 2)
 
 # Input -> [(kind, text, 1-based offset, value)] tokens without "end", or
@@ -197,15 +317,15 @@ def test_lexer_table(text, expected):
         assert (str(exc.value), exc.value.offset, set(exc.value.expected)) == expected
         return
     tokens = _lex(text)
-    assert [(t.kind, t.text, t.pos, t.value) for t in tokens[:-1]] == expected
-    assert (tokens[-1].kind, tokens[-1].pos) == ("end", len(text) + 1)
+    assert tokens[:-1] == expected
+    assert tokens[-1][::2] == ("end", len(text) + 1)
 
 
 def test_lexer_reads_digits_exactly():
     digits = "0." + "0" * 5000 + "1"
-    (tok, _) = _lex(digits)
-    assert tok.value == Fraction(1, 10**5001)
-    assert _lex("-0012.50")[0].value == Fraction(-25, 2)
+    ((*_, value), _) = _lex(digits)
+    assert value == Fraction(1, 10**5001)
+    assert _lex("-0012.50")[0][3] == Fraction(-25, 2)
 
 
 class TestParseNsNumber:
@@ -307,6 +427,23 @@ def _formula_strategy():
 @given(_formula_strategy())
 def test_round_trip_property(tree):
     assert parse(unparse(tree)) == tree
+
+
+# The tokens of unparse() output; a sign stays on its number.
+_PRINTED_TOKEN = re.compile(r"->|-?(?:\d+\.?\d*|\.\d+)|\w+|\S")
+_UNICODE = {"&": "∧", "|": "∨", "!": "¬", "->": "→"}
+_SPACE = st.text(alphabet=" \t\n\u00a0", max_size=3)
+
+
+@given(_formula_strategy(), st.data())
+def test_whitespace_and_unicode_spellings_parse_to_the_same_tree(tree, data):
+    pieces = []
+    for tok in _PRINTED_TOKEN.findall(unparse(tree)):
+        if tok in _UNICODE and data.draw(st.booleans()):
+            tok = _UNICODE[tok]
+        pieces += (data.draw(_SPACE), tok)
+    pieces.append(data.draw(_SPACE))
+    assert parse("".join(pieces)) == tree
 
 
 class TestEvaluate:
@@ -413,6 +550,13 @@ class TestEvaluate:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             EvalRequest("<1,0,0>", scale="permille")
+
+    @pytest.mark.parametrize("value", [5, "<1,0,0>", None, Literal(NeutroTriple.single(1, 0, 0))])
+    def test_bindings_must_be_triples(self, value):
+        good = NeutroTriple.single(1, 0, 0)
+        with pytest.raises(TypeError) as info:
+            EvalRequest("x & y", bindings={"x": good, "y": value})
+        assert str(info.value) == f"binding 'y' must be a NeutroTriple, got {value!r}"
 
 
 # Deep inputs, at the default recursion limit.

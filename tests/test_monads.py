@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -221,6 +222,11 @@ class TestConstruction:
             std(float("inf"))
         with pytest.raises(ValueError):
             std(float("nan"))
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+    def test_non_finite_decimals_rejected(self, text):
+        with pytest.raises(ValueError, match="^value must be finite$"):
+            as_fraction(Decimal(text))
 
     def test_huge_exponents_are_refused_before_the_power_is_built(self):
         # Building 10**99999999 takes minutes, so the child runs under a
