@@ -29,7 +29,6 @@ __all__ = [
     "TNormFamily",
     "OperatorFamily",
     "OperatorConfig",
-    "DEFAULT_CONFIG",
     "ClampWarning",
     "tnorm",
     "tconorm",
@@ -68,9 +67,6 @@ class OperatorConfig:
 def _check_type(field: str, value, kind: type) -> None:
     if not isinstance(value, kind):
         raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
-
-
-DEFAULT_CONFIG = OperatorConfig()
 
 
 class ClampWarning(UserWarning):
@@ -154,15 +150,15 @@ def neg(x: NeutroTriple) -> NeutroTriple:
     return NeutroTriple._of(x.f, x.i, x.t)
 
 
-def conj(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG) -> NeutroTriple:
+def conj(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = OperatorConfig()) -> NeutroTriple:
     return _combine(x, y, cfg, is_conj=True)
 
 
-def disj(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG) -> NeutroTriple:
+def disj(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = OperatorConfig()) -> NeutroTriple:
     return _combine(x, y, cfg, is_conj=False)
 
 
-def impl(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = DEFAULT_CONFIG) -> NeutroTriple:
+def impl(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = OperatorConfig()) -> NeutroTriple:
     """x -> y as disj(neg(x), y) in the same family."""
     return disj(neg(x), y, cfg)
 
@@ -237,9 +233,9 @@ def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: boo
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
     t_op, i_op, f_op = rows[cfg.family, is_conj]
     # One line per component, so that clamp warnings keep distinct locations;
-    # each apply returns its operands' class, so the shapes still agree.
+    # each _apply returns its operands' class, so the shapes still agree.
     return NeutroTriple._of(
-        x.t.apply(y.t, t_op),
-        x.i.apply(y.i, i_op),
-        x.f.apply(y.f, f_op),
+        x.t._apply(y.t, t_op),
+        x.i._apply(y.i, i_op),
+        x.f._apply(y.f, f_op),
     )

@@ -29,12 +29,13 @@ outside them.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
-from .connectives import DEFAULT_CONFIG, OperatorConfig, _check_type, conj, disj, impl, neg
+from .connectives import OperatorConfig, _check_type, conj, disj, impl, neg
 from .errors import (
     ArityError,
     BoundsViolation,
@@ -411,7 +412,7 @@ class EvalRequest:
     """
 
     formula: str
-    config: OperatorConfig = DEFAULT_CONFIG
+    config: OperatorConfig = OperatorConfig()
     scale: str = "unit"
     bounds: OffsetBounds = UNIT_BOUNDS
     bindings: Mapping[str, NeutroTriple] = field(default_factory=dict)
@@ -419,6 +420,9 @@ class EvalRequest:
     def __post_init__(self):
         if self.scale not in ("unit", "percent"):
             raise ValueError("scale must be 'unit' or 'percent'")
+        _check_type("config", self.config, OperatorConfig)
+        _check_type("bounds", self.bounds, OffsetBounds)
+        _check_type("bindings", self.bindings, Mapping)
         for name, value in self.bindings.items():
             _check_type(f"binding {name!r}", value, NeutroTriple)
 

@@ -34,7 +34,6 @@ __all__ = [
     "OffsetBounds",
     "UNIT_BOUNDS",
     "ComponentBounds",
-    "component_bounds",
     "triple_sums",
     "Violation",
     "ValidationReport",
@@ -53,14 +52,15 @@ class Component:
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
     and supremum (the std extremes, except for ``Nonstandard``),
     ``value_range()`` the underlying values in report order with their
-    least and greatest, ``scaled(q)`` every degree times q,
-    ``apply(other, op)`` op on the degrees of two same-shape components,
-    as given (the connectives pick op, clamping or not), and ``to_json()``
-    the ``--json`` form.  ``str()`` is the formula syntax.
+    least and greatest, ``scaled(q)`` every degree times q, and
+    ``to_json()`` the ``--json`` form.  ``str()`` is the formula syntax.
 
-    Public constructors coerce and check; ``_of`` takes exact Fractions as
-    they are, so single and interval ``apply`` need an op that maps them to
-    Fractions, monotone in both arguments as the kernels are.
+    Public constructors coerce and check.  ``_of`` and
+    ``_apply(other, op)``, the connectives' step that applies op to the
+    degrees of two same-shape components, trust their caller: the degrees
+    are exact Fractions, and op maps them to Fractions, monotone in both
+    arguments as the kernels are, so an interval's image is the op of
+    its endpoints.
     """
 
     __slots__ = ()
@@ -94,7 +94,7 @@ class SingleValued(Component):
     def scaled(self, q: Fraction) -> "SingleValued":
         return SingleValued(self.value * q)
 
-    def apply(self, other: "SingleValued", op) -> "SingleValued":
+    def _apply(self, other: "SingleValued", op) -> "SingleValued":
         return SingleValued._of(op(self.value, other.value))
 
     def to_json(self) -> dict:
@@ -129,9 +129,7 @@ class IntervalValued(Component):
     def scaled(self, q: Fraction) -> "IntervalValued":
         return IntervalValued(self.lo * q, self.hi * q)
 
-    def apply(self, other: "IntervalValued", op) -> "IntervalValued":
-        # Kernels are monotone in both arguments, so endpointwise
-        # application yields the exact image interval.
+    def _apply(self, other: "IntervalValued", op) -> "IntervalValued":
         return IntervalValued._of(op(self.lo, other.lo), op(self.hi, other.hi))
 
     def to_json(self) -> dict:
@@ -146,6 +144,10 @@ class Hesitant(Component):
     shape = "hesitant"
 
     def __init__(self, values):
+        if isinstance(values, (str, bytes)):
+            raise TypeError(
+                f"hesitant values must be an iterable of numbers, not {type(values).__name__}"
+            )
         # Deduplicate on the normalised (numerator, denominator) pair,
         # which skips Fraction.__hash__, and sort on (float, Fraction)
         # pairs: int / int is correctly rounded, hence monotone, so the
@@ -174,7 +176,7 @@ class Hesitant(Component):
     def scaled(self, q: Fraction) -> "Hesitant":
         return Hesitant(v * q for v in self.values)
 
-    def apply(self, other: "Hesitant", op) -> "Hesitant":
+    def _apply(self, other: "Hesitant", op) -> "Hesitant":
         """op on every pair of values, in pair order."""
         return Hesitant(op(u, v) for u in self.values for v in other.values)
 
@@ -228,7 +230,7 @@ class Nonstandard(Component):
             for m in self.members
         )
 
-    def apply(self, other: "Nonstandard", op) -> "Nonstandard":
+    def _apply(self, other: "Nonstandard", op) -> "Nonstandard":
         """op on the one rankable decorated number each operand holds."""
         for c in (self, other):
             if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):
@@ -307,9 +309,8 @@ class ComponentBounds:
 
 
 def component_bounds(c: Component) -> ComponentBounds:
-    """Decorated infimum and supremum of one component."""
-    if not isinstance(c, Component):
-        raise TypeError(f"not a component: {type(c).__name__}")
+    """Decorated infimum and supremum of one component: ``c.bounds()``, as a
+    module function so that bench/spans.py can time it by name."""
     return c.bounds()
 
 

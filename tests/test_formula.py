@@ -558,6 +558,25 @@ class TestEvaluate:
             EvalRequest("x & y", bindings={"x": good, "y": value})
         assert str(info.value) == f"binding 'y' must be a NeutroTriple, got {value!r}"
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: EvalRequest("x", bindings=[("x", NeutroTriple.single(1, 0, 0))]),
+                "bindings must be a Mapping, got [('x', ",
+            ),
+            (lambda: EvalRequest("x", config="if"), "config must be a OperatorConfig, got 'if'"),
+            (lambda: EvalRequest("x", bounds=(0, 1)), "bounds must be a OffsetBounds, got (0, 1)"),
+            (lambda: Hesitant("05"), "hesitant values must be an iterable of numbers, not str"),
+            (lambda: Hesitant(b"05"), "hesitant values must be an iterable of numbers, not bytes"),
+        ],
+        ids=["bindings-list", "config-str", "bounds-tuple", "hesitant-str", "hesitant-bytes"],
+    )
+    def test_malformed_fields_raise_type_error(self, build, message):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value).startswith(message)
+
 
 # Deep inputs, at the default recursion limit.
 DEEP = {

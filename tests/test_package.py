@@ -19,10 +19,17 @@ def test_module_names_are_exported_as_the_same_objects(name):
         assert getattr(neutrocalc, public) is getattr(module, public), public
 
 
-def test_package_lists_81_unique_names_from_its_modules():
-    assert len(neutrocalc.__all__) == len(set(neutrocalc.__all__)) == 81
+def test_package_lists_79_unique_names_from_its_modules():
+    assert len(neutrocalc.__all__) == len(set(neutrocalc.__all__)) == 79
     listed = [n for m in MODULES for n in importlib.import_module(f"neutrocalc.{m}").__all__]
     assert sorted(neutrocalc.__all__) == sorted(listed)
+
+
+def test_components_have_no_public_apply():
+    # Combining components trusts its op (see Component); only the connectives call it.
+    shapes = neutrocalc.Component.__subclasses__()
+    assert len(shapes) == 4
+    assert not [cls.__name__ for cls in shapes if hasattr(cls, "apply")]
 
 
 def test_errors_lists_every_package_error():

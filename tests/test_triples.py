@@ -27,7 +27,6 @@ from neutrocalc import (
     as_fraction,
     bimonad,
     classify_logic,
-    component_bounds,
     left,
     right,
     scale_triple,
@@ -91,19 +90,19 @@ class TestShapes:
 
 class TestBoundsAndSums:
     def test_single(self):
-        assert component_bounds(SingleValued(0.6)) == ComponentBounds(std(0.6), std(0.6))
+        assert SingleValued(0.6).bounds() == ComponentBounds(std(0.6), std(0.6))
 
     def test_interval(self):
-        assert component_bounds(IntervalValued(0.1, 0.4)) == ComponentBounds(std(0.1), std(0.4))
+        assert IntervalValued(0.1, 0.4).bounds() == ComponentBounds(std(0.1), std(0.4))
 
     def test_hesitant(self):
-        assert component_bounds(Hesitant([0.9, 0.2, 0.5])) == ComponentBounds(std(0.2), std(0.9))
+        assert Hesitant([0.9, 0.2, 0.5]).bounds() == ComponentBounds(std(0.2), std(0.9))
 
     def test_nonstandard_union(self):
         c = Nonstandard([NsInterval(left(0.1), right(0.4))])
-        assert component_bounds(c) == ComponentBounds(left(0.1), right(0.4))
+        assert c.bounds() == ComponentBounds(left(0.1), right(0.4))
         mixed = Nonstandard([std(0.5), bimonad(0.5)])
-        assert component_bounds(mixed) == ComponentBounds(left(0.5), right(0.5))
+        assert mixed.bounds() == ComponentBounds(left(0.5), right(0.5))
 
     def test_sums_single(self):
         n_inf, n_sup = triple_sums(NeutroTriple.single(0.6, 0.2, 0.5))
