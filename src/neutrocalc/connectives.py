@@ -4,11 +4,16 @@ Conjunction always meets T and joins F; disjunction mirrors that.  The
 families differ only in how indeterminacy travels (``_FAMILY_RULES``): I
 follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
-Each call reads its operators from one table keyed by (kernel, number
-domain): "unit" when every degree of both operands lies in [0, 1] (the
-bare kernels), "offset" otherwise (every operand clamped into [0, 1]
+Each connective reads its operators from one table keyed by (kernel,
+number domain): "unit" when every degree of both operands lies in [0, 1]
+(the bare kernels), "offset" otherwise (every operand clamped into [0, 1]
 first, with a ClampWarning per clamp), and "decorated" for nonstandard
-operands (min_ns/max_ns, under the min/max kernel only).
+operands (min_ns/max_ns, under the min/max kernel only).  The public
+`conj` and `disj` decide the domain per call, from their operands'
+degrees.  `formula.evaluate` decides it once per leaf, when it admits
+the literals and bindings: every "unit" and "offset" row returns degrees
+in [0, 1], so only a leaf, or its negation, can be offset.  Both apply
+the chosen row through the one step `_step`.
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -23,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig
 from .monads import NsNumber, _plain, add_ns, as_fraction, max_ns, min_ns
-from .triples import NeutroTriple, Nonstandard
+from .triples import NeutroTriple, Nonstandard, _outside_unit
 
 __all__ = [
     "TNormFamily",
@@ -215,23 +220,32 @@ _OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(
 
 
 def _domain(x: NeutroTriple, y: NeutroTriple) -> str:
-    """The number domain of one call; see the module docstring."""
+    """The number domain of one call on same-shape operands; see the module docstring."""
     if isinstance(x.t, Nonstandard):
         return "decorated"
     for c in (x.t, x.i, x.f, y.t, y.i, y.f):
         _, lo, hi = c.value_range()
-        if lo.numerator < 0 or hi.numerator > hi.denominator:
+        if _outside_unit(lo, hi):
             return "offset"
     return "unit"
 
 
-def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:
+def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
     if type(x.t) is not type(y.t):
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
-    rows = _OPERATORS.get((cfg.tnorm, _domain(x, y)))
+
+
+def _row(cfg: OperatorConfig, domain: str, is_conj: bool) -> tuple:
+    """The (t_op, i_op, f_op) of one connective in one number domain."""
+    rows = _OPERATORS.get((cfg.tnorm, domain))
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
-    t_op, i_op, f_op = rows[cfg.family, is_conj]
+    return rows[cfg.family, is_conj]
+
+
+def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
+    """row applied to two same-shape triples, component by component."""
+    t_op, i_op, f_op = row
     # One line per component, so that clamp warnings keep distinct locations;
     # each _apply returns its operands' class, so the shapes still agree.
     return NeutroTriple._of(
@@ -239,3 +253,9 @@ def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: boo
         x.i._apply(y.i, i_op),
         x.f._apply(y.f, f_op),
     )
+
+
+def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:
+    _check_type("cfg", cfg, OperatorConfig)
+    _check_shapes(x, y)
+    return _step(x, y, _row(cfg, _domain(x, y), is_conj))

@@ -17,13 +17,20 @@ with the whitespace before it; the lexer emits a plain (kind, text,
 and an "end" token last.  The parser walks that list by index, climbing
 precedence on explicit stacks and reading triple literals inline, and
 shares the lexer and decorated-number reader with `parse_nsnumber`.
-Parsed single-valued triples skip the public constructors' coercion.
+Parsed single-valued and hesitant triples skip the public constructors'
+coercion.
 
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
 first input that fails, in source order: the first unbound identifier,
 else the first literal outside the bounds, else the first binding
 outside them.
+
+`evaluate` decides each connective's number domain once per leaf, when
+it admits the literals and bindings: a leaf is offset when a degree lies
+outside [0, 1], `!` keeps its operand's mark, and a binary result is
+never offset (see `connectives`).  Its fold applies each node's resolved
+operator row through `connectives._step`, as the public connectives do.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-from .connectives import OperatorConfig, _check_type, conj, disj, impl, neg
+from .connectives import OperatorConfig, _check_shapes, _check_type, _row, _step, neg
 from .errors import (
     ArityError,
     BoundsViolation,
@@ -52,6 +59,7 @@ from .triples import (
     OffsetBounds,
     SingleValued,
     UNIT_BOUNDS,
+    _admit,
     scale_triple,
     validate,
 )
@@ -324,7 +332,7 @@ def _build_triple(comps) -> NeutroTriple:
     elif tags == {"interval"}:
         parts = [IntervalValued(*bounds) for _, bounds in comps]
     elif tags == {"hesitant"}:
-        parts = [Hesitant(values) for _, values in comps]
+        parts = [Hesitant._of(values) for _, values in comps]
     elif "ns" in tags:
         raise ShapeMismatch("decorated numbers cannot mix with interval or hesitant components")
     else:
@@ -445,28 +453,42 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
         raise UnboundIdentifier(unbound[0])
     bindings = {name: canon(req.bindings[name]) for name in names}
 
-    literals = [canon(node.value) for node in nodes if isinstance(node, Literal)]
-    for source, tr in [("literal", tr) for tr in literals] + [
-        (f"binding {name!r}", tr) for name, tr in bindings.items()
-    ]:
-        report = validate(tr, req.bounds)
-        if not report.ok:
+    def admit(source: str, tr: NeutroTriple) -> tuple[NeutroTriple, bool]:
+        offset = _admit(tr, req.bounds)
+        if offset is None:
+            report = validate(tr, req.bounds)
             detail = "; ".join(f"{v.where}: {v.message}" for v in report.violations)
             raise BoundsViolation(
                 f"{source} {format_triple(tr)} outside active bounds: {detail}", report
             )
+        return tr, offset
 
-    admitted = iter(literals)
+    literals = iter([admit("literal", canon(n.value)) for n in nodes if isinstance(n, Literal)])
+    leaves = {name: admit(f"binding {name!r}", tr) for name, tr in bindings.items()}
+
     values: list[NeutroTriple] = []
+    offsets: list[bool] = []  # whether each value is offset; !x keeps x's mark
+    rows = {}
     for node in nodes:
-        if isinstance(node, Literal):
-            values.append(next(admitted))
-        elif isinstance(node, Var):
-            values.append(bindings[node.name])
+        if isinstance(node, Literal) or isinstance(node, Var):
+            tr, offset = next(literals) if isinstance(node, Literal) else leaves[node.name]
+            values.append(tr)
+            offsets.append(offset)
         elif isinstance(node, Not):
             values[-1] = neg(values[-1])
         else:
-            op = conj if isinstance(node, And) else disj if isinstance(node, Or) else impl
-            y = values.pop()
-            values[-1] = op(values[-1], y, req.config)
+            y, x = values.pop(), values[-1]
+            if isinstance(node, Implies):
+                x = neg(x)
+            _check_shapes(x, y)
+            offset = offsets.pop() or offsets[-1]
+            key = (
+                "decorated" if isinstance(x.t, Nonstandard) else "offset" if offset else "unit",
+                isinstance(node, And),
+            )
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _row(req.config, *key)
+            values[-1] = _step(x, y, row)
+            offsets[-1] = False  # every unit and offset row returns degrees in [0, 1]
     return values[0]

@@ -136,6 +136,25 @@ class IntervalValued(Component):
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
 
 
+def _canonical(values) -> tuple[Fraction, ...]:
+    """Exact Fractions, deduplicated and sorted as Hesitant keeps them.
+
+    Deduplicate on the normalised (numerator, denominator) pair, which
+    skips Fraction.__hash__, and sort on (float, Fraction) pairs: int / int
+    is correctly rounded, hence monotone, so the floats order every two
+    values they tell apart, and the exact Fraction comparison runs only on
+    their ties.
+    """
+    unique = {}
+    for v in values:
+        unique[v.as_integer_ratio()] = v
+    try:
+        keyed = sorted([(n / d, f) for (n, d), f in unique.items()])
+    except OverflowError:  # a magnitude beyond the float range
+        return tuple(sorted(unique.values()))
+    return tuple([f for _, f in keyed])
+
+
 @dataclass(frozen=True)
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted."""
@@ -148,24 +167,17 @@ class Hesitant(Component):
             raise TypeError(
                 f"hesitant values must be an iterable of numbers, not {type(values).__name__}"
             )
-        # Deduplicate on the normalised (numerator, denominator) pair,
-        # which skips Fraction.__hash__, and sort on (float, Fraction)
-        # pairs: int / int is correctly rounded, hence monotone, so the
-        # floats order every two values they tell apart, and the exact
-        # Fraction comparison runs only on their ties.
-        unique = {}
-        for v in values:
-            f = as_fraction(v)
-            unique[f.as_integer_ratio()] = f
-        if not unique:
+        canonical = _canonical(as_fraction(v) for v in values)
+        if not canonical:
             raise EmptyComponent("hesitant component needs at least one value")
-        try:
-            keyed = sorted([(n / d, f) for (n, d), f in unique.items()])
-        except OverflowError:  # a magnitude beyond the float range
-            canonical = tuple(sorted(unique.values()))
-        else:
-            canonical = tuple([f for _, f in keyed])
         object.__setattr__(self, "values", canonical)
+
+    @classmethod
+    def _of(cls, values) -> "Hesitant":
+        """Trusted: at least one value, each an exact Fraction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", _canonical(values))
+        return self
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
@@ -174,11 +186,11 @@ class Hesitant(Component):
         return self.values, self.values[0], self.values[-1]
 
     def scaled(self, q: Fraction) -> "Hesitant":
-        return Hesitant(v * q for v in self.values)
+        return Hesitant._of(v * q for v in self.values)
 
     def _apply(self, other: "Hesitant", op) -> "Hesitant":
         """op on every pair of values, in pair order."""
-        return Hesitant(op(u, v) for u in self.values for v in other.values)
+        return Hesitant._of(op(u, v) for u in self.values for v in other.values)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "values": [float(v) for v in self.values]}
@@ -334,18 +346,49 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
+def _outside_unit(lo: Fraction, hi: Fraction) -> bool:
+    """Whether degrees whose least and greatest are lo and hi leave [0, 1]."""
+    return lo.numerator < 0 or hi.numerator > hi.denominator
+
+
+def _admit(x: NeutroTriple, bounds: OffsetBounds) -> bool | None:
+    """None when x fails the bounds, else whether x is offset: some degree
+    lies outside [0, 1] and x is not nonstandard.
+
+    Checks each component's extremes and the extreme sums, which are the
+    values of triple_sums(x), on integer cross-products (denominators are
+    positive).
+    """
+    pn, pd = bounds.psi.as_integer_ratio()
+    on, od = bounds.omega.as_integer_ratio()
+    lo_n = hi_n = 0
+    lo_d = hi_d = 1
+    offset = False
+    for c in (x.t, x.i, x.f):
+        _, lo, hi = c.value_range()
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if ln * pd < pn * ld or hn * od > on * hd:
+            return None
+        offset = offset or _outside_unit(lo, hi)
+        lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
+        hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
+    if lo_n * pd < 3 * pn * lo_d or hi_n * od > 3 * on * hi_d:
+        return None
+    return offset and not isinstance(x.t, Nonstandard)
+
+
 def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationReport:
     """Check component ranges and the triple sum against the bounds.
 
     Violations are reported, never raised; offset data is legitimate
     input and the caller decides what to do with a failing report.
     """
+    if _admit(x, bounds) is not None:
+        return ValidationReport(ok=True)
     psi, omega = bounds.psi, bounds.omega
     pn, pd, on, od = psi.numerator, psi.denominator, omega.numerator, omega.denominator
     violations: list[Violation] = []
-    # Integer cross-products throughout; every denominator is positive.
-    # lo_n/lo_d and hi_n/hi_d sum the value extremes: the values of
-    # triple_sums(x), since decorations never move a sum's value.
+    # The report, on the same integer cross-products as _admit.
     lo_n = hi_n = 0
     lo_d = hi_d = 1
     for where, c in (("t", x.t), ("i", x.i), ("f", x.f)):

@@ -271,6 +271,13 @@ class TestNonstandard:
 
 
 class TestShapeAndClamp:
+    @pytest.mark.parametrize("op", [conj, disj, impl])
+    def test_config_must_be_an_operator_config(self, op):
+        x = NeutroTriple.single(1, 0, 0)
+        with pytest.raises(TypeError) as info:
+            op(x, x, "if")
+        assert str(info.value) == "cfg must be a OperatorConfig, got 'if'"
+
     def test_mixed_operand_shapes_rejected(self):
         x = NeutroTriple.single(1, 0, 0)
         y = NeutroTriple(IntervalValued(0, 1), IntervalValued(0, 1), IntervalValued(0, 1))

@@ -35,6 +35,7 @@ from neutrocalc import (
     truth_grade,
     validate,
 )
+from neutrocalc.triples import _admit
 from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
@@ -64,7 +65,10 @@ class TestShapes:
     @example(["1/2", 0.5, Fraction(1, 2), 1, -(10**400)])
     @example([Fraction(1, 2) + Fraction(k, 10**30) for k in (2, -1, 0, 1, -2)])
     def test_hesitant_canonical_order(self, vs):
-        assert Hesitant(vs).values == tuple(sorted(set(map(as_fraction, vs))))
+        expected = tuple(sorted(set(map(as_fraction, vs))))
+        assert Hesitant(vs).values == expected
+        # The trusted path, on exact Fractions, shares the dedup and the sort.
+        assert Hesitant._of([as_fraction(v) for v in vs]).values == expected
 
     def test_hesitant_must_be_nonempty(self):
         with pytest.raises(EmptyComponent):
@@ -239,6 +243,9 @@ class TestValidateAgainstFractions:
         report = validate(x, bounds)
         assert [(v.where, v.message) for v in report.violations] == expected
         assert report.ok is not expected
+        # Admission's one pass: the same verdict, and whether x is offset.
+        offset = any(not 0 <= v <= 1 for where in "tif" for v in _values(getattr(x, where)))
+        assert _admit(x, bounds) == (None if expected else offset and shape != "nonstandard")
 
     @given(offset_bounds, st.sampled_from("tif"))
     def test_exact_bounds_pass_and_one_billionth_outside_fails(self, bounds, where):
