@@ -5,15 +5,16 @@ families differ only in how indeterminacy travels (``_FAMILY_RULES``): I
 follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
 Each connective reads its operators from one table keyed by (kernel,
-number domain): "unit" when every degree of both operands lies in [0, 1]
-(the bare kernels), "offset" otherwise (every operand clamped into [0, 1]
-first, with a ClampWarning per clamp), and "decorated" for nonstandard
-operands (min_ns/max_ns, under the min/max kernel only).  The public
-`conj` and `disj` decide the domain per call, from their operands'
-degrees.  `formula.evaluate` decides it once per leaf, when it admits
-the literals and bindings: every "unit" and "offset" row returns degrees
-in [0, 1], so only a leaf, or its negation, can be offset.  Both apply
-the chosen row through the one step `_step`.
+number domain): "unit" (the bare kernels), "offset" (every operand
+clamped into [0, 1] first, with a ClampWarning per clamp), and
+"decorated" for nonstandard operands (min_ns/max_ns, under the min/max
+kernel only).  Degrees leave [0, 1] only under widened bounds [psi,
+omega], and clamping a degree in [0, 1] changes and warns nothing, so
+the domain follows from the bounds, never from the values.  The public
+`conj`, `disj` and `impl`, which see no bounds, take the offset row for
+standard operands.  `formula.evaluate` takes the unit row under psi = 0,
+omega = 1, where admission keeps every degree in [0, 1], and the offset
+row otherwise.  Both apply the chosen row through the one step `_step`.
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ShapeMismatch, UnsupportedNonstandardConfig
+from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type
 from .monads import NsNumber, _plain, add_ns, as_fraction, max_ns, min_ns
-from .triples import NeutroTriple, Nonstandard, _outside_unit
+from .triples import NeutroTriple, Nonstandard
 
 __all__ = [
     "TNormFamily",
@@ -67,11 +68,6 @@ class OperatorConfig:
     def __post_init__(self):
         _check_type("family", self.family, OperatorFamily)
         _check_type("tnorm", self.tnorm, TNormFamily)
-
-
-def _check_type(field: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
 
 
 class ClampWarning(UserWarning):
@@ -219,24 +215,15 @@ _OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(
 )
 
 
-def _domain(x: NeutroTriple, y: NeutroTriple) -> str:
-    """The number domain of one call on same-shape operands; see the module docstring."""
-    if isinstance(x.t, Nonstandard):
-        return "decorated"
-    for c in (x.t, x.i, x.f, y.t, y.i, y.f):
-        _, lo, hi = c.value_range()
-        if _outside_unit(lo, hi):
-            return "offset"
-    return "unit"
-
-
 def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
     if type(x.t) is not type(y.t):
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
 
 
 def _row(cfg: OperatorConfig, domain: str, is_conj: bool) -> tuple:
-    """The (t_op, i_op, f_op) of one connective in one number domain."""
+    """The (t_op, i_op, f_op) of one connective in one number domain: "unit"
+    only where the bounds keep every degree in [0, 1], else "offset", and
+    "decorated" for nonstandard operands."""
     rows = _OPERATORS.get((cfg.tnorm, domain))
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
@@ -258,4 +245,5 @@ def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
 def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:
     _check_type("cfg", cfg, OperatorConfig)
     _check_shapes(x, y)
-    return _step(x, y, _row(cfg, _domain(x, y), is_conj))
+    domain = "decorated" if isinstance(x.t, Nonstandard) else "offset"
+    return _step(x, y, _row(cfg, domain, is_conj))

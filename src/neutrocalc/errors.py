@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one argument type check, shared across the package."""
 
 from __future__ import annotations
 
@@ -16,6 +16,12 @@ __all__ = [
     "FormulaSyntaxError",
     "ArityError",
 ]
+
+
+def _check_type(field: str, value, kind: type) -> None:
+    """Raise TypeError, naming the field, unless value is a kind."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
 
 
 class NeutroCalcError(Exception):

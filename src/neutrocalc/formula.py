@@ -26,11 +26,11 @@ first input that fails, in source order: the first unbound identifier,
 else the first literal outside the bounds, else the first binding
 outside them.
 
-`evaluate` decides each connective's number domain once per leaf, when
-it admits the literals and bindings: a leaf is offset when a degree lies
-outside [0, 1], `!` keeps its operand's mark, and a binary result is
-never offset (see `connectives`).  Its fold applies each node's resolved
-operator row through `connectives._step`, as the public connectives do.
+`evaluate` picks the numeric operator row once per request, from the
+bounds: the bare "unit" row under psi = 0, omega = 1, where admission
+keeps every degree in [0, 1], and the clamping "offset" row under
+widened bounds (see `connectives`).  Its fold applies each node's
+resolved row through `connectives._step`, as the public connectives do.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
-from .connectives import OperatorConfig, _check_shapes, _check_type, _row, _step, neg
+from .connectives import OperatorConfig, _check_shapes, _row, _step, neg
 from .errors import (
     ArityError,
     BoundsViolation,
     FormulaSyntaxError,
     ShapeMismatch,
     UnboundIdentifier,
+    _check_type,
 )
 from .monads import _NOTATION, NsNumber, std
 from .triples import (
@@ -59,7 +60,6 @@ from .triples import (
     OffsetBounds,
     SingleValued,
     UNIT_BOUNDS,
-    _admit,
     scale_triple,
     validate,
 )
@@ -426,6 +426,7 @@ class EvalRequest:
     bindings: Mapping[str, NeutroTriple] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_type("formula", self.formula, str)
         if self.scale not in ("unit", "percent"):
             raise ValueError("scale must be 'unit' or 'percent'")
         _check_type("config", self.config, OperatorConfig)
@@ -453,27 +454,26 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
         raise UnboundIdentifier(unbound[0])
     bindings = {name: canon(req.bindings[name]) for name in names}
 
-    def admit(source: str, tr: NeutroTriple) -> tuple[NeutroTriple, bool]:
-        offset = _admit(tr, req.bounds)
-        if offset is None:
-            report = validate(tr, req.bounds)
+    def admit(source: str, tr: NeutroTriple) -> NeutroTriple:
+        report = validate(tr, req.bounds)
+        if not report.ok:
             detail = "; ".join(f"{v.where}: {v.message}" for v in report.violations)
             raise BoundsViolation(
                 f"{source} {format_triple(tr)} outside active bounds: {detail}", report
             )
-        return tr, offset
+        return tr
 
     literals = iter([admit("literal", canon(n.value)) for n in nodes if isinstance(n, Literal)])
     leaves = {name: admit(f"binding {name!r}", tr) for name, tr in bindings.items()}
 
+    numeric = "unit" if req.bounds == UNIT_BOUNDS else "offset"
     values: list[NeutroTriple] = []
-    offsets: list[bool] = []  # whether each value is offset; !x keeps x's mark
     rows = {}
     for node in nodes:
-        if isinstance(node, Literal) or isinstance(node, Var):
-            tr, offset = next(literals) if isinstance(node, Literal) else leaves[node.name]
-            values.append(tr)
-            offsets.append(offset)
+        if isinstance(node, Literal):
+            values.append(next(literals))
+        elif isinstance(node, Var):
+            values.append(leaves[node.name])
         elif isinstance(node, Not):
             values[-1] = neg(values[-1])
         else:
@@ -481,14 +481,9 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
             if isinstance(node, Implies):
                 x = neg(x)
             _check_shapes(x, y)
-            offset = offsets.pop() or offsets[-1]
-            key = (
-                "decorated" if isinstance(x.t, Nonstandard) else "offset" if offset else "unit",
-                isinstance(node, And),
-            )
+            key = ("decorated" if isinstance(x.t, Nonstandard) else numeric, isinstance(node, And))
             row = rows.get(key)
             if row is None:
                 row = rows[key] = _row(req.config, *key)
             values[-1] = _step(x, y, row)
-            offsets[-1] = False  # every unit and offset row returns degrees in [0, 1]
     return values[0]

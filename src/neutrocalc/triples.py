@@ -20,6 +20,7 @@ from .errors import (
     InvalidInterval,
     ShapeMismatch,
     UnsupportedNonstandardConfig,
+    _check_type,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
 from .monads import MonadKind, NsNumber, add_ns, as_fraction, std, _plain
@@ -346,35 +347,7 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
-def _outside_unit(lo: Fraction, hi: Fraction) -> bool:
-    """Whether degrees whose least and greatest are lo and hi leave [0, 1]."""
-    return lo.numerator < 0 or hi.numerator > hi.denominator
-
-
-def _admit(x: NeutroTriple, bounds: OffsetBounds) -> bool | None:
-    """None when x fails the bounds, else whether x is offset: some degree
-    lies outside [0, 1] and x is not nonstandard.
-
-    Checks each component's extremes and the extreme sums, which are the
-    values of triple_sums(x), on integer cross-products (denominators are
-    positive).
-    """
-    pn, pd = bounds.psi.as_integer_ratio()
-    on, od = bounds.omega.as_integer_ratio()
-    lo_n = hi_n = 0
-    lo_d = hi_d = 1
-    offset = False
-    for c in (x.t, x.i, x.f):
-        _, lo, hi = c.value_range()
-        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        if ln * pd < pn * ld or hn * od > on * hd:
-            return None
-        offset = offset or _outside_unit(lo, hi)
-        lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
-        hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
-    if lo_n * pd < 3 * pn * lo_d or hi_n * od > 3 * on * hi_d:
-        return None
-    return offset and not isinstance(x.t, Nonstandard)
+_PASSED = ValidationReport(ok=True)
 
 
 def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationReport:
@@ -382,29 +355,33 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
 
     Violations are reported, never raised; offset data is legitimate
     input and the caller decides what to do with a failing report.
+
+    One pass on integer cross-products (denominators are positive): each
+    component's extremes, its values one by one only when an extreme
+    fails, and the extreme sums, which are the values of triple_sums(x).
     """
-    if _admit(x, bounds) is not None:
-        return ValidationReport(ok=True)
     psi, omega = bounds.psi, bounds.omega
-    pn, pd, on, od = psi.numerator, psi.denominator, omega.numerator, omega.denominator
+    pn, pd = psi.as_integer_ratio()
+    on, od = omega.as_integer_ratio()
     violations: list[Violation] = []
-    # The report, on the same integer cross-products as _admit.
     lo_n = hi_n = 0
     lo_d = hi_d = 1
     for where, c in (("t", x.t), ("i", x.i), ("f", x.f)):
         values, lo, hi = c.value_range()
-        for v in values:
-            n, d = v.numerator, v.denominator
-            if n * pd < pn * d:
-                violations.append(
-                    Violation(where, f"value {_plain(v)} below lower bound {_plain(psi)}")
-                )
-            elif n * od > on * d:
-                violations.append(
-                    Violation(where, f"value {_plain(v)} above upper bound {_plain(omega)}")
-                )
-        lo_n, lo_d = lo_n * lo.denominator + lo.numerator * lo_d, lo_d * lo.denominator
-        hi_n, hi_d = hi_n * hi.denominator + hi.numerator * hi_d, hi_d * hi.denominator
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if ln * pd < pn * ld or hn * od > on * hd:
+            for v in values:
+                n, d = v.as_integer_ratio()
+                if n * pd < pn * d:
+                    violations.append(
+                        Violation(where, f"value {_plain(v)} below lower bound {_plain(psi)}")
+                    )
+                elif n * od > on * d:
+                    violations.append(
+                        Violation(where, f"value {_plain(v)} above upper bound {_plain(omega)}")
+                    )
+        lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
+        hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
     if lo_n * pd < 3 * pn * lo_d:
         violations.append(
             Violation("sum", f"lower sum {_plain(Fraction(lo_n, lo_d))} below {_plain(3 * psi)}")
@@ -413,7 +390,9 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
         violations.append(
             Violation("sum", f"upper sum {_plain(Fraction(hi_n, hi_d))} above {_plain(3 * omega)}")
         )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    if not violations:
+        return _PASSED
+    return ValidationReport(ok=False, violations=tuple(violations))
 
 
 _TOL = Fraction(1, 10**9)
@@ -483,6 +462,7 @@ def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     indeterminacy grade at their floor 0, where the left monad dips
     below every world's degree.
     """
+    _check_type("role", role, Role)
     if role is Role.T:
         if x.kind is MonadKind.RIGHT and x.value == 1:
             return TruthGrade.ABSOLUTE_TRUTH

@@ -437,13 +437,30 @@ class TestOffsetOperands:
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS)
     def test_no_warning_at_exactly_zero_and_one(self, cfg):
-        x = NeutroTriple.single(0, 1, 0)
-        y = NeutroTriple.single(1, 0, 1)
+        # The public connectives clamp every standard operand; at the unit
+        # edges that must warn nothing and give the bare kernels' result.
+        pairs = [
+            (NeutroTriple.single(0, 1, 0), NeutroTriple.single(1, 0, 1)),
+            (
+                NeutroTriple(IntervalValued(0, 1), IntervalValued(0, 0), IntervalValued(1, 1)),
+                NeutroTriple(IntervalValued(1, 1), IntervalValued(0, 1), IntervalValued(0, 0)),
+            ),
+            (
+                NeutroTriple(Hesitant([0, 1]), Hesitant([1]), Hesitant([0])),
+                NeutroTriple(Hesitant([1]), Hesitant([0, 1]), Hesitant([0, 1])),
+            ),
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for op in (conj, disj, impl):
-                op(x, y, cfg)
-                op(y, x, cfg)
+            for x, y in pairs:
+                for a, b in ((x, y), (y, x)):
+                    for op, is_conj, first in (
+                        (conj, True, a),
+                        (disj, False, a),
+                        (impl, False, neg(a)),
+                    ):
+                        row = connectives._row(cfg, "unit", is_conj)
+                        assert op(a, b, cfg) == connectives._step(first, b, row)
 
 
 def _rebuilt(x: NeutroTriple) -> NeutroTriple:

@@ -569,8 +569,18 @@ class TestEvaluate:
             (lambda: EvalRequest("x", bounds=(0, 1)), "bounds must be a OffsetBounds, got (0, 1)"),
             (lambda: Hesitant("05"), "hesitant values must be an iterable of numbers, not str"),
             (lambda: Hesitant(b"05"), "hesitant values must be an iterable of numbers, not bytes"),
+            (lambda: EvalRequest(123), "formula must be a str, got 123"),
+            (lambda: EvalRequest(b"<0,0,0>"), "formula must be a str, got b'<0,0,0>'"),
         ],
-        ids=["bindings-list", "config-str", "bounds-tuple", "hesitant-str", "hesitant-bytes"],
+        ids=[
+            "bindings-list",
+            "config-str",
+            "bounds-tuple",
+            "hesitant-str",
+            "hesitant-bytes",
+            "formula-int",
+            "formula-bytes",
+        ],
     )
     def test_malformed_fields_raise_type_error(self, build, message):
         with pytest.raises(TypeError) as info:

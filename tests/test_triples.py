@@ -35,7 +35,6 @@ from neutrocalc import (
     truth_grade,
     validate,
 )
-from neutrocalc.triples import _admit
 from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
@@ -243,9 +242,6 @@ class TestValidateAgainstFractions:
         report = validate(x, bounds)
         assert [(v.where, v.message) for v in report.violations] == expected
         assert report.ok is not expected
-        # Admission's one pass: the same verdict, and whether x is offset.
-        offset = any(not 0 <= v <= 1 for where in "tif" for v in _values(getattr(x, where)))
-        assert _admit(x, bounds) == (None if expected else offset and shape != "nonstandard")
 
     @given(offset_bounds, st.sampled_from("tif"))
     def test_exact_bounds_pass_and_one_billionth_outside_fails(self, bounds, where):
@@ -322,6 +318,11 @@ class TestTruthGrade:
     )
     def test_grading(self, x, role, expected):
         assert truth_grade(x, role) is expected
+
+    @pytest.mark.parametrize("role", ["T", None], ids=["str", "none"])
+    def test_role_must_be_a_role(self, role):
+        with pytest.raises(TypeError, match=f"^role must be a Role, got {role!r}$"):
+            truth_grade(std(0), role)
 
 
 class TestScale:
