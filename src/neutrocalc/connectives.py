@@ -148,6 +148,7 @@ def _clamped(v: Fraction) -> Fraction:
 
 def neg(x: NeutroTriple) -> NeutroTriple:
     """Swap truth and falsity; indeterminacy stays put.  Any shape."""
+    _check_type("x", x, NeutroTriple)
     return NeutroTriple._of(x.f, x.i, x.t)
 
 
@@ -243,6 +244,8 @@ def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
 
 
 def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:
+    _check_type("x", x, NeutroTriple)
+    _check_type("y", y, NeutroTriple)
     _check_type("cfg", cfg, OperatorConfig)
     _check_shapes(x, y)
     domain = "decorated" if isinstance(x.t, Nonstandard) else "offset"

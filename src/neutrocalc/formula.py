@@ -14,11 +14,19 @@ parsed formula and re-parsing it reproduces the same tree.
 Lexer and parser make one pass each.  One scanner regex matches a token
 with the whitespace before it; the lexer emits a plain (kind, text,
 1-based offset, value) tuple per token, value being a number's Fraction,
-and an "end" token last.  The parser walks that list by index, climbing
-precedence on explicit stacks and reading triple literals inline, and
-shares the lexer and decorated-number reader with `parse_nsnumber`.
-Parsed single-valued and hesitant triples skip the public constructors'
-coercion.
+and an "end" token last.  A well-formed triple literal is one match and
+one "<" token: its value is the (tag, value) pair of each component, for
+three numbers, three intervals, three hesitant sets, or three numbers
+some of which are decorated.  The parser builds the triple from those
+pairs, so a lexing error anywhere in the text still comes before a
+literal's InvalidInterval or ShapeMismatch.  Any other "<" is a plain
+punctuation token, and `_triple` reads what follows it token by token to
+name the error.  Every scanner alternative spells a number in the one
+unambiguous way, so a literal that almost matches fails in linear time.
+The parser walks the token list by index, climbing precedence on
+explicit stacks, and shares the lexer and decorated-number reader with
+`parse_nsnumber`.  Parsed single-valued and hesitant triples skip the
+public constructors' coercion.
 
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
@@ -152,17 +160,69 @@ Formula = Union[Literal, Var, Not, And, Or, Implies]
 
 
 _ALIASES = {"∧": "&", "∨": "|", "¬": "!", "→": "->"}
-# One match per token, whitespace before it included.  "end" matches only
-# once the input is used up and "bad" takes any other character, so no
-# character is skipped and the leading \s* never backtracks.
+_MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
+
+# One spelling of a number for every scanner alternative.  It matches a
+# digit run in one way only, so an alternative that repeats it fails in
+# linear time; \d+\.?\d* splits a run in many ways, and a hesitant literal
+# that fails would try each split of each value in turn.
+_NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)"
+_NUMBERS = re.compile(_NUMBER)
+
+
+def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> tuple:
+    if letter is None:
+        return ("num", _to_fraction(plain))
+    return ("ns", NsNumber(_to_fraction(inner), _MONAD_LETTER[letter]))
+
+
+# Literal shape -> the pattern of one component, and the reader that turns
+# the texts its three components capture into the (tag, value) pairs that
+# _triple reads token by token.  A new spelling goes here and into _triple.
+_SHAPES = {
+    "single": (f"({_NUMBER})", lambda texts: [("num", _to_fraction(s)) for s in texts]),
+    "interval": (
+        rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]",
+        lambda t: [("interval", (_to_fraction(t[k]), _to_fraction(t[k + 1]))) for k in (0, 2, 4)],
+    ),
+    "hesitant": (
+        rf"\{{\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\}}",
+        lambda texts: [
+            ("hesitant", [_to_fraction(v) for v in _NUMBERS.findall(s)]) for s in texts
+        ],
+    ),
+    "decorated": (
+        rf"(?:([{''.join(_MONAD_LETTER)}])\s*\(\s*({_NUMBER})\s*\)|({_NUMBER}))",
+        lambda t: [_nsnum(*t[k : k + 3]) for k in (0, 3, 6)],
+    ),
+}
+# One match per token, whitespace before it included; a well-formed triple
+# literal is one token.  "end" matches only once the input is used up and
+# "bad" takes any other character, so no character is skipped and the
+# leading \s* never backtracks.
 _SCAN = re.compile(
-    r"\s*(?:(?P<number>-?(?:\d+\.?\d*|\.\d+))|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<end>\Z)|(?P<bad>.))"
+    rf"\s*(?:(?P<number>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    + "".join(
+        rf"|(?P<{shape}><\s*{part}\s*,\s*{part}\s*,\s*{part}\s*>)"
+        for shape, (part, _) in _SHAPES.items()
+    )
+    + r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<end>\Z)|(?P<bad>.))"
 )
+# Scanner group of a literal shape -> the indices of the texts its
+# components capture, which follow the group's own, and their reader.
+_LITERALS = {
+    shape: (
+        tuple(_SCAN.groupindex[shape] + k for k in range(1, 3 * re.compile(part).groups + 1)),
+        read,
+    )
+    for shape, (part, read) in _SHAPES.items()
+}
 
 
 def _lex(text: str) -> list[tuple]:
-    """The token tuples of text; see the module docstring."""
+    """The (kind, text, 1-based offset, value) tuples of text's tokens, the
+    last of kind "end".  value is a number's Fraction, the components'
+    (tag, value) pairs on the "<" of a well-formed literal, else None."""
     tokens = []
     for m in _SCAN.finditer(text):
         kind = m.lastgroup
@@ -171,6 +231,9 @@ def _lex(text: str) -> list[tuple]:
             tokens.append((_ALIASES.get(tok, tok), tok, pos, None))
         elif kind == "number":
             tokens.append((kind, tok, pos, _to_fraction(tok)))
+        elif kind in _LITERALS:
+            indices, read = _LITERALS[kind]
+            tokens.append(("<", "<", pos, read(m.group(*indices))))
         elif kind != "bad":  # an identifier, or the end
             tokens.append((kind, tok, pos, None))
             if kind == "end":
@@ -212,7 +275,6 @@ def _check(tokens: list, i: int, kinds: tuple[str, ...]) -> None:
 
 
 _PERCENT = Fraction(1, 100)
-_MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
 _NSNUM_EXPECTED = frozenset({"number", *(f"'{letter}('" for letter in _MONAD_LETTER)})
 _COMP_EXPECTED = _NSNUM_EXPECTED | {"'['", "'{'"}
 _ATOM_EXPECTED = frozenset({"'<'", "identifier", "'('", "'!'"})
@@ -238,8 +300,12 @@ def parse(text: str) -> Formula:
             i += 1
             continue
         if kind == "<":
-            literal, i = _triple(tokens, i)
-            operands.append(literal)
+            comps = tokens[i][3]
+            if comps is None:  # not a well-formed literal: read it token by token
+                comps, i = _triple(tokens, i)
+            else:
+                i += 1
+            operands.append(Literal(_build_triple(comps)))
         elif kind == "ident":
             operands.append(Var(tokens[i][1]))
             i += 1
@@ -272,8 +338,17 @@ def parse(text: str) -> Formula:
             i += 1
 
 
-def _triple(tokens: list, i: int) -> tuple[Literal, int]:
-    """The triple literal whose "<" is tokens[i], and the index after it."""
+def _triple(tokens: list, i: int) -> tuple[list, int]:
+    """The (tag, value) pairs of the triple literal whose "<" is tokens[i],
+    read token by token, and the index after the literal.
+
+    The scanner takes every well-formed literal whole, so this reader sees
+    only malformed ones, and serves to raise their error at the token where
+    they go wrong: a missing or stray token, or the wrong number of
+    components.  What it returns has components of mixed shapes, for
+    `_build_triple` to reject.  It accepts every literal that the scanner's
+    shapes accept; a new spelling goes into both.
+    """
     start = tokens[i][2]
     comps = []  # (tag, value) pairs
     while True:
@@ -310,7 +385,7 @@ def _triple(tokens: list, i: int) -> tuple[Literal, int]:
         raise _unexpected(tokens[i], frozenset({"','", "'>'"}))
     if len(comps) != 3:
         raise ArityError(f"triple literal has {len(comps)} components, expected 3", start)
-    return Literal(_build_triple(comps)), i + 1
+    return comps, i + 1
 
 
 def _decorated(tokens: list, i: int) -> NsNumber | None:

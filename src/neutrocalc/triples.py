@@ -360,6 +360,8 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
     component's extremes, its values one by one only when an extreme
     fails, and the extreme sums, which are the values of triple_sums(x).
     """
+    _check_type("x", x, NeutroTriple)
+    _check_type("bounds", bounds, OffsetBounds)
     psi, omega = bounds.psi, bounds.omega
     pn, pd = psi.as_integer_ratio()
     on, od = omega.as_integer_ratio()
@@ -462,6 +464,7 @@ def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     indeterminacy grade at their floor 0, where the left monad dips
     below every world's degree.
     """
+    _check_type("x", x, NsNumber)
     _check_type("role", role, Role)
     if role is Role.T:
         if x.kind is MonadKind.RIGHT and x.value == 1:
@@ -481,6 +484,7 @@ def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:
 
     Used to canonicalize percent-scale input onto the unit scale.
     """
+    _check_type("x", x, NeutroTriple)
     q = as_fraction(factor)
     if q <= 0:
         raise ValueError("scale factor must be positive")

@@ -1,6 +1,7 @@
 """Grammar, printing, and formula evaluation."""
 
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from neutrocalc import (
     Hesitant,
     Implies,
     IntervalValued,
+    InvalidInterval,
     Literal,
     MonadKind,
+    NeutroCalcError,
     NeutroTriple,
     Nonstandard,
     Not,
@@ -28,20 +31,25 @@ from neutrocalc import (
     OperatorConfig,
     OperatorFamily,
     Or,
+    Role,
     ShapeMismatch,
     TNormFamily,
     UnboundIdentifier,
     Var,
+    conj,
     evaluate,
     format_triple,
     free_identifiers,
     left,
+    neg,
     parse,
     parse_nsnumber,
     right,
     scale_triple,
     std,
+    truth_grade,
     unparse,
+    validate,
 )
 from neutrocalc.formula import _lex, _postorder
 
@@ -160,7 +168,9 @@ _COMP = {"number", "'['", "'{'", "'L('", "'R('", "'B('"}
 _NSNUM = {"number", "'L('", "'R('", "'B('"}
 
 # (function, text) -> (error type, str(error), offset, expected): one row or
-# more for every place the lexer, the parser and parse_nsnumber raise.
+# more for every place the lexer, the parser and parse_nsnumber raise.  An
+# error raised while building a parsed literal has no offset (None) and no
+# expected set.
 _ERROR_CASES = [
     (parse, "a - b", (FormulaSyntaxError, "stray '-' (at position 3)", 3, {"'->'", "number"})),
     (parse, "a @ b", (FormulaSyntaxError, "unexpected character '@' (at position 3)", 3, set())),
@@ -260,6 +270,40 @@ _ERROR_CASES = [
     (parse_nsnumber, "L(1)?", (
         FormulaSyntaxError, "unexpected character '?' (at position 5)", 5, set(),
     )),
+    # Near misses of the scanner's literal shapes: each falls through to
+    # the token-level reader, or builds and fails in the parser.
+    (parse, "<1, 2>", (
+        ArityError, "triple literal has 2 components, expected 3 (at position 1)", 1, set(),
+    )),
+    (parse, "<1, 2, 3, 4>", (
+        ArityError, "triple literal has 4 components, expected 3 (at position 1)", 1, set(),
+    )),
+    (parse, "<1.5e3, 0, 0>", (
+        FormulaSyntaxError, "expected ',', '>', found identifier (at position 5)", 5,
+        {"','", "'>'"},
+    )),
+    (parse, "<{0.1,}, {0}, {0}>", (
+        FormulaSyntaxError, "expected number, found '}' (at position 7)", 7, {"number"},
+    )),
+    (parse, "<B(0.5, 0, 0>", (
+        FormulaSyntaxError, "expected ')', found ',' (at position 7)", 7, {"')'"},
+    )),
+    (parse, "<[0, 1], 0, 0>", (
+        ShapeMismatch, "triple components must share one shape", None, set(),
+    )),
+    (parse, "<L(0.5), [0, 1], 0>", (
+        ShapeMismatch, "decorated numbers cannot mix with interval or hesitant components", None,
+        set(),
+    )),
+    (parse, "<[0.3, 0.2], [0, 1], [0, 1]>", (
+        InvalidInterval, "[0.3, 0.2] is reversed", None, set(),
+    )),
+    (parse, "<[0.3, 0.2], [0, 1], [0, 1]> & @", (  # the lexer runs first
+        FormulaSyntaxError, "unexpected character '@' (at position 32)", 32, set(),
+    )),
+    (parse, "<1,2,3> <1,2,3>", (
+        FormulaSyntaxError, "unexpected '<' after formula (at position 9)", 9, _AFTER,
+    )),
 ]
 
 
@@ -267,10 +311,11 @@ _ERROR_CASES = [
     "fn, text, expected", _ERROR_CASES, ids=[f"{fn.__name__}:{text}" for fn, text, _ in _ERROR_CASES]
 )
 def test_error_table(fn, text, expected):
-    with pytest.raises(FormulaSyntaxError) as exc:
+    with pytest.raises(NeutroCalcError) as exc:
         fn(text)
     error = exc.value
-    assert (type(error), str(error), error.offset, set(error.expected)) == expected
+    offset, expected_set = getattr(error, "offset", None), getattr(error, "expected", ())
+    assert (type(error), str(error), offset, set(expected_set)) == expected
 
 
 _HALF = Fraction(1, 2)
@@ -287,10 +332,8 @@ _LEX_CASES = [
     ("²", ("unexpected character '²' (at position 1)", 1, set())),
     ("a²", ("unexpected character '²' (at position 2)", 2, set())),
     ("٣", [("number", "٣", 1, Fraction(3))]),
-    ("<٣.٥,0,0>", [
-        ("<", "<", 1, None), ("number", "٣.٥", 2, Fraction(7, 2)), (",", ",", 5, None),
-        ("number", "0", 6, Fraction(0)), (",", ",", 7, None), ("number", "0", 8, Fraction(0)),
-        (">", ">", 9, None),
+    ("<٣.٥,0,0>", [  # a well-formed literal is one token, carrying its components
+        ("<", "<", 1, [("num", Fraction(7, 2)), ("num", Fraction(0)), ("num", Fraction(0))]),
     ]),
     ("a\u00a0&\tb\n|c", [  # NBSP, tab and newline are whitespace
         ("ident", "a", 1, None), ("&", "&", 3, None), ("ident", "b", 5, None),
@@ -326,6 +369,110 @@ def test_lexer_reads_digits_exactly():
     ((*_, value), _) = _lex(digits)
     assert value == Fraction(1, 10**5001)
     assert _lex("-0012.50")[0][3] == Fraction(-25, 2)
+
+
+_SPACE = st.text(alphabet=" \t\n\u00a0", max_size=3)
+
+# Zero of each digit family drawn: ASCII, Arabic-Indic, Devanagari, fullwidth.
+_DIGIT_ZEROS = [0x30, 0x660, 0x966, 0xFF10]
+_MONADS = {"L": MonadKind.LEFT, "R": MonadKind.RIGHT, "B": MonadKind.BIMONAD}
+
+
+@st.composite
+def _spelled_number(draw):
+    """Some spelling of a decimal number the grammar accepts, and its value."""
+    whole = draw(st.text(alphabet="0123456789", max_size=4))
+    frac = draw(st.text(alphabet="0123456789", max_size=4))
+    if whole and draw(st.booleans()):
+        point = "." if frac or draw(st.booleans()) else ""  # "5." is a number
+    else:  # ".5" when whole is empty
+        point, frac = ".", frac or "5"
+    sign = draw(st.sampled_from(["", "-"]))
+    value = Fraction(int(whole or "0")) + Fraction(int(frac or "0"), 10 ** len(frac))
+    zero = draw(st.sampled_from(_DIGIT_ZEROS))
+    spelled = "".join(chr(zero + int(c)) if c.isdigit() else c for c in whole + point + frac)
+    return sign + spelled, -value if sign else value
+
+
+@st.composite
+def _spelled_literal(draw):
+    """A well-formed triple literal of any shape, spaced at random, and the
+    triple the public constructors build from the drawn values."""
+    gap = lambda: draw(_SPACE)  # noqa: E731
+    shape = draw(st.sampled_from(["single", "interval", "hesitant", "decorated"]))
+    texts, parts = [], []
+    for _ in range(3):
+        if shape == "single":
+            text, value = draw(_spelled_number())
+            parts.append(value)
+        elif shape == "interval":
+            ends = draw(st.lists(_spelled_number(), min_size=2, max_size=2))
+            (a, x), (b, y) = sorted(ends, key=lambda n: n[1])
+            text = f"[{gap()}{a}{gap()},{gap()}{b}{gap()}]"
+            parts.append(IntervalValued(x, y))
+        elif shape == "hesitant":
+            drawn = draw(st.lists(_spelled_number(), min_size=1, max_size=4))
+            text = "{" + ",".join(gap() + t + gap() for t, _ in drawn) + "}"
+            parts.append(Hesitant([v for _, v in drawn]))
+        else:
+            text, value = draw(_spelled_number())
+            letter = draw(st.sampled_from(["", "L", "R", "B"]))
+            if letter:
+                text = f"{letter}{gap()}({gap()}{text}{gap()})"
+            parts.append(NsNumber(value, _MONADS[letter]) if letter else std(value))
+        texts.append(text)
+    text = "<" + ",".join(gap() + t + gap() for t in texts) + ">"
+    if shape == "single":
+        expected = NeutroTriple.single(*parts)
+    elif shape == "decorated" and all(p.kind is MonadKind.STD for p in parts):
+        expected = NeutroTriple.single(*(p.value for p in parts))
+    elif shape == "decorated":
+        expected = NeutroTriple.nonstandard(*parts)
+    else:
+        expected = NeutroTriple(*parts)
+    return text, expected
+
+
+@given(_spelled_literal(), _SPACE)
+def test_well_formed_literals_lex_to_one_token(literal, lead):
+    text, expected = literal
+    tokens = _lex(lead + text)
+    assert len(tokens) == 2 and tokens[1][0] == "end"
+    kind, _, offset, comps = tokens[0]
+    assert (kind, offset) == ("<", len(lead) + 1) and comps is not None
+    assert parse(lead + text) == Literal(expected)
+
+
+_HOSTILE = {
+    # Near misses of the literal shapes.  With an ambiguous number pattern
+    # in the scanner's literal alternatives, the unclosed ten-value set
+    # takes about 20 s, and the digit run backtracks quadratically.
+    "hesitant-10000": ("<{" + ", ".join(["123456"] * 10_000) + " @", 80_002),
+    "hesitant-10": ("<{" + ", ".join(["123456"] * 10) + " @", 82),
+    "digits-100000": ("<" + "1" * 100_000 + " @", 100_003),
+}
+
+
+def _over_time(signum, frame):
+    raise TimeoutError("parse ran for over 1 s")
+
+
+@pytest.mark.parametrize("name", _HOSTILE)
+def test_hostile_literals_scan_in_linear_time(name):
+    """A timer signal interrupts the regex engine, so a scan that would
+    run for hours fails in 1 s instead."""
+    text, offset = _HOSTILE[name]
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (str(exc.value), exc.value.offset) == (
+        f"unexpected character '@' (at position {offset})", offset,
+    )
 
 
 class TestParseNsNumber:
@@ -432,7 +579,6 @@ def test_round_trip_property(tree):
 # The tokens of unparse() output; a sign stays on its number.
 _PRINTED_TOKEN = re.compile(r"->|-?(?:\d+\.?\d*|\.\d+)|\w+|\S")
 _UNICODE = {"&": "∧", "|": "∨", "!": "¬", "->": "→"}
-_SPACE = st.text(alphabet=" \t\n\u00a0", max_size=3)
 
 
 @given(_formula_strategy(), st.data())
@@ -571,6 +717,16 @@ class TestEvaluate:
             (lambda: Hesitant(b"05"), "hesitant values must be an iterable of numbers, not bytes"),
             (lambda: EvalRequest(123), "formula must be a str, got 123"),
             (lambda: EvalRequest(b"<0,0,0>"), "formula must be a str, got b'<0,0,0>'"),
+            (
+                lambda: validate(NeutroTriple.single(0, 0, 0), (0, 1)),
+                "bounds must be a OffsetBounds, got (0, 1)",
+            ),
+            (lambda: validate("<0,0,0>"), "x must be a NeutroTriple, got '<0,0,0>'"),
+            (lambda: scale_triple("x", 2), "x must be a NeutroTriple, got 'x'"),
+            (lambda: conj(1, 2), "x must be a NeutroTriple, got 1"),
+            (lambda: conj(NeutroTriple.single(0, 0, 0), 2), "y must be a NeutroTriple, got 2"),
+            (lambda: neg("x"), "x must be a NeutroTriple, got 'x'"),
+            (lambda: truth_grade(0, Role.T), "x must be a NsNumber, got 0"),
         ],
         ids=[
             "bindings-list",
@@ -580,6 +736,13 @@ class TestEvaluate:
             "hesitant-bytes",
             "formula-int",
             "formula-bytes",
+            "validate-bounds-tuple",
+            "validate-str",
+            "scale_triple-str",
+            "conj-int",
+            "conj-y-int",
+            "neg-str",
+            "truth_grade-int",
         ],
     )
     def test_malformed_fields_raise_type_error(self, build, message):
