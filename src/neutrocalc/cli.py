@@ -19,7 +19,15 @@ from .connectives import OperatorConfig, OperatorFamily, TNormFamily
 from .errors import FormulaSyntaxError, NeutroCalcError
 from .formula import EvalRequest, Literal, evaluate, format_triple, parse, parse_nsnumber
 from .intervals import NsInterval, anomaly_check, inf_ns, sup_ns
-from .monads import MonadKind, NsNumber, as_fraction, compare_ns, infinitely_close, roughly_leq
+from .monads import (
+    MonadKind,
+    NsNumber,
+    _ratio,
+    as_fraction,
+    compare_ns,
+    infinitely_close,
+    roughly_leq,
+)
 from .triples import NeutroTriple, OffsetBounds, classify_logic, validate
 
 _FAMILY = {f.value: f for f in OperatorFamily}
@@ -173,7 +181,7 @@ def _cmd_anomaly(args) -> _Output:
     lo_k = int((a - pad) * 1000)
     hi_k = int((b + pad) * 1000)
     probes = [
-        NsNumber(Fraction(rng.randint(lo_k, hi_k), 1000), rng.choice(_KIND_ORDER))
+        NsNumber(_ratio(rng.randint(lo_k, hi_k), 1000), rng.choice(_KIND_ORDER))
         for _ in range(args.probes)
     ]
     report = anomaly_check(a, b, probes)

@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type
-from .monads import NsNumber, _plain, add_ns, as_fraction, max_ns, min_ns
+from .monads import NsNumber, _plain, _ratio, add_ns, as_fraction, max_ns, min_ns
 from .triples import NeutroTriple, Nonstandard
 
 __all__ = [
@@ -76,7 +76,8 @@ class ClampWarning(UserWarning):
 
 # Kernels on integer cross-products (denominators are positive), which
 # skip the ABC checks of Fraction comparison and arithmetic.  Each reads
-# an operand's pair once: numerator and denominator are properties.
+# an operand's pair once: numerator and denominator are properties.  A
+# new result is built by monads._ratio, which skips Fraction.__new__.
 def _min(a: Fraction, b: Fraction) -> Fraction:
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     return a if an * bd <= bn * ad else b
@@ -89,26 +90,26 @@ def _max(a: Fraction, b: Fraction) -> Fraction:
 
 def _product_tnorm(a: Fraction, b: Fraction) -> Fraction:
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return Fraction(an * bn, ad * bd)
+    return _ratio(an * bn, ad * bd)
 
 
 def _product_tconorm(a: Fraction, b: Fraction) -> Fraction:
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return Fraction(an * bd + bn * ad - an * bn, ad * bd)
+    return _ratio(an * bd + bn * ad - an * bn, ad * bd)
 
 
 def _luk_tnorm(a: Fraction, b: Fraction) -> Fraction:
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     d = ad * bd
     n = an * bd + bn * ad - d
-    return Fraction(n, d) if n > 0 else _ZERO
+    return _ratio(n, d) if n > 0 else _ZERO
 
 
 def _luk_tconorm(a: Fraction, b: Fraction) -> Fraction:
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     d = ad * bd
     n = an * bd + bn * ad
-    return Fraction(n, d) if n < d else _ONE
+    return _ratio(n, d) if n < d else _ONE
 
 
 _KERNELS = {
@@ -168,7 +169,7 @@ def impl(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig = OperatorConfig(
 def _midpoint(a: Fraction, b: Fraction) -> Fraction:
     """(a + b) / 2 on integer cross-products."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return Fraction(an * bd + bn * ad, 2 * ad * bd)
+    return _ratio(an * bd + bn * ad, 2 * ad * bd)
 
 
 def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:

@@ -18,10 +18,11 @@ __all__ = [
 ]
 
 
-def _check_type(field: str, value, kind: type) -> None:
-    """Raise TypeError, naming the field, unless value is a kind."""
+def _check_type(field: str, value, kind, name: str | None = None) -> None:
+    """Raise TypeError, naming the field, unless value is a kind: a class,
+    or a Union of classes that `name` names."""
     if not isinstance(value, kind):
-        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
+        raise TypeError(f"{field} must be a {name or kind.__name__}, got {value!r}")
 
 
 class NeutroCalcError(Exception):

@@ -25,8 +25,9 @@ name the error.  Every scanner alternative spells a number in the one
 unambiguous way, so a literal that almost matches fails in linear time.
 The parser walks the token list by index, climbing precedence on
 explicit stacks, and shares the lexer and decorated-number reader with
-`parse_nsnumber`.  Parsed single-valued and hesitant triples skip the
-public constructors' coercion.
+`parse_nsnumber`.  Numbers are read by `monads._read_decimal`.  Parsed
+single-valued, hesitant and well-ordered interval triples skip the public
+constructors' coercion.
 
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
@@ -46,7 +47,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -59,7 +59,7 @@ from .errors import (
     UnboundIdentifier,
     _check_type,
 )
-from .monads import _NOTATION, NsNumber, std
+from .monads import _NOTATION, NsNumber, _read_decimal, std
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -172,23 +172,25 @@ _NUMBERS = re.compile(_NUMBER)
 
 def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> tuple:
     if letter is None:
-        return ("num", _to_fraction(plain))
-    return ("ns", NsNumber(_to_fraction(inner), _MONAD_LETTER[letter]))
+        return ("num", _read_decimal(plain))
+    return ("ns", NsNumber(_read_decimal(inner), _MONAD_LETTER[letter]))
 
 
 # Literal shape -> the pattern of one component, and the reader that turns
 # the texts its three components capture into the (tag, value) pairs that
 # _triple reads token by token.  A new spelling goes here and into _triple.
 _SHAPES = {
-    "single": (f"({_NUMBER})", lambda texts: [("num", _to_fraction(s)) for s in texts]),
+    "single": (f"({_NUMBER})", lambda texts: [("num", _read_decimal(s)) for s in texts]),
     "interval": (
         rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]",
-        lambda t: [("interval", (_to_fraction(t[k]), _to_fraction(t[k + 1]))) for k in (0, 2, 4)],
+        lambda t: [
+            ("interval", (_read_decimal(t[k]), _read_decimal(t[k + 1]))) for k in (0, 2, 4)
+        ],
     ),
     "hesitant": (
         rf"\{{\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\}}",
         lambda texts: [
-            ("hesitant", [_to_fraction(v) for v in _NUMBERS.findall(s)]) for s in texts
+            ("hesitant", [_read_decimal(v) for v in _NUMBERS.findall(s)]) for s in texts
         ],
     ),
     "decorated": (
@@ -230,7 +232,7 @@ def _lex(text: str) -> list[tuple]:
         if kind == "punct":
             tokens.append((_ALIASES.get(tok, tok), tok, pos, None))
         elif kind == "number":
-            tokens.append((kind, tok, pos, _to_fraction(tok)))
+            tokens.append((kind, tok, pos, _read_decimal(tok)))
         elif kind in _LITERALS:
             indices, read = _LITERALS[kind]
             tokens.append(("<", "<", pos, read(m.group(*indices))))
@@ -242,14 +244,6 @@ def _lex(text: str) -> list[tuple]:
             raise FormulaSyntaxError("stray '-'", pos, frozenset({"'->'", "number"}))
         else:
             raise FormulaSyntaxError(f"unexpected character {tok!r}", pos)
-
-
-def _to_fraction(digits: str) -> Fraction:
-    whole, _, frac = digits.partition(".")
-    try:
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    except ValueError:  # more digits than int() converts; Decimal has no limit
-        return Fraction(Decimal(digits))
 
 
 _DESC = {"number": "number", "ident": "identifier", "end": "end of input"}
@@ -289,6 +283,7 @@ def parse(text: str) -> Formula:
     follows it.  After each operand, closing parentheses reduce to their
     opening one.
     """
+    _check_type("text", text, str)
     tokens = _lex(text)
     operands: list[Formula] = []
     ops: list = []  # Not, binary classes, and None for an open "("
@@ -398,6 +393,12 @@ def _decorated(tokens: list, i: int) -> NsNumber | None:
     return NsNumber(tokens[i + 2][3], _MONAD_LETTER[text])
 
 
+def _interval(lo: Fraction, hi: Fraction) -> IntervalValued:
+    """A parsed interval; a reversed one raises from the public constructor."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return IntervalValued._of(lo, hi) if ln * hd <= hn * ld else IntervalValued(lo, hi)
+
+
 def _build_triple(comps) -> NeutroTriple:
     tags = {tag for tag, _ in comps}
     if tags == {"num"}:  # the parsed numbers are exact Fractions already
@@ -405,7 +406,7 @@ def _build_triple(comps) -> NeutroTriple:
     elif tags <= {"ns", "num"}:
         parts = [Nonstandard(value if tag == "ns" else std(value)) for tag, value in comps]
     elif tags == {"interval"}:
-        parts = [IntervalValued(*bounds) for _, bounds in comps]
+        parts = [_interval(lo, hi) for _, (lo, hi) in comps]
     elif tags == {"hesitant"}:
         parts = [Hesitant._of(values) for _, values in comps]
     elif "ns" in tags:
@@ -417,6 +418,7 @@ def _build_triple(comps) -> NeutroTriple:
 
 def parse_nsnumber(text: str) -> NsNumber:
     """Parse a bare decorated-number literal such as 0.8 or L(0.3)."""
+    _check_type("text", text, str)
     tokens = _lex(text)
     if tokens[0][0] == "number":
         n, i = std(tokens[0][3]), 1
@@ -431,11 +433,13 @@ def parse_nsnumber(text: str) -> NsNumber:
 def format_triple(tr: NeutroTriple) -> str:
     """The triple in formula syntax; a nonstandard union, which no literal
     spells, renders as its members joined by ∪."""
+    _check_type("tr", tr, NeutroTriple)
     return f"<{tr.t}, {tr.i}, {tr.f}>"
 
 
 def unparse(f: Formula) -> str:
     """Canonical ASCII rendering; parse(unparse(f)) == f for parser output."""
+    _check_type("f", f, Formula, "Formula")
     pieces: list[str] = []
     # Pairs of a node or text to emit and the least binding strength it
     # prints bare at; the next one is last.

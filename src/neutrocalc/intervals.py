@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .errors import EmptySet, InvalidInterval
+from .errors import EmptySet, InvalidInterval, _check_type
 from .monads import _AT_LEAST, _AT_MOST, _AT_VALUE, MonadKind, NsNumber, as_fraction
 from .monads import compare_ns, left, right, std
 
@@ -38,6 +38,8 @@ class NsInterval:
     hi: NsNumber
 
     def __post_init__(self):
+        _check_type("lo", self.lo, NsNumber)
+        _check_type("hi", self.hi, NsNumber)
         if compare_ns(self.lo, self.hi) not in _AT_MOST:
             raise InvalidInterval(f"]{self.lo}, {self.hi}[ has endpoints out of order")
 
@@ -65,10 +67,15 @@ def contains(interval: NsInterval, x: NsNumber) -> bool:
     a left-monad endpoint is a member while a std probe on that same
     endpoint is not.
     """
-    return (
-        compare_ns(interval.lo, x) in _AT_MOST
-        and compare_ns(x, interval.hi) in _AT_MOST
-    )
+    try:
+        return (
+            compare_ns(interval.lo, x) in _AT_MOST
+            and compare_ns(x, interval.hi) in _AT_MOST
+        )
+    except (AttributeError, TypeError):  # named here, as compare_ns names its own
+        _check_type("interval", interval, NsInterval)
+        _check_type("x", x, NsNumber)
+        raise
 
 
 def inf_ns(interval: NsInterval) -> NsNumber:
@@ -101,7 +108,12 @@ def _bound_set(values: Iterable[NsNumber], name: str, pick, table: dict) -> NsNu
     items = list(values)
     if not items:
         raise EmptySet(f"{name} over an empty set")
-    m = pick(x.value for x in items)
+    try:
+        m = pick(x.value for x in items)
+    except AttributeError:  # checked only here, off the path that succeeds
+        for k, x in enumerate(items):
+            _check_type(f"values[{k}]", x, NsNumber)
+        raise
     kind = None
     for x in items:
         if x.value == m:

@@ -34,7 +34,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .errors import IncomparableOperands
+from .errors import IncomparableOperands, _check_type
 
 __all__ = [
     "MonadKind",
@@ -57,7 +57,61 @@ __all__ = [
 # The exponent of e-notation, as Fraction's grammar and str(Decimal) spell it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 # A plain decimal: sign, digits, optional point, optional exponent.
-_DECIMAL = re.compile(r"\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?\s*\Z")
+_DECIMAL = re.compile(
+    r"\s*(?P<numeral>[-+]?(?:\d+(?:\.\d*)?|\.\d+))(?:[eE](?P<exponent>[-+]?\d+))?\s*\Z"
+)
+
+_new = object.__new__
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """The Fraction n/d, normalised, built without Fraction.__new__.
+
+    Trusted: n and d are ints and d > 0.  Dividing both by their gcd is
+    the normalisation Fraction(n, d) does; the type dispatch around it,
+    most of that constructor's cost, is skipped.  This is the one place
+    that relies on Fraction's layout, the two slots _numerator and
+    _denominator, as CPython's own Fraction._from_coprime_ints does;
+    tests/test_monads.py::TestRatio::test_fraction_layout_is_pinned
+    fails on a Python that changes it.
+    """
+    g = math.gcd(n, d)
+    q = _new(Fraction)
+    q._numerator = n // g
+    q._denominator = d // g
+    return q
+
+
+def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
+    """numeral * 10**exponent, exactly; numeral is an optional sign, digits
+    and an optional point, as _DECIMAL's numeral group spells it.  The one
+    reader of decimal text: the formula lexer's numbers and as_fraction's
+    strings, Decimals and float reprs."""
+    whole, _, frac = numeral.partition(".")
+    shift = len(frac) - exponent
+    try:
+        n = int(whole + frac)
+    except ValueError:  # more digits than int() reads at once
+        n = _long_int(whole + frac)
+    if shift < 0:
+        return _ratio(n * 10**-shift, 1)
+    return _ratio(n, 10**shift)
+
+
+def _long_int(run: str) -> int:
+    """int(run) for an optionally signed digit run of any length.
+
+    int() refuses runs past sys.get_int_max_str_digits(), so a longer run
+    is read in halves, joined as hi * 10**k + lo: sub-quadratic, where
+    converting through Decimal is quadratic in the length.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(run) <= limit:
+        return int(run)
+    digits = run.lstrip("+-")
+    k = len(digits) // 2
+    n = _long_int(digits[:-k]) * 10**k + _long_int(digits[-k:])
+    return -n if run.startswith("-") else n
 
 
 def as_fraction(value) -> Fraction:
@@ -66,7 +120,7 @@ def as_fraction(value) -> Fraction:
     Floats go through their shortest decimal repr, so as_fraction(0.2)
     is exactly 1/5 rather than the binary approximation.  A str or Decimal
     exponent past sys.get_int_max_str_digits() raises ValueError, not a hang;
-    a plain decimal string with more digits than that converts exactly.
+    a plain decimal with more digits than that converts exactly.
     """
     if isinstance(value, Fraction):
         return value
@@ -77,20 +131,19 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("value must be finite")
-        return Fraction(Decimal(repr(value)))
+        value = repr(value)
     if isinstance(value, Decimal) and not value.is_finite():
         raise ValueError("value must be finite")
     if isinstance(value, (str, Decimal)):
-        exponent, limit = _EXPONENT.search(str(value)), sys.get_int_max_str_digits()
+        text = str(value)
+        exponent, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
         # The length test keeps int() itself within the limit.
         if exponent and limit and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
             raise ValueError(f"exponent of {value!r} exceeds {limit} in magnitude")
-        try:
-            return Fraction(value)
-        except ValueError:  # past int()'s digit limit; Decimal has none ('inf' stays refused)
-            if isinstance(value, str) and _DECIMAL.match(value):
-                return Fraction(Decimal(value))
-            raise
+        decimal = _DECIMAL.match(text)
+        if decimal:
+            return _read_decimal(decimal["numeral"], int(decimal["exponent"] or 0))
+        return Fraction(value)  # a ratio "n/d", digits with underscores, or not a number
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact number")
 
 
@@ -224,11 +277,16 @@ def compare_ns(x: NsNumber, y: NsNumber) -> OrderRelation:
     Values decide first: x.value < y.value gives LtN regardless of kinds.
     At equal values the side sets of the kinds decide (``_AT_VALUE``).
     """
-    if x.value < y.value:
-        return OrderRelation.LT_N
-    if x.value > y.value:
-        return OrderRelation.GT_N
-    return _AT_VALUE[x.kind, y.kind]
+    try:
+        if x.value < y.value:
+            return OrderRelation.LT_N
+        if x.value > y.value:
+            return OrderRelation.GT_N
+        return _AT_VALUE[x.kind, y.kind]
+    except AttributeError:  # checked only here, off the path that succeeds
+        _check_type("x", x, NsNumber)
+        _check_type("y", y, NsNumber)
+        raise
 
 
 def equal_ns(x: NsNumber, y: NsNumber) -> bool:

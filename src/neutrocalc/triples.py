@@ -23,7 +23,7 @@ from .errors import (
     _check_type,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
-from .monads import MonadKind, NsNumber, add_ns, as_fraction, std, _plain
+from .monads import MonadKind, NsNumber, _plain, _ratio, add_ns, as_fraction, std
 
 __all__ = [
     "Component",
@@ -53,8 +53,10 @@ class Component:
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
     and supremum (the std extremes, except for ``Nonstandard``),
     ``value_range()`` the underlying values in report order with their
-    least and greatest, ``scaled(q)`` every degree times q, and
-    ``to_json()`` the ``--json`` form.  ``str()`` is the formula syntax.
+    least and greatest, ``scaled(q)`` every degree times the exact q (a
+    single, interval or hesitant degree built from integer cross-products
+    by ``monads._ratio``), and ``to_json()`` the ``--json`` form.
+    ``str()`` is the formula syntax.
 
     Public constructors coerce and check.  ``_of`` and
     ``_apply(other, op)``, the connectives' step that applies op to the
@@ -93,7 +95,8 @@ class SingleValued(Component):
         return (self.value,), self.value, self.value
 
     def scaled(self, q: Fraction) -> "SingleValued":
-        return SingleValued(self.value * q)
+        (n, d), (qn, qd) = self.value.as_integer_ratio(), q.as_integer_ratio()
+        return SingleValued._of(_ratio(n * qn, d * qd))
 
     def _apply(self, other: "SingleValued", op) -> "SingleValued":
         return SingleValued._of(op(self.value, other.value))
@@ -128,7 +131,11 @@ class IntervalValued(Component):
         return (self.lo, self.hi), self.lo, self.hi
 
     def scaled(self, q: Fraction) -> "IntervalValued":
-        return IntervalValued(self.lo * q, self.hi * q)
+        qn, qd = q.as_integer_ratio()
+        (ln, ld), (hn, hd) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        lo, hi = _ratio(ln * qn, ld * qd), _ratio(hn * qn, hd * qd)
+        # A negative q reverses the endpoints, which the public constructor refuses.
+        return IntervalValued._of(lo, hi) if qn >= 0 else IntervalValued(lo, hi)
 
     def _apply(self, other: "IntervalValued", op) -> "IntervalValued":
         return IntervalValued._of(op(self.lo, other.lo), op(self.hi, other.hi))
@@ -187,7 +194,9 @@ class Hesitant(Component):
         return self.values, self.values[0], self.values[-1]
 
     def scaled(self, q: Fraction) -> "Hesitant":
-        return Hesitant._of(v * q for v in self.values)
+        qn, qd = q.as_integer_ratio()
+        pairs = (v.as_integer_ratio() for v in self.values)
+        return Hesitant._of(_ratio(n * qn, d * qd) for n, d in pairs)
 
     def _apply(self, other: "Hesitant", op) -> "Hesitant":
         """op on every pair of values, in pair order."""
@@ -329,6 +338,7 @@ def component_bounds(c: Component) -> ComponentBounds:
 
 def triple_sums(x: NeutroTriple) -> tuple[NsNumber, NsNumber]:
     """Decorated lower and upper bounds of T + I + F."""
+    _check_type("x", x, NeutroTriple)
     bt, bi, bf = (component_bounds(c) for c in (x.t, x.i, x.f))
     n_inf = add_ns(add_ns(bt.inf, bi.inf), bf.inf)
     n_sup = add_ns(add_ns(bt.sup, bi.sup), bf.sup)
@@ -386,11 +396,11 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
         hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
     if lo_n * pd < 3 * pn * lo_d:
         violations.append(
-            Violation("sum", f"lower sum {_plain(Fraction(lo_n, lo_d))} below {_plain(3 * psi)}")
+            Violation("sum", f"lower sum {_plain(_ratio(lo_n, lo_d))} below {_plain(3 * psi)}")
         )
     if hi_n * od > 3 * on * hi_d:
         violations.append(
-            Violation("sum", f"upper sum {_plain(Fraction(hi_n, hi_d))} above {_plain(3 * omega)}")
+            Violation("sum", f"upper sum {_plain(_ratio(hi_n, hi_d))} above {_plain(3 * omega)}")
         )
     if not violations:
         return _PASSED
@@ -488,4 +498,5 @@ def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:
     q = as_fraction(factor)
     if q <= 0:
         raise ValueError("scale factor must be positive")
-    return NeutroTriple(x.t.scaled(q), x.i.scaled(q), x.f.scaled(q))
+    # Each component keeps its class, so the shapes still agree.
+    return NeutroTriple._of(x.t.scaled(q), x.i.scaled(q), x.f.scaled(q))

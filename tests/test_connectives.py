@@ -74,6 +74,22 @@ class TestKernels:
         assert tnorm(tnorm(a, b, k), c, k) == tnorm(a, tnorm(b, c, k), k)
         assert tconorm(tconorm(a, b, k), c, k) == tconorm(a, tconorm(b, c, k), k)
 
+    @given(
+        st.fractions(0, 1, max_denominator=10**6),
+        st.fractions(0, 1, max_denominator=10**6),
+        st.sampled_from(ALL_KERNELS),
+    )
+    def test_kernels_match_textbook_formulas(self, a, b, k):
+        # The formulas in plain Fraction arithmetic; repr tells apart a
+        # result left unnormalised, such as 2/10 for 1/5.
+        textbook = {
+            MINMAX: (min(a, b), max(a, b)),
+            PRODUCT: (a * b, a + b - a * b),
+            LUK: (max(Fraction(0), a + b - 1), min(Fraction(1), a + b)),
+        }[k]
+        for got, want in zip((tnorm(a, b, k), tconorm(a, b, k)), textbook):
+            assert type(got) is Fraction and repr(got) == repr(want)
+
     @given(unit_fractions, st.sampled_from(ALL_KERNELS))
     def test_identities(self, a, k):
         assert tnorm(a, 1, k) == a
@@ -201,6 +217,15 @@ class TestHesitant:
         y = NeutroTriple(Hesitant([0.3]), Hesitant([0]), Hesitant([0]))
         out = conj(x, y, OperatorConfig(IF, MINMAX))
         assert out.t == Hesitant([0.3])
+
+    def test_products_that_meet_collapse(self):
+        # 2/5 * 1/2 and 1/5 * 1 both give 1/5, as 2/10 and 1/5 before
+        # normalising; deduplication sees the normalised pair only.
+        x = NeutroTriple(Hesitant([0.4, 0.2]), Hesitant([0]), Hesitant([0]))
+        y = NeutroTriple(Hesitant([0.5, 1]), Hesitant([0]), Hesitant([0]))
+        out = conj(x, y, OperatorConfig(IF, PRODUCT))
+        assert out.t.values == (Fraction(1, 10), Fraction(1, 5), Fraction(2, 5))
+        assert repr(out.t.values) == "(Fraction(1, 10), Fraction(1, 5), Fraction(2, 5))"
 
     @given(hesitant_triples, hesitant_triples, st.sampled_from(ALL_CONFIGS))
     def test_every_output_comes_from_a_pair(self, x, y, cfg):

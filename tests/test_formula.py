@@ -36,17 +36,24 @@ from neutrocalc import (
     TNormFamily,
     UnboundIdentifier,
     Var,
+    compare_ns,
     conj,
+    contains,
     evaluate,
     format_triple,
     free_identifiers,
+    inf_ns_set,
     left,
+    max_ns,
+    min_ns,
     neg,
     parse,
     parse_nsnumber,
     right,
     scale_triple,
     std,
+    sup_ns_set,
+    triple_sums,
     truth_grade,
     unparse,
     validate,
@@ -450,11 +457,16 @@ _HOSTILE = {
     "hesitant-10000": ("<{" + ", ".join(["123456"] * 10_000) + " @", 80_002),
     "hesitant-10": ("<{" + ", ".join(["123456"] * 10) + " @", 82),
     "digits-100000": ("<" + "1" * 100_000 + " @", 100_003),
+    # Past int()'s digit limit the lexer reads a number's digits in halves;
+    # read through Decimal, in quadratic time, this run took over 6 s.
+    "digits-400000": ("<" + "1" * 400_000 + " @", 400_003),
 }
+# Seconds a scan may take, where not 1.
+_SECONDS = {"digits-400000": 2}
 
 
 def _over_time(signum, frame):
-    raise TimeoutError("parse ran for over 1 s")
+    raise TimeoutError("parse ran past its time bound")
 
 
 @pytest.mark.parametrize("name", _HOSTILE)
@@ -463,7 +475,7 @@ def test_hostile_literals_scan_in_linear_time(name):
     run for hours fails in 1 s instead."""
     text, offset = _HOSTILE[name]
     previous = signal.signal(signal.SIGALRM, _over_time)
-    signal.setitimer(signal.ITIMER_REAL, 1)
+    signal.setitimer(signal.ITIMER_REAL, _SECONDS.get(name, 1))
     try:
         with pytest.raises(FormulaSyntaxError) as exc:
             parse(text)
@@ -727,6 +739,20 @@ class TestEvaluate:
             (lambda: conj(NeutroTriple.single(0, 0, 0), 2), "y must be a NeutroTriple, got 2"),
             (lambda: neg("x"), "x must be a NeutroTriple, got 'x'"),
             (lambda: truth_grade(0, Role.T), "x must be a NsNumber, got 0"),
+            (lambda: parse(123), "text must be a str, got 123"),
+            (lambda: parse_nsnumber(1), "text must be a str, got 1"),
+            (lambda: unparse("x"), "f must be a Formula, got 'x'"),
+            (lambda: format_triple("x"), "tr must be a NeutroTriple, got 'x'"),
+            (lambda: triple_sums(1), "x must be a NeutroTriple, got 1"),
+            (lambda: compare_ns(1, 2), "x must be a NsNumber, got 1"),
+            (lambda: compare_ns(std(1), 2), "y must be a NsNumber, got 2"),
+            (lambda: min_ns(1, 2), "x must be a NsNumber, got 1"),
+            (lambda: max_ns(std(0), "a"), "y must be a NsNumber, got 'a'"),
+            (lambda: inf_ns_set([1]), "values[0] must be a NsNumber, got 1"),
+            (lambda: sup_ns_set([std(1), 0.5]), "values[1] must be a NsNumber, got 0.5"),
+            (lambda: NsInterval(std(0), 1), "hi must be a NsNumber, got 1"),
+            (lambda: contains(NsInterval(std(0), std(1)), 1), "x must be a NsNumber, got 1"),
+            (lambda: contains((0, 1), std(0)), "interval must be a NsInterval, got (0, 1)"),
         ],
         ids=[
             "bindings-list",
@@ -743,6 +769,20 @@ class TestEvaluate:
             "conj-y-int",
             "neg-str",
             "truth_grade-int",
+            "parse-int",
+            "parse_nsnumber-int",
+            "unparse-str",
+            "format_triple-str",
+            "triple_sums-int",
+            "compare_ns-int",
+            "compare_ns-y-int",
+            "min_ns-int",
+            "max_ns-y-str",
+            "inf_ns_set-int",
+            "sup_ns_set-float",
+            "NsInterval-hi-int",
+            "contains-x-int",
+            "contains-tuple",
         ],
     )
     def test_malformed_fields_raise_type_error(self, build, message):

@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import neutrocalc
 import oracles
@@ -32,6 +33,7 @@ from neutrocalc import (
     roughly_leq,
     std,
 )
+from neutrocalc.monads import _ratio, _read_decimal
 from strategies import grid_fractions, ns_numbers
 
 LT = OrderRelation.LT_N
@@ -264,11 +266,69 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 as_fraction(text)
 
+    @given(
+        digits=st.tuples(
+            st.text("0123456789", min_size=1, max_size=40),
+            st.integers(4301, 9000),
+            st.text("0123456789", max_size=40),
+        ).map(lambda t: (t[0] * (t[1] // len(t[0]) + 1))[: t[1]] + t[2]),
+        sign=st.sampled_from(["", "-", "+"]),
+        point=st.one_of(st.none(), st.integers(0, 9040)),
+        exponent=st.one_of(st.none(), st.integers(-60, 60)),
+        limit=st.sampled_from([640, 4300]),
+    )
+    def test_long_decimals_read_as_decimal_does(self, digits, sign, point, exponent, limit):
+        if point is not None:
+            point = min(point, len(digits))
+            digits = f"{digits[:point]}.{digits[point:]}"
+        numeral = sign + digits
+        text = numeral if exponent is None else f"{numeral}e{exponent}"
+        expected = Fraction(Decimal(text))
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)  # pieces keep within whatever limit is set
+        try:
+            assert _read_decimal(numeral, exponent or 0) == expected
+            assert as_fraction(text) == expected
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_notation(self):
         assert str(std(0.8)) == "0.8"
         assert str(left(0.25)) == "L(0.25)"
         assert str(right(2)) == "R(2)"
         assert str(bimonad(-0.5)) == "B(-0.5)"
+
+
+def _shown(q) -> str:
+    """repr(q), or the error repr raises past the int/str digit limit."""
+    try:
+        return repr(q)
+    except ValueError as e:
+        return str(e)
+
+
+_NUMERATORS = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**4400), 10**4400))
+_DENOMINATORS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**4400))
+
+
+class TestRatio:
+    """_ratio builds Fractions without Fraction.__new__, so it must build
+    exactly the normalised Fraction that constructor does."""
+
+    def test_fraction_layout_is_pinned(self):
+        # _ratio writes these two slots; a Python that renames them fails here.
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    @given(_NUMERATORS, _DENOMINATORS, st.integers(1, 10**6))
+    def test_matches_the_public_constructor(self, n, d, common):
+        n, d = n * common, d * common
+        built, public = _ratio(n, d), Fraction(n, d)
+        assert type(built) is type(public) is Fraction
+        assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
+        assert built == public and hash(built) == hash(public)
+        assert _shown(built) == _shown(public)
+        total = built + Fraction(1, 3)
+        assert total == public + Fraction(1, 3) and _shown(total) == _shown(public + Fraction(1, 3))
 
 
 def test_delta_oracle_agreement_bulk():
