@@ -175,7 +175,8 @@ def _midpoint(a: Fraction, b: Fraction) -> Fraction:
 def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:
     """(a + b) / 2; halving moves no decoration."""
     total = add_ns(a, b)
-    return NsNumber(total.value / 2, total.kind)
+    n, d = total.value.as_integer_ratio()
+    return NsNumber._of(_ratio(n, 2 * d), total.kind)
 
 
 def _clamping(kernel):

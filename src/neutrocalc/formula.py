@@ -26,8 +26,8 @@ unambiguous way, so a literal that almost matches fails in linear time.
 The parser walks the token list by index, climbing precedence on
 explicit stacks, and shares the lexer and decorated-number reader with
 `parse_nsnumber`.  Numbers are read by `monads._read_decimal`.  Parsed
-single-valued, hesitant and well-ordered interval triples skip the public
-constructors' coercion.
+single-valued, hesitant, decorated and well-ordered interval triples
+skip the public constructors' coercion.
 
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
@@ -59,7 +59,7 @@ from .errors import (
     UnboundIdentifier,
     _check_type,
 )
-from .monads import _NOTATION, NsNumber, _read_decimal, std
+from .monads import _NOTATION, MonadKind, NsNumber, _read_decimal
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -173,7 +173,7 @@ _NUMBERS = re.compile(_NUMBER)
 def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> tuple:
     if letter is None:
         return ("num", _read_decimal(plain))
-    return ("ns", NsNumber(_read_decimal(inner), _MONAD_LETTER[letter]))
+    return ("ns", NsNumber._of(_read_decimal(inner), _MONAD_LETTER[letter]))
 
 
 # Literal shape -> the pattern of one component, and the reader that turns
@@ -390,7 +390,7 @@ def _decorated(tokens: list, i: int) -> NsNumber | None:
     if kind != "ident" or text not in _MONAD_LETTER or tokens[i + 1][0] != "(":
         return None
     _check(tokens, i + 2, ("number", ")"))
-    return NsNumber(tokens[i + 2][3], _MONAD_LETTER[text])
+    return NsNumber._of(tokens[i + 2][3], _MONAD_LETTER[text])
 
 
 def _interval(lo: Fraction, hi: Fraction) -> IntervalValued:
@@ -404,7 +404,10 @@ def _build_triple(comps) -> NeutroTriple:
     if tags == {"num"}:  # the parsed numbers are exact Fractions already
         parts = [SingleValued._of(value) for _, value in comps]
     elif tags <= {"ns", "num"}:
-        parts = [Nonstandard(value if tag == "ns" else std(value)) for tag, value in comps]
+        parts = [
+            Nonstandard._of((value if tag == "ns" else NsNumber._of(value, MonadKind.STD),))
+            for tag, value in comps
+        ]
     elif tags == {"interval"}:
         parts = [_interval(lo, hi) for _, (lo, hi) in comps]
     elif tags == {"hesitant"}:
@@ -421,7 +424,7 @@ def parse_nsnumber(text: str) -> NsNumber:
     _check_type("text", text, str)
     tokens = _lex(text)
     if tokens[0][0] == "number":
-        n, i = std(tokens[0][3]), 1
+        n, i = NsNumber._of(tokens[0][3], MonadKind.STD), 1
     elif (n := _decorated(tokens, 0)) is not None:
         i = 4
     else:
@@ -487,6 +490,7 @@ def _signature(f: Formula) -> tuple:
 
 
 def free_identifiers(f: Formula) -> frozenset[str]:
+    _check_type("f", f, Formula, "Formula")
     return frozenset(node.name for node in _postorder(f) if isinstance(node, Var))
 
 
@@ -523,7 +527,12 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
     failing input raises BoundsViolation rather than silently clamping
     at this stage.
     """
-    nodes = _postorder(parse(req.formula))
+    try:
+        text = req.formula
+    except AttributeError:  # checked only here, off the path that succeeds
+        _check_type("req", req, EvalRequest)
+        raise
+    nodes = _postorder(parse(text))
 
     def canon(tr: NeutroTriple) -> NeutroTriple:
         return scale_triple(tr, _PERCENT) if req.scale == "percent" else tr

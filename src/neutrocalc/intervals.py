@@ -80,11 +80,13 @@ def contains(interval: NsInterval, x: NsNumber) -> bool:
 
 def inf_ns(interval: NsInterval) -> NsNumber:
     """Greatest lower bound of the interval; the decorated endpoint itself."""
+    _check_type("interval", interval, NsInterval)
     return interval.lo
 
 
 def sup_ns(interval: NsInterval) -> NsNumber:
     """Least upper bound of the interval; the decorated endpoint itself."""
+    _check_type("interval", interval, NsInterval)
     return interval.hi
 
 
@@ -103,22 +105,28 @@ def _bound_kinds(order: frozenset) -> dict:
 _KIND_MEET, _KIND_JOIN = _bound_kinds(_AT_MOST), _bound_kinds(_AT_LEAST)
 
 
-def _bound_set(values: Iterable[NsNumber], name: str, pick, table: dict) -> NsNumber:
-    """The bound at the `pick` of the values, the kinds there folded by `table`."""
+def _bound_set(values: Iterable[NsNumber], name: str, sign: int, table: dict) -> NsNumber:
+    """The bound at the least (sign -1) or greatest (sign 1) value, the kinds
+    there folded by `table`; values are compared on integer cross-products."""
     items = list(values)
     if not items:
         raise EmptySet(f"{name} over an empty set")
     try:
-        m = pick(x.value for x in items)
+        best = items[0].value
+        kind = items[0].kind
+        bn, bd = best.as_integer_ratio()
+        for x in items[1:]:
+            n, d = x.value.as_integer_ratio()
+            side = (n * bd - bn * d) * sign
+            if side > 0:
+                best, kind, bn, bd = x.value, x.kind, n, d
+            elif side == 0:
+                kind = table[kind, x.kind]
     except AttributeError:  # checked only here, off the path that succeeds
         for k, x in enumerate(items):
             _check_type(f"values[{k}]", x, NsNumber)
         raise
-    kind = None
-    for x in items:
-        if x.value == m:
-            kind = x.kind if kind is None else table[kind, x.kind]
-    return NsNumber(m, kind)
+    return NsNumber._of(best, kind)
 
 
 def inf_ns_set(values: Iterable[NsNumber]) -> NsNumber:
@@ -129,12 +137,12 @@ def inf_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     particular a std/bimonad mix has no comparable member below it other
     than the left monad of that value.
     """
-    return _bound_set(values, "inf", min, _KIND_MEET)
+    return _bound_set(values, "inf", -1, _KIND_MEET)
 
 
 def sup_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     """Least NsNumber that is ≥N every element of the set."""
-    return _bound_set(values, "sup", max, _KIND_JOIN)
+    return _bound_set(values, "sup", 1, _KIND_JOIN)
 
 
 def rough_contains(a, b, x: NsNumber) -> bool:
@@ -146,7 +154,15 @@ def rough_contains(a, b, x: NsNumber) -> bool:
     a, b = as_fraction(a), as_fraction(b)
     if a > b:
         raise ValueError("rough interval requires a <= b")
-    return a <= x.value <= b
+    _check_type("x", x, NsNumber)
+    return _rough_members(a, b, (x,))[0]
+
+
+def _rough_members(a: Fraction, b: Fraction, probes: tuple) -> tuple[bool, ...]:
+    """a <= x.value <= b for each probe x, on integer cross-products."""
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    pairs = [x.value.as_integer_ratio() for x in probes]
+    return tuple([an * d <= n * ad and n * bd <= bn * d for n, d in pairs])
 
 
 @dataclass(frozen=True)
@@ -191,7 +207,12 @@ def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     if not a < b:
         raise ValueError("anomaly check requires a < b")
     probes = tuple(probes)
-    membership = tuple(a <= x.value <= b for x in probes)
+    try:
+        membership = _rough_members(a, b, probes)
+    except AttributeError:  # checked only here, off the path that succeeds
+        for k, x in enumerate(probes):
+            _check_type(f"probes[{k}]", x, NsNumber)
+        raise
     return AnomalyReport(
         lower=a,
         upper=b,

@@ -17,7 +17,9 @@ else about decorations is derived from those sets.
 
 Comparison is six-valued.  Distinct underlying values order the operands
 strictly no matter the decorations, because every infinitesimal is smaller
-than any real gap.  At equal values the side sets decide: equal sets are
+than any real gap; `compare_ns` decides them on the integer cross-products
+of the values' (numerator, denominator) pairs, as the numeric kernels of
+`connectives` do.  At equal values the side sets decide: equal sets are
 EqN, a set wholly below the other is LtN, a set whose least and greatest
 sides are both at or below the other's is LeN (Left against Bimonad,
 Bimonad against Right), the mirror cases are GtN and GeN, and anything
@@ -181,6 +183,15 @@ class NsNumber:
         if not isinstance(self.kind, MonadKind):
             raise TypeError("kind must be a MonadKind")
 
+    @classmethod
+    def _of(cls, value: Fraction, kind: MonadKind) -> "NsNumber":
+        """Trusted: value is an exact Fraction and kind a MonadKind, the
+        checks __post_init__ makes; for values the library built itself."""
+        self = _new(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "kind", kind)
+        return self
+
     def __str__(self) -> str:
         text = _plain(self.value)
         if self.kind is MonadKind.STD:
@@ -278,19 +289,26 @@ def compare_ns(x: NsNumber, y: NsNumber) -> OrderRelation:
     At equal values the side sets of the kinds decide (``_AT_VALUE``).
     """
     try:
-        if x.value < y.value:
+        (xn, xd), (yn, yd) = x.value.as_integer_ratio(), y.value.as_integer_ratio()
+        a, b = xn * yd, yn * xd
+        if a < b:
             return OrderRelation.LT_N
-        if x.value > y.value:
+        if a > b:
             return OrderRelation.GT_N
         return _AT_VALUE[x.kind, y.kind]
     except AttributeError:  # checked only here, off the path that succeeds
-        _check_type("x", x, NsNumber)
-        _check_type("y", y, NsNumber)
+        _check_operands(x, y)
         raise
+
+
+def _check_operands(x, y) -> None:
+    _check_type("x", x, NsNumber)
+    _check_type("y", y, NsNumber)
 
 
 def equal_ns(x: NsNumber, y: NsNumber) -> bool:
     """Identity of both value and decoration."""
+    _check_operands(x, y)
     return x.value == y.value and x.kind is y.kind
 
 
@@ -300,6 +318,7 @@ def infinitely_close(x: NsNumber, y: NsNumber) -> bool:
     Every decoration of the same value collapses into one equivalence
     class; distinct real values never do.
     """
+    _check_operands(x, y)
     return x.value == y.value
 
 
@@ -308,7 +327,8 @@ def roughly_leq(x: NsNumber, y: NsNumber) -> bool:
 
     A total preorder; it cannot see decorations at all.
     """
-    return x.value < y.value or infinitely_close(x, y)
+    _check_operands(x, y)
+    return x.value <= y.value
 
 
 _AT_MOST = frozenset({OrderRelation.LT_N, OrderRelation.LE_N, OrderRelation.EQ_N})
@@ -333,4 +353,10 @@ def max_ns(x: NsNumber, y: NsNumber) -> NsNumber:
 
 def add_ns(x: NsNumber, y: NsNumber) -> NsNumber:
     """Sum of decorated numbers: values add, decorations combine (``_SUM``)."""
-    return NsNumber(x.value + y.value, _SUM[x.kind, y.kind])
+    try:
+        (xn, xd), (yn, yd) = x.value.as_integer_ratio(), y.value.as_integer_ratio()
+        kind = _SUM[x.kind, y.kind]
+    except AttributeError:  # checked only here, off the path that succeeds
+        _check_operands(x, y)
+        raise
+    return NsNumber._of(_ratio(xn * yd + yn * xd, xd * yd), kind)

@@ -53,9 +53,9 @@ class Component:
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
     and supremum (the std extremes, except for ``Nonstandard``),
     ``value_range()`` the underlying values in report order with their
-    least and greatest, ``scaled(q)`` every degree times the exact q (a
-    single, interval or hesitant degree built from integer cross-products
-    by ``monads._ratio``), and ``to_json()`` the ``--json`` form.
+    least and greatest, ``scaled(q)`` every degree times the exact q (each
+    built from integer cross-products by ``monads._ratio``), and
+    ``to_json()`` the ``--json`` form.
     ``str()`` is the formula syntax.
 
     Public constructors coerce and check.  ``_of`` and
@@ -224,6 +224,14 @@ class Nonstandard(Component):
                 raise TypeError("nonstandard members must be NsNumber or NsInterval")
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _of(cls, members: tuple) -> "Nonstandard":
+        """Trusted: a non-empty tuple of NsNumber and NsInterval members,
+        as the constructor's checks ask."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "members", members)
+        return self
+
     def __str__(self) -> str:
         return " ∪ ".join(str(m) for m in self.members)
 
@@ -241,15 +249,31 @@ class Nonstandard(Component):
                 values.append(m.value)
             else:
                 values.extend([m.lo.value, m.hi.value])
-        return values, min(values), max(values)
+        # The extremes on integer cross-products: min and max would run
+        # Fraction comparison, with its ABC checks.
+        lo = hi = values[0]
+        ln, ld = hn, hd = lo.as_integer_ratio()
+        for v in values[1:]:
+            n, d = v.as_integer_ratio()
+            if n * ld < ln * d:
+                lo, ln, ld = v, n, d
+            elif n * hd > hn * d:
+                hi, hn, hd = v, n, d
+        return values, lo, hi
 
     def scaled(self, q: Fraction) -> "Nonstandard":
-        def scale(n: NsNumber) -> NsNumber:
-            return NsNumber(n.value * q, n.kind)
+        qn, qd = q.as_integer_ratio()
 
-        return Nonstandard(
-            scale(m) if isinstance(m, NsNumber) else NsInterval(scale(m.lo), scale(m.hi))
-            for m in self.members
+        def scale(x: NsNumber) -> NsNumber:
+            n, d = x.value.as_integer_ratio()
+            return NsNumber._of(_ratio(n * qn, d * qd), x.kind)
+
+        # A negative q reverses an interval's endpoints, which NsInterval refuses.
+        return Nonstandard._of(
+            tuple(
+                scale(m) if isinstance(m, NsNumber) else NsInterval(scale(m.lo), scale(m.hi))
+                for m in self.members
+            )
         )
 
     def _apply(self, other: "Nonstandard", op) -> "Nonstandard":
@@ -261,7 +285,7 @@ class Nonstandard(Component):
                 )
             if c.members[0].kind is MonadKind.BIMONAD:
                 raise UnsupportedNonstandardConfig("bimonad operands cannot be ranked by min/max")
-        return Nonstandard(op(self.members[0], other.members[0]))
+        return Nonstandard._of((op(self.members[0], other.members[0]),))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "members": [m.to_json() for m in self.members]}

@@ -36,13 +36,18 @@ from neutrocalc import (
     TNormFamily,
     UnboundIdentifier,
     Var,
+    add_ns,
+    anomaly_check,
     compare_ns,
     conj,
     contains,
+    equal_ns,
     evaluate,
     format_triple,
     free_identifiers,
+    inf_ns,
     inf_ns_set,
+    infinitely_close,
     left,
     max_ns,
     min_ns,
@@ -50,8 +55,11 @@ from neutrocalc import (
     parse,
     parse_nsnumber,
     right,
+    rough_contains,
+    roughly_leq,
     scale_triple,
     std,
+    sup_ns,
     sup_ns_set,
     triple_sums,
     truth_grade,
@@ -753,6 +761,18 @@ class TestEvaluate:
             (lambda: NsInterval(std(0), 1), "hi must be a NsNumber, got 1"),
             (lambda: contains(NsInterval(std(0), std(1)), 1), "x must be a NsNumber, got 1"),
             (lambda: contains((0, 1), std(0)), "interval must be a NsInterval, got (0, 1)"),
+            (lambda: equal_ns(1, 2), "x must be a NsNumber, got 1"),
+            (lambda: infinitely_close(std(1), 2), "y must be a NsNumber, got 2"),
+            (lambda: roughly_leq(1, 2), "x must be a NsNumber, got 1"),
+            (lambda: add_ns(1, 2), "x must be a NsNumber, got 1"),
+            (lambda: add_ns(std(1), 2), "y must be a NsNumber, got 2"),
+            (lambda: rough_contains(0, 1, 1), "x must be a NsNumber, got 1"),
+            (lambda: anomaly_check(0, 1, [std(0), 1]), "probes[1] must be a NsNumber, got 1"),
+            (lambda: inf_ns(1), "interval must be a NsInterval, got 1"),
+            (lambda: sup_ns(std(1)), "interval must be a NsInterval, got NsNumber("),
+            (lambda: evaluate(1), "req must be a EvalRequest, got 1"),
+            (lambda: evaluate("<0,0,0>"), "req must be a EvalRequest, got '<0,0,0>'"),
+            (lambda: free_identifiers(1), "f must be a Formula, got 1"),
         ],
         ids=[
             "bindings-list",
@@ -783,6 +803,18 @@ class TestEvaluate:
             "NsInterval-hi-int",
             "contains-x-int",
             "contains-tuple",
+            "equal_ns-int",
+            "infinitely_close-y-int",
+            "roughly_leq-int",
+            "add_ns-int",
+            "add_ns-y-int",
+            "rough_contains-x-int",
+            "anomaly_check-probe-int",
+            "inf_ns-int",
+            "sup_ns-nsnumber",
+            "evaluate-int",
+            "evaluate-str",
+            "free_identifiers-int",
         ],
     )
     def test_malformed_fields_raise_type_error(self, build, message):
