@@ -53,11 +53,15 @@ class TNormFamily(Enum):
     PRODUCT = "product"
     LUKASIEWICZ = "luk"
 
+    __hash__ = object.__hash__  # as monads.MonadKind's: keys of the operator table
+
 
 class OperatorFamily(Enum):
     T_ALIGNED = "ti"
     F_ALIGNED = "if"
     PLITHOGENIC = "plith"
+
+    __hash__ = object.__hash__  # as monads.MonadKind's
 
 
 @dataclass(frozen=True)
@@ -132,19 +136,18 @@ def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
 
 
 def _clamped(v: Fraction) -> Fraction:
-    n, d = v.as_integer_ratio()
-    if not 0 <= n <= d:
-        try:
-            shown = float(v)
-        except OverflowError:  # beyond the float range: the exact decimal
-            shown = _plain(v)
-        warnings.warn(
-            f"degree {shown} clamped into [0, 1] for kernel application",
-            ClampWarning,
-            stacklevel=4,
-        )
-        return _ZERO if n < 0 else _ONE
-    return v
+    """0 or 1 for a degree v outside [0, 1], with a ClampWarning; the
+    offset kernels call it only for such a degree."""
+    try:
+        shown = float(v)
+    except OverflowError:  # beyond the float range: the exact decimal
+        shown = _plain(v)
+    warnings.warn(
+        f"degree {shown} clamped into [0, 1] for kernel application",
+        ClampWarning,
+        stacklevel=4,
+    )
+    return _ZERO if v.numerator < 0 else _ONE
 
 
 def neg(x: NeutroTriple) -> NeutroTriple:
@@ -179,9 +182,22 @@ def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:
     return NsNumber._of(_ratio(n, 2 * d), total.kind)
 
 
-def _clamping(kernel):
-    """kernel on operands clamped into [0, 1] first."""
-    return lambda a, b: kernel(_clamped(a), _clamped(b))
+def _offset(kernel):
+    """kernel on operands clamped into [0, 1] first.  The clamp tests each
+    operand on its integer pair, and calls `_clamped`, looked up at call
+    time, only for a degree outside [0, 1].  kernel keeps the one copy of
+    its formula and reads the pairs again: passing them in would cost the
+    unit row, which needs no clamp, a call per kernel."""
+
+    def clamping(a: Fraction, b: Fraction) -> Fraction:
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        if not 0 <= an <= ad:
+            a = _clamped(a)
+        if not 0 <= bn <= bd:
+            b = _clamped(b)
+        return kernel(a, b)
+
+    return clamping
 
 
 #: Each family's (T, I, F) rules for conjunction; disjunction swaps meet and join.
@@ -209,9 +225,9 @@ def _rows(meet, join, midpoint) -> dict:
 _OPERATORS = {
     (kernel, domain): _rows(*ops, _midpoint)
     for kernel, (tn, tc) in _KERNELS.items()
-    for domain, ops in (("unit", (tn, tc)), ("offset", (_clamping(tn), _clamping(tc))))
+    for domain, ops in (("unit", (tn, tc)), ("offset", (_offset(tn), _offset(tc))))
 }
-# Looked up at call time, as _clamping looks up _clamped, so that wrappers
+# Looked up at call time, as _offset's kernels look up _clamped, so that wrappers
 # set on this module after import (a tracer's spans) see every call.
 _OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(
     lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint

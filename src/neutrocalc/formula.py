@@ -15,19 +15,21 @@ Lexer and parser make one pass each.  One scanner regex matches a token
 with the whitespace before it; the lexer emits a plain (kind, text,
 1-based offset, value) tuple per token, value being a number's Fraction,
 and an "end" token last.  A well-formed triple literal is one match and
-one "<" token: its value is the (tag, value) pair of each component, for
-three numbers, three intervals, three hesitant sets, or three numbers
-some of which are decorated.  The parser builds the triple from those
-pairs, so a lexing error anywhere in the text still comes before a
-literal's InvalidInterval or ShapeMismatch.  Any other "<" is a plain
-punctuation token, and `_triple` reads what follows it token by token to
-name the error.  Every scanner alternative spells a number in the one
-unambiguous way, so a literal that almost matches fails in linear time.
-The parser walks the token list by index, climbing precedence on
-explicit stacks, and shares the lexer and decorated-number reader with
-`parse_nsnumber`.  Numbers are read by `monads._read_decimal`.  Parsed
-single-valued, hesitant, decorated and well-ordered interval triples
-skip the public constructors' coercion.
+one "<" token: its value is the name of its shape in `_SHAPES` (three
+numbers, three intervals, three hesitant sets, or three numbers some of
+which are decorated) and the texts its components capture.  The parser
+reaches the literal in source order and hands those texts to the shape's
+reader, which builds the triple, so a lexing error anywhere in the text
+still comes before a literal's InvalidInterval, and a syntax error
+before the literal after it.  Any other "<" is a plain punctuation
+token, and `_triple` reads what follows it token by token to name the
+error.  Every scanner alternative spells a number in the one unambiguous
+way, so a literal that almost matches fails in linear time.  The parser
+walks the token list by index, climbing precedence on explicit stacks,
+and shares the lexer and decorated-number reader with `parse_nsnumber`.
+Numbers are read by `monads._read_decimal`.  Parsed single-valued,
+hesitant, decorated and well-ordered interval triples skip the public
+constructors' coercion.
 
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
@@ -48,7 +50,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import NoReturn, Union
 
 from .connectives import OperatorConfig, _check_shapes, _row, _step, neg
 from .errors import (
@@ -170,32 +172,49 @@ _NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)"
 _NUMBERS = re.compile(_NUMBER)
 
 
-def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> tuple:
+def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> Nonstandard:
+    """The one-number nonstandard component L(x), R(x), B(x) or plain x."""
     if letter is None:
-        return ("num", _read_decimal(plain))
-    return ("ns", NsNumber._of(_read_decimal(inner), _MONAD_LETTER[letter]))
+        return Nonstandard._of((NsNumber._of(_read_decimal(plain), MonadKind.STD),))
+    return Nonstandard._of((NsNumber._of(_read_decimal(inner), _MONAD_LETTER[letter]),))
 
 
-# Literal shape -> the pattern of one component, and the reader that turns
-# the texts its three components capture into the (tag, value) pairs that
-# _triple reads token by token.  A new spelling goes here and into _triple.
+def _hesitant(text: str) -> Hesitant:
+    return Hesitant._of([_read_decimal(v) for v in _NUMBERS.findall(text)])
+
+
+def _interval(lo_text: str, hi_text: str) -> IntervalValued:
+    """A parsed interval; a reversed one raises from the public constructor."""
+    lo, hi = _read_decimal(lo_text), _read_decimal(hi_text)
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return IntervalValued._of(lo, hi) if ln * hd <= hn * ld else IntervalValued(lo, hi)
+
+
+# Literal shape -> the pattern of one component, and the reader that builds
+# the triple, through the trusted constructors, from the texts its three
+# components capture.  A new spelling goes here and into _triple.
 _SHAPES = {
-    "single": (f"({_NUMBER})", lambda texts: [("num", _read_decimal(s)) for s in texts]),
+    "single": (
+        f"({_NUMBER})",
+        lambda t: NeutroTriple._of(
+            SingleValued._of(_read_decimal(t[0])),
+            SingleValued._of(_read_decimal(t[1])),
+            SingleValued._of(_read_decimal(t[2])),
+        ),
+    ),
     "interval": (
         rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]",
-        lambda t: [
-            ("interval", (_read_decimal(t[k]), _read_decimal(t[k + 1]))) for k in (0, 2, 4)
-        ],
+        lambda t: NeutroTriple._of(
+            _interval(t[0], t[1]), _interval(t[2], t[3]), _interval(t[4], t[5])
+        ),
     ),
     "hesitant": (
         rf"\{{\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\}}",
-        lambda texts: [
-            ("hesitant", [_read_decimal(v) for v in _NUMBERS.findall(s)]) for s in texts
-        ],
+        lambda t: NeutroTriple._of(_hesitant(t[0]), _hesitant(t[1]), _hesitant(t[2])),
     ),
     "decorated": (
         rf"(?:([{''.join(_MONAD_LETTER)}])\s*\(\s*({_NUMBER})\s*\)|({_NUMBER}))",
-        lambda t: [_nsnum(*t[k : k + 3]) for k in (0, 3, 6)],
+        lambda t: NeutroTriple._of(_nsnum(*t[0:3]), _nsnum(*t[3:6]), _nsnum(*t[6:9])),
     ),
 }
 # One match per token, whitespace before it included; a well-formed triple
@@ -211,20 +230,18 @@ _SCAN = re.compile(
     + r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<end>\Z)|(?P<bad>.))"
 )
 # Scanner group of a literal shape -> the indices of the texts its
-# components capture, which follow the group's own, and their reader.
+# components capture, which follow the group's own.
 _LITERALS = {
-    shape: (
-        tuple(_SCAN.groupindex[shape] + k for k in range(1, 3 * re.compile(part).groups + 1)),
-        read,
-    )
-    for shape, (part, read) in _SHAPES.items()
+    shape: tuple(_SCAN.groupindex[shape] + k for k in range(1, 3 * re.compile(part).groups + 1))
+    for shape, (part, _) in _SHAPES.items()
 }
 
 
 def _lex(text: str) -> list[tuple]:
     """The (kind, text, 1-based offset, value) tuples of text's tokens, the
-    last of kind "end".  value is a number's Fraction, the components'
-    (tag, value) pairs on the "<" of a well-formed literal, else None."""
+    last of kind "end".  value is a number's Fraction, the shape name and
+    the captured component texts on the "<" of a well-formed literal, else
+    None."""
     tokens = []
     for m in _SCAN.finditer(text):
         kind = m.lastgroup
@@ -234,8 +251,7 @@ def _lex(text: str) -> list[tuple]:
         elif kind == "number":
             tokens.append((kind, tok, pos, _read_decimal(tok)))
         elif kind in _LITERALS:
-            indices, read = _LITERALS[kind]
-            tokens.append(("<", "<", pos, read(m.group(*indices))))
+            tokens.append(("<", "<", pos, (kind, m.group(*_LITERALS[kind]))))
         elif kind != "bad":  # an identifier, or the end
             tokens.append((kind, tok, pos, None))
             if kind == "end":
@@ -295,12 +311,12 @@ def parse(text: str) -> Formula:
             i += 1
             continue
         if kind == "<":
-            comps = tokens[i][3]
-            if comps is None:  # not a well-formed literal: read it token by token
-                comps, i = _triple(tokens, i)
-            else:
-                i += 1
-            operands.append(Literal(_build_triple(comps)))
+            literal = tokens[i][3]
+            if literal is None:  # not a well-formed literal
+                _triple(tokens, i)
+            shape, texts = literal
+            operands.append(Literal(_SHAPES[shape][1](texts)))
+            i += 1
         elif kind == "ident":
             operands.append(Var(tokens[i][1]))
             i += 1
@@ -333,44 +349,40 @@ def parse(text: str) -> Formula:
             i += 1
 
 
-def _triple(tokens: list, i: int) -> tuple[list, int]:
-    """The (tag, value) pairs of the triple literal whose "<" is tokens[i],
-    read token by token, and the index after the literal.
+def _triple(tokens: list, i: int) -> NoReturn:
+    """Raise the error of the malformed triple literal whose "<" is tokens[i].
 
     The scanner takes every well-formed literal whole, so this reader sees
-    only malformed ones, and serves to raise their error at the token where
-    they go wrong: a missing or stray token, or the wrong number of
-    components.  What it returns has components of mixed shapes, for
-    `_build_triple` to reject.  It accepts every literal that the scanner's
-    shapes accept; a new spelling goes into both.
+    only malformed ones.  It reads the literal token by token and raises
+    at the token where it goes wrong, a missing or stray token, else for
+    the wrong number of components, else, through `_build_triple`, for
+    components of mixed shapes.  It accepts every spelling that the
+    scanner's shapes accept; a new spelling goes into both.
     """
     start = tokens[i][2]
-    comps = []  # (tag, value) pairs
+    tags = []
     while True:
         i += 1  # past the "<" or ","
-        kind, _, _, value = tokens[i]
+        kind = tokens[i][0]
         if kind == "number":
-            comps.append(("num", value))
+            tags.append("num")
             i += 1
         elif kind == "[":
             _check(tokens, i + 1, ("number", ",", "number", "]"))
-            comps.append(("interval", (tokens[i + 1][3], tokens[i + 3][3])))
+            tags.append("interval")
             i += 5
         elif kind == "{":
-            values = []
             while True:
-                if tokens[i + 1][0] != "number":
-                    _check(tokens, i + 1, ("number",))
-                values.append(tokens[i + 1][3])
+                _check(tokens, i + 1, ("number",))
                 i += 2
                 if tokens[i][0] != ",":
                     break
             if tokens[i][0] != "}":
                 raise _unexpected(tokens[i], frozenset({"','", "'}'"}))
-            comps.append(("hesitant", values))
+            tags.append("hesitant")
             i += 1
-        elif (decorated := _decorated(tokens, i)) is not None:
-            comps.append(("ns", decorated))
+        elif _decorated(tokens, i) is not None:
+            tags.append("ns")
             i += 4
         else:
             raise _unexpected(tokens[i], _COMP_EXPECTED, "a triple component")
@@ -378,9 +390,9 @@ def _triple(tokens: list, i: int) -> tuple[list, int]:
             break
     if tokens[i][0] != ">":
         raise _unexpected(tokens[i], frozenset({"','", "'>'"}))
-    if len(comps) != 3:
-        raise ArityError(f"triple literal has {len(comps)} components, expected 3", start)
-    return comps, i + 1
+    if len(tags) != 3:
+        raise ArityError(f"triple literal has {len(tags)} components, expected 3", start)
+    _build_triple(tags)
 
 
 def _decorated(tokens: list, i: int) -> NsNumber | None:
@@ -393,30 +405,15 @@ def _decorated(tokens: list, i: int) -> NsNumber | None:
     return NsNumber._of(tokens[i + 2][3], _MONAD_LETTER[text])
 
 
-def _interval(lo: Fraction, hi: Fraction) -> IntervalValued:
-    """A parsed interval; a reversed one raises from the public constructor."""
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    return IntervalValued._of(lo, hi) if ln * hd <= hn * ld else IntervalValued(lo, hi)
-
-
-def _build_triple(comps) -> NeutroTriple:
-    tags = {tag for tag, _ in comps}
-    if tags == {"num"}:  # the parsed numbers are exact Fractions already
-        parts = [SingleValued._of(value) for _, value in comps]
-    elif tags <= {"ns", "num"}:
-        parts = [
-            Nonstandard._of((value if tag == "ns" else NsNumber._of(value, MonadKind.STD),))
-            for tag, value in comps
-        ]
-    elif tags == {"interval"}:
-        parts = [_interval(lo, hi) for _, (lo, hi) in comps]
-    elif tags == {"hesitant"}:
-        parts = [Hesitant._of(values) for _, values in comps]
-    elif "ns" in tags:
+def _build_triple(tags: list[str]) -> NoReturn:
+    """The ShapeMismatch of a three-component literal whose component tags
+    ("num", "interval", "hesitant" or "ns") no scanner shape accepts
+    together: the scanner builds every literal of one shape, and reads
+    plain numbers among decorated ones as standard, so only mixed shapes
+    reach here."""
+    if "ns" in tags:
         raise ShapeMismatch("decorated numbers cannot mix with interval or hesitant components")
-    else:
-        raise ShapeMismatch("triple components must share one shape")
-    return NeutroTriple._of(*parts)
+    raise ShapeMismatch("triple components must share one shape")
 
 
 def parse_nsnumber(text: str) -> NsNumber:

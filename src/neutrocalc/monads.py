@@ -155,6 +155,10 @@ class MonadKind(Enum):
     RIGHT = "right"
     BIMONAD = "bimonad"
 
+    # Members are singletons that compare by identity, so they may hash by
+    # it: Enum.__hash__ hashes the name in Python on every table lookup.
+    __hash__ = object.__hash__
+
 
 class OrderRelation(Enum):
     """Outcome of a neutrosophic comparison; value doubles as display symbol."""
@@ -165,6 +169,8 @@ class OrderRelation(Enum):
     GE_N = "≥N"
     GT_N = ">N"
     INCOMPARABLE = "incomparable"
+
+    __hash__ = object.__hash__  # as MonadKind's
 
     def mirror(self) -> "OrderRelation":
         """The relation seen from the swapped operand order."""

@@ -390,32 +390,41 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
     Violations are reported, never raised; offset data is legitimate
     input and the caller decides what to do with a failing report.
 
-    One pass on integer cross-products (denominators are positive): each
-    component's extremes, its values one by one only when an extreme
-    fails, and the extreme sums, which are the values of triple_sums(x).
+    On integer cross-products (denominators are positive), a triple whose
+    components' extremes all lie in [psi, omega] passes: its least sum is
+    then at least 3 psi, and its greatest at most 3 omega.  Only a triple
+    that fails is walked value by value.
     """
     _check_type("x", x, NeutroTriple)
     _check_type("bounds", bounds, OffsetBounds)
     psi, omega = bounds.psi, bounds.omega
     pn, pd = psi.as_integer_ratio()
     on, od = omega.as_integer_ratio()
+    for c in (x.t, x.i, x.f):
+        _, lo, hi = c.value_range()
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if ln * pd < pn * ld or hn * od > on * hd:
+            break
+    else:
+        return _PASSED
+    # A failing triple: every value outside the bounds, component by
+    # component, then the extreme sums, which are the values of triple_sums(x).
     violations: list[Violation] = []
     lo_n = hi_n = 0
     lo_d = hi_d = 1
     for where, c in (("t", x.t), ("i", x.i), ("f", x.f)):
         values, lo, hi = c.value_range()
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        if ln * pd < pn * ld or hn * od > on * hd:
-            for v in values:
-                n, d = v.as_integer_ratio()
-                if n * pd < pn * d:
-                    violations.append(
-                        Violation(where, f"value {_plain(v)} below lower bound {_plain(psi)}")
-                    )
-                elif n * od > on * d:
-                    violations.append(
-                        Violation(where, f"value {_plain(v)} above upper bound {_plain(omega)}")
-                    )
+        for v in values:
+            n, d = v.as_integer_ratio()
+            if n * pd < pn * d:
+                violations.append(
+                    Violation(where, f"value {_plain(v)} below lower bound {_plain(psi)}")
+                )
+            elif n * od > on * d:
+                violations.append(
+                    Violation(where, f"value {_plain(v)} above upper bound {_plain(omega)}")
+                )
         lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
         hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
     if lo_n * pd < 3 * pn * lo_d:
@@ -426,8 +435,6 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
         violations.append(
             Violation("sum", f"upper sum {_plain(_ratio(hi_n, hi_d))} above {_plain(3 * omega)}")
         )
-    if not violations:
-        return _PASSED
     return ValidationReport(ok=False, violations=tuple(violations))
 
 

@@ -316,6 +316,17 @@ _ERROR_CASES = [
     (parse, "<[0.3, 0.2], [0, 1], [0, 1]> & @", (  # the lexer runs first
         FormulaSyntaxError, "unexpected character '@' (at position 32)", 32, set(),
     )),
+    # A literal is built where the parser reaches it: its InvalidInterval
+    # comes after every lexing error and before a later syntax error.
+    (parse, "<[0.5,0.1],[0,1],[0,1]> & )", (
+        InvalidInterval, "[0.5, 0.1] is reversed", None, set(),
+    )),
+    (parse, "<[0.5,0.1],[0,1],[0,1]> & @", (
+        FormulaSyntaxError, "unexpected character '@' (at position 27)", 27, set(),
+    )),
+    (parse, ") & <[0.5,0.1],[0,1],[0,1]>", (
+        FormulaSyntaxError, "expected a formula atom, found ')' (at position 1)", 1, _ATOM,
+    )),
     (parse, "<1,2,3> <1,2,3>", (
         FormulaSyntaxError, "unexpected '<' after formula (at position 9)", 9, _AFTER,
     )),
@@ -347,8 +358,8 @@ _LEX_CASES = [
     ("²", ("unexpected character '²' (at position 1)", 1, set())),
     ("a²", ("unexpected character '²' (at position 2)", 2, set())),
     ("٣", [("number", "٣", 1, Fraction(3))]),
-    ("<٣.٥,0,0>", [  # a well-formed literal is one token, carrying its components
-        ("<", "<", 1, [("num", Fraction(7, 2)), ("num", Fraction(0)), ("num", Fraction(0))]),
+    ("<٣.٥,0,0>", [  # a well-formed literal is one token: its shape and component texts
+        ("<", "<", 1, ("single", ("٣.٥", "0", "0"))),
     ]),
     ("a\u00a0&\tb\n|c", [  # NBSP, tab and newline are whitespace
         ("ident", "a", 1, None), ("&", "&", 3, None), ("ident", "b", 5, None),

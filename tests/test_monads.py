@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from decimal import Decimal
@@ -33,7 +34,8 @@ from neutrocalc import (
     roughly_leq,
     std,
 )
-from neutrocalc.monads import _ratio, _read_decimal
+from neutrocalc.intervals import _KIND_JOIN, _KIND_MEET
+from neutrocalc.monads import _AT_LEAST, _AT_MOST, _AT_VALUE, _SUM, _ratio, _read_decimal
 from strategies import grid_fractions, ns_numbers
 
 LT = OrderRelation.LT_N
@@ -105,6 +107,33 @@ class TestCompare:
     @given(ns_numbers, ns_numbers)
     def test_oracle_agreement_sample(self, x, y):
         assert compare_ns(x, y) is oracles.classify(x, y)
+
+
+class TestKindTables:
+    """MonadKind and OrderRelation hash by identity.  Every table keyed on
+    them answers as a scan by equality does, for members however
+    obtained: by attribute, by value, by name, or unpickled."""
+
+    @staticmethod
+    def _copies(member):
+        cls = type(member)
+        return (member, cls(member.value), cls[member.name], pickle.loads(pickle.dumps(member)))
+
+    @pytest.mark.parametrize("kx, ky", list(itertools.product(ALL_KINDS, repeat=2)))
+    def test_lookups_agree_with_a_scan(self, kx, ky):
+        for table in (_AT_VALUE, _SUM, _KIND_MEET, _KIND_JOIN):
+            (scanned,) = [v for k, v in table.items() if k == (kx, ky)]
+            for a, b in zip(self._copies(kx), self._copies(ky)):
+                assert table[a, b] is scanned
+        for rel in self._copies(_AT_VALUE[kx, ky]):
+            for order in (_AT_MOST, _AT_LEAST):
+                assert (rel in order) is any(rel == r for r in order)
+
+    def test_hash_is_identity(self):
+        # Sound because every way of obtaining a member yields the one object.
+        for member in (*MonadKind, *OrderRelation):
+            assert type(member).__hash__ is object.__hash__
+            assert all(copy is member for copy in self._copies(member))
 
 
 class TestEqualAndClose:

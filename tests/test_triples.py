@@ -35,6 +35,7 @@ from neutrocalc import (
     truth_grade,
     validate,
 )
+from neutrocalc.triples import _PASSED
 from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
@@ -242,6 +243,19 @@ class TestValidateAgainstFractions:
         report = validate(x, bounds)
         assert [(v.where, v.message) for v in report.violations] == expected
         assert report.ok is not expected
+
+    @pytest.mark.parametrize("shape", list(GRID_TRIPLES))
+    @given(data=st.data())
+    def test_sum_fails_only_with_a_component(self, shape, data):
+        # Each least value at least psi puts the least sum at least 3 psi,
+        # and likewise at omega: a triple whose components pass passes.
+        x, bounds = data.draw(GRID_TRIPLES[shape]), data.draw(offset_bounds)
+        report = validate(x, bounds)
+        wheres = {v.where for v in report.violations}
+        if "sum" in wheres:
+            assert wheres & {"t", "i", "f"}
+        if report.ok:
+            assert report is _PASSED
 
     @given(offset_bounds, st.sampled_from("tif"))
     def test_exact_bounds_pass_and_one_billionth_outside_fails(self, bounds, where):
