@@ -22,6 +22,8 @@ disj(neg(x), y), in the same family.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +48,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_PACKAGE = os.path.dirname(__file__) + os.sep  # the prefix of this package's frames
 
 
 class TNormFamily(Enum):
@@ -136,16 +139,20 @@ def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
 
 
 def _clamped(v: Fraction) -> Fraction:
-    """0 or 1 for a degree v outside [0, 1], with a ClampWarning; the
+    """0 or 1 for a degree v outside [0, 1], with a ClampWarning at the line
+    of the first caller outside this package, whatever path led here; the
     offset kernels call it only for such a degree."""
     try:
         shown = float(v)
     except OverflowError:  # beyond the float range: the exact decimal
         shown = _plain(v)
+    frame, level = sys._getframe(1), 2
+    while frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         f"degree {shown} clamped into [0, 1] for kernel application",
         ClampWarning,
-        stacklevel=4,
+        stacklevel=level,
     )
     return _ZERO if v.numerator < 0 else _ONE
 
@@ -178,8 +185,7 @@ def _midpoint(a: Fraction, b: Fraction) -> Fraction:
 def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:
     """(a + b) / 2; halving moves no decoration."""
     total = add_ns(a, b)
-    n, d = total.value.as_integer_ratio()
-    return NsNumber._of(_ratio(n, 2 * d), total.kind)
+    return NsNumber._of(total.value / 2, total.kind)
 
 
 def _offset(kernel):
@@ -252,8 +258,8 @@ def _row(cfg: OperatorConfig, domain: str, is_conj: bool) -> tuple:
 def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
     """row applied to two same-shape triples, component by component."""
     t_op, i_op, f_op = row
-    # One line per component, so that clamp warnings keep distinct locations;
-    # each _apply returns its operands' class, so the shapes still agree.
+    # Spelled out rather than looped, for speed; each _apply returns its
+    # operands' class, so the shapes still agree.
     return NeutroTriple._of(
         x.t._apply(y.t, t_op),
         x.i._apply(y.i, i_op),

@@ -355,8 +355,9 @@ def _triple(tokens: list, i: int) -> NoReturn:
     The scanner takes every well-formed literal whole, so this reader sees
     only malformed ones.  It reads the literal token by token and raises
     at the token where it goes wrong, a missing or stray token, else for
-    the wrong number of components, else, through `_build_triple`, for
-    components of mixed shapes.  It accepts every spelling that the
+    the wrong number of components, else for components of mixed shapes:
+    the scanner builds every literal of one shape, and reads plain numbers
+    among decorated ones as standard.  It accepts every spelling that the
     scanner's shapes accept; a new spelling goes into both.
     """
     start = tokens[i][2]
@@ -392,7 +393,9 @@ def _triple(tokens: list, i: int) -> NoReturn:
         raise _unexpected(tokens[i], frozenset({"','", "'>'"}))
     if len(tags) != 3:
         raise ArityError(f"triple literal has {len(tags)} components, expected 3", start)
-    _build_triple(tags)
+    if "ns" in tags:
+        raise ShapeMismatch("decorated numbers cannot mix with interval or hesitant components")
+    raise ShapeMismatch("triple components must share one shape")
 
 
 def _decorated(tokens: list, i: int) -> NsNumber | None:
@@ -403,17 +406,6 @@ def _decorated(tokens: list, i: int) -> NsNumber | None:
         return None
     _check(tokens, i + 2, ("number", ")"))
     return NsNumber._of(tokens[i + 2][3], _MONAD_LETTER[text])
-
-
-def _build_triple(tags: list[str]) -> NoReturn:
-    """The ShapeMismatch of a three-component literal whose component tags
-    ("num", "interval", "hesitant" or "ns") no scanner shape accepts
-    together: the scanner builds every literal of one shape, and reads
-    plain numbers among decorated ones as standard, so only mixed shapes
-    reach here."""
-    if "ns" in tags:
-        raise ShapeMismatch("decorated numbers cannot mix with interval or hesitant components")
-    raise ShapeMismatch("triple components must share one shape")
 
 
 def parse_nsnumber(text: str) -> NsNumber:
@@ -530,16 +522,14 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
         _check_type("req", req, EvalRequest)
         raise
     nodes = _postorder(parse(text))
-
-    def canon(tr: NeutroTriple) -> NeutroTriple:
-        return scale_triple(tr, _PERCENT) if req.scale == "percent" else tr
-
     names = dict.fromkeys(node.name for node in nodes if isinstance(node, Var))
     if unbound := [name for name in names if name not in req.bindings]:
         raise UnboundIdentifier(unbound[0])
-    bindings = {name: canon(req.bindings[name]) for name in names}
 
     def admit(source: str, tr: NeutroTriple) -> NeutroTriple:
+        """tr on the unit scale, once it passes validate."""
+        if req.scale == "percent":
+            tr = scale_triple(tr, _PERCENT)
         report = validate(tr, req.bounds)
         if not report.ok:
             detail = "; ".join(f"{v.where}: {v.message}" for v in report.violations)
@@ -548,8 +538,8 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
             )
         return tr
 
-    literals = iter([admit("literal", canon(n.value)) for n in nodes if isinstance(n, Literal)])
-    leaves = {name: admit(f"binding {name!r}", tr) for name, tr in bindings.items()}
+    literals = iter([admit("literal", n.value) for n in nodes if isinstance(n, Literal)])
+    leaves = {name: admit(f"binding {name!r}", req.bindings[name]) for name in names}
 
     numeric = "unit" if req.bounds == UNIT_BOUNDS else "offset"
     values: list[NeutroTriple] = []

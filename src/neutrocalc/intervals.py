@@ -10,10 +10,10 @@ still members.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable
 
 from .errors import EmptySet, InvalidInterval, _check_type
 from .monads import _AT_LEAST, _AT_MOST, _AT_VALUE, MonadKind, NsNumber, as_fraction
@@ -108,7 +108,12 @@ _KIND_MEET, _KIND_JOIN = _bound_kinds(_AT_MOST), _bound_kinds(_AT_LEAST)
 def _bound_set(values: Iterable[NsNumber], name: str, sign: int, table: dict) -> NsNumber:
     """The bound at the least (sign -1) or greatest (sign 1) value, the kinds
     there folded by `table`; values are compared on integer cross-products."""
-    items = list(values)
+    try:
+        items = list(values)
+    except TypeError:  # checked only here, off the path that succeeds
+        if isinstance(values, Iterable):
+            raise
+        raise TypeError(f"values must be an iterable of NsNumber, not {type(values).__name__}")
     if not items:
         raise EmptySet(f"{name} over an empty set")
     try:
@@ -155,14 +160,7 @@ def rough_contains(a, b, x: NsNumber) -> bool:
     if a > b:
         raise ValueError("rough interval requires a <= b")
     _check_type("x", x, NsNumber)
-    return _rough_members(a, b, (x,))[0]
-
-
-def _rough_members(a: Fraction, b: Fraction, probes: tuple) -> tuple[bool, ...]:
-    """a <= x.value <= b for each probe x, on integer cross-products."""
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    pairs = [x.value.as_integer_ratio() for x in probes]
-    return tuple([an * d <= n * ad and n * bd <= bn * d for n, d in pairs])
+    return a <= x.value <= b
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,15 @@ def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     if not a < b:
         raise ValueError("anomaly check requires a < b")
     probes = tuple(probes)
+    # a <= x.value <= b for each probe x, on integer cross-products.
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     try:
-        membership = _rough_members(a, b, probes)
+        pairs = [x.value.as_integer_ratio() for x in probes]
     except AttributeError:  # checked only here, off the path that succeeds
         for k, x in enumerate(probes):
             _check_type(f"probes[{k}]", x, NsNumber)
         raise
+    membership = tuple([an * d <= n * ad and n * bd <= bn * d for n, d in pairs])
     return AnomalyReport(
         lower=a,
         upper=b,

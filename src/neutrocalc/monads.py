@@ -359,10 +359,5 @@ def max_ns(x: NsNumber, y: NsNumber) -> NsNumber:
 
 def add_ns(x: NsNumber, y: NsNumber) -> NsNumber:
     """Sum of decorated numbers: values add, decorations combine (``_SUM``)."""
-    try:
-        (xn, xd), (yn, yd) = x.value.as_integer_ratio(), y.value.as_integer_ratio()
-        kind = _SUM[x.kind, y.kind]
-    except AttributeError:  # checked only here, off the path that succeeds
-        _check_operands(x, y)
-        raise
-    return NsNumber._of(_ratio(xn * yd + yn * xd, xd * yd), kind)
+    _check_operands(x, y)
+    return NsNumber._of(x.value + y.value, _SUM[x.kind, y.kind])

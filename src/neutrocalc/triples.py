@@ -10,6 +10,7 @@ to the active bounds.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,10 +54,10 @@ class Component:
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
     and supremum (the std extremes, except for ``Nonstandard``),
     ``value_range()`` the underlying values in report order with their
-    least and greatest, ``scaled(q)`` every degree times the exact q (each
-    built from integer cross-products by ``monads._ratio``), and
-    ``to_json()`` the ``--json`` form.
-    ``str()`` is the formula syntax.
+    least and greatest, ``scaled(q)`` every degree times the exact q, and
+    ``to_json()`` the ``--json`` form.  ``str()`` is the formula syntax.
+    Only the single and interval ``scaled``, which percent-scale formulas
+    run, build degrees from integer cross-products by ``monads._ratio``.
 
     Public constructors coerce and check.  ``_of`` and
     ``_apply(other, op)``, the connectives' step that applies op to the
@@ -114,7 +115,7 @@ class IntervalValued(Component):
     def __post_init__(self):
         object.__setattr__(self, "lo", as_fraction(self.lo))
         object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo.numerator * self.hi.denominator > self.hi.numerator * self.lo.denominator:
+        if self.lo > self.hi:
             raise InvalidInterval(f"[{_plain(self.lo)}, {_plain(self.hi)}] is reversed")
 
     @classmethod
@@ -171,7 +172,7 @@ class Hesitant(Component):
     shape = "hesitant"
 
     def __init__(self, values):
-        if isinstance(values, (str, bytes)):
+        if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
             raise TypeError(
                 f"hesitant values must be an iterable of numbers, not {type(values).__name__}"
             )
@@ -194,9 +195,7 @@ class Hesitant(Component):
         return self.values, self.values[0], self.values[-1]
 
     def scaled(self, q: Fraction) -> "Hesitant":
-        qn, qd = q.as_integer_ratio()
-        pairs = (v.as_integer_ratio() for v in self.values)
-        return Hesitant._of(_ratio(n * qn, d * qd) for n, d in pairs)
+        return Hesitant._of(v * q for v in self.values)
 
     def _apply(self, other: "Hesitant", op) -> "Hesitant":
         """op on every pair of values, in pair order."""
@@ -216,6 +215,8 @@ class Nonstandard(Component):
     def __init__(self, members):
         if isinstance(members, (NsNumber, NsInterval)):
             members = (members,)
+        elif not isinstance(members, Iterable):
+            raise TypeError(f"nonstandard members must be iterable, not {type(members).__name__}")
         members = tuple(members)
         if not members:
             raise EmptyComponent("nonstandard component needs at least one member")
@@ -249,24 +250,11 @@ class Nonstandard(Component):
                 values.append(m.value)
             else:
                 values.extend([m.lo.value, m.hi.value])
-        # The extremes on integer cross-products: min and max would run
-        # Fraction comparison, with its ABC checks.
-        lo = hi = values[0]
-        ln, ld = hn, hd = lo.as_integer_ratio()
-        for v in values[1:]:
-            n, d = v.as_integer_ratio()
-            if n * ld < ln * d:
-                lo, ln, ld = v, n, d
-            elif n * hd > hn * d:
-                hi, hn, hd = v, n, d
-        return values, lo, hi
+        return values, min(values), max(values)
 
     def scaled(self, q: Fraction) -> "Nonstandard":
-        qn, qd = q.as_integer_ratio()
-
         def scale(x: NsNumber) -> NsNumber:
-            n, d = x.value.as_integer_ratio()
-            return NsNumber._of(_ratio(n * qn, d * qd), x.kind)
+            return NsNumber._of(x.value * q, x.kind)
 
         # A negative q reverses an interval's endpoints, which NsInterval refuses.
         return Nonstandard._of(

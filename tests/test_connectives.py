@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from neutrocalc import (
     ClampWarning,
+    EvalRequest,
     Hesitant,
     IntervalValued,
     NeutroTriple,
     Nonstandard,
     NsInterval,
+    OffsetBounds,
     OperatorConfig,
     OperatorFamily,
     ShapeMismatch,
@@ -24,6 +26,7 @@ from neutrocalc import (
     conj,
     connectives,
     disj,
+    evaluate,
     impl,
     left,
     neg,
@@ -320,6 +323,33 @@ class TestShapeAndClamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             conj(NeutroTriple.single(1, 0, 0), NeutroTriple.single(0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: conj(NeutroTriple.single(1.2, 0, 0), NeutroTriple.single(0.5, 0.2, 0.1)),
+            lambda: conj(
+                NeutroTriple.single(0.5, 1.2, 0.5),
+                NeutroTriple.single(0.5, 0.2, 0.1),
+                OperatorConfig(PLITH, MINMAX),
+            ),
+            lambda: conj(
+                NeutroTriple(Hesitant([1.2, 0.3]), Hesitant([0]), Hesitant([0])),
+                NeutroTriple(Hesitant([0.5, 0.7]), Hesitant([0]), Hesitant([0])),
+            ),
+            lambda: evaluate(
+                EvalRequest("!<1.2,0,0> & <0.5,0.2,0.1>", bounds=OffsetBounds(-0.5, 2))
+            ),
+        ],
+        ids=["single", "plithogenic", "hesitant", "evaluate"],
+    )
+    def test_clamp_warning_names_the_callers_line(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught
+        assert all(issubclass(w.category, ClampWarning) for w in caught)
+        assert [w.filename for w in caught] == [__file__] * len(caught)
 
 
 # Clamp-then-Fraction definitions of the kernels, independent of the

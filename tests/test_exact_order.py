@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from neutrocalc import (
+    Hesitant,
     IncomparableOperands,
     NeutroTriple,
     Nonstandard,
@@ -204,16 +205,35 @@ def test_add_is_exact(x, y):
     assert add_ns(x, y).value == x.value + y.value
 
 
+def _scaled_member(m, q):
+    if isinstance(m, NsNumber):
+        return NsNumber(m.value * q, m.kind)
+    return NsInterval(_scaled_member(m.lo, q), _scaled_member(m.hi, q))
+
+
+def _member_values(c):
+    return [v for m in c.members for v in ([m] if isinstance(m, NsNumber) else [m.lo, m.hi])]
+
+
 @given(
+    st.data(),
     st.lists(number_lists, min_size=3, max_size=3),
+    st.lists(st.lists(values, min_size=1, max_size=8), min_size=3, max_size=3),
     st.sampled_from([Fraction(1, 100), Fraction(7, 3), Fraction(BIG)]),
 )
-def test_nonstandard_scaling_is_exact(drawn, q):
-    x = NeutroTriple(*(Nonstandard(d) for d in drawn))
+def test_nonstandard_scaling_is_exact(data, drawn, hesitant, q):
+    # Unions of numbers and decorated intervals.
+    x = NeutroTriple(*(_members(d, data) for d in drawn))
     scaled = scale_triple(x, q)
     for before, after in zip((x.t, x.i, x.f), (scaled.t, scaled.i, scaled.f)):
-        assert after == Nonstandard([NsNumber(m.value * q, m.kind) for m in before.members])
-        assert [type(m.value) for m in after.members] == [Fraction] * len(after.members)
+        assert after == Nonstandard([_scaled_member(m, q) for m in before.members])
+        ends = _member_values(after)
+        assert [type(n.value) for n in ends] == [Fraction] * len(ends)
+    # Hesitant sets, whose values reach past the float range.
+    scaled = scale_triple(NeutroTriple(*(Hesitant(d) for d in hesitant)), q)
+    for d, after in zip(hesitant, (scaled.t, scaled.i, scaled.f)):
+        assert after.values == tuple(sorted({v * q for v in d}))
+        assert [type(v) for v in after.values] == [Fraction] * len(after.values)
 
 
 @given(one_sided, one_sided)

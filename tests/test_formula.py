@@ -769,6 +769,10 @@ class TestEvaluate:
             (lambda: max_ns(std(0), "a"), "y must be a NsNumber, got 'a'"),
             (lambda: inf_ns_set([1]), "values[0] must be a NsNumber, got 1"),
             (lambda: sup_ns_set([std(1), 0.5]), "values[1] must be a NsNumber, got 0.5"),
+            (lambda: inf_ns_set(object()), "values must be an iterable of NsNumber, not object"),
+            (lambda: sup_ns_set(1), "values must be an iterable of NsNumber, not int"),
+            (lambda: Hesitant(1), "hesitant values must be an iterable of numbers, not int"),
+            (lambda: Nonstandard(None), "nonstandard members must be iterable, not NoneType"),
             (lambda: NsInterval(std(0), 1), "hi must be a NsNumber, got 1"),
             (lambda: contains(NsInterval(std(0), std(1)), 1), "x must be a NsNumber, got 1"),
             (lambda: contains((0, 1), std(0)), "interval must be a NsInterval, got (0, 1)"),
@@ -811,6 +815,10 @@ class TestEvaluate:
             "max_ns-y-str",
             "inf_ns_set-int",
             "sup_ns_set-float",
+            "inf_ns_set-object",
+            "sup_ns_set-int",
+            "Hesitant-int",
+            "Nonstandard-none",
             "NsInterval-hi-int",
             "contains-x-int",
             "contains-tuple",
