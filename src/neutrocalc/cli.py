@@ -158,7 +158,10 @@ def _cmd_validate(args) -> _Output:
     report = validate(triple, OffsetBounds(args.psi, args.omega))
     return _Output(
         0 if report.ok else 1,
-        lambda: {"ok": report.ok, "violations": [vars(v) for v in report.violations]},
+        lambda: {
+            "ok": report.ok,
+            "violations": [{"where": v.where, "message": v.message} for v in report.violations],
+        },
         lambda: [f"{v.where}: {v.message}" for v in report.violations] or ["pass"],
     )
 
@@ -181,7 +184,7 @@ def _cmd_anomaly(args) -> _Output:
     lo_k = int((a - pad) * 1000)
     hi_k = int((b + pad) * 1000)
     probes = [
-        NsNumber(_ratio(rng.randint(lo_k, hi_k), 1000), rng.choice(_KIND_ORDER))
+        NsNumber._of(_ratio(rng.randint(lo_k, hi_k), 1000), rng.choice(_KIND_ORDER))
         for _ in range(args.probes)
     ]
     report = anomaly_check(a, b, probes)

@@ -25,11 +25,10 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type
+from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type, _Frozen
 from .monads import NsNumber, _plain, _ratio, add_ns, as_fraction, max_ns, min_ns
 from .triples import NeutroTriple, Nonstandard
 
@@ -67,14 +66,13 @@ class OperatorFamily(Enum):
     __hash__ = object.__hash__  # as monads.MonadKind's
 
 
-@dataclass(frozen=True)
-class OperatorConfig:
-    family: OperatorFamily = OperatorFamily.F_ALIGNED
-    tnorm: TNormFamily = TNormFamily.MIN_MAX
+class OperatorConfig(_Frozen):
+    __slots__ = __match_args__ = ("family", "tnorm")
 
-    def __post_init__(self):
-        _check_type("family", self.family, OperatorFamily)
-        _check_type("tnorm", self.tnorm, TNormFamily)
+    def __init__(self, family=OperatorFamily.F_ALIGNED, tnorm=TNormFamily.MIN_MAX):
+        _check_type("family", family, OperatorFamily)
+        _check_type("tnorm", tnorm, TNormFamily)
+        self.__setstate__((family, tnorm))
 
 
 class ClampWarning(UserWarning):

@@ -1,6 +1,18 @@
-"""Exception types, and the one argument type check, shared across the package."""
+"""Exception types, the one argument type check, and `_Frozen`, the one
+base of the immutable value classes, shared across the package.
+
+A value class names its fields once, ``__slots__ = __match_args__ =
+(...)``.  Its own ``__init__`` checks the arguments and stores them with
+``self.__setstate__``, or with the cheaper ``object.__setattr__`` per field
+for one field or on the parser's path.  `_Frozen` reads the fields in that
+order for ``==`` (same class only), ``hash`` (of the field tuple),
+``repr``, ``pickle`` and ``copy``, and refuses to assign or delete a
+field.  Instances have no ``__dict__`` and take no weak references.
+"""
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 __all__ = [
     "NeutroCalcError",
@@ -23,6 +35,46 @@ def _check_type(field: str, value, kind, name: str | None = None) -> None:
     or a Union of classes that `name` names."""
     if not isinstance(value, kind):
         raise TypeError(f"{field} must be a {name or kind.__name__}, got {value!r}")
+
+
+class _Frozen:
+    """Base of the immutable value classes; see the module docstring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__dict__.get("__match_args__")
+        if names:  # the reader of the field tuple, built once per class
+            get = attrgetter(*names)
+            cls._values = staticmethod(get if len(names) > 1 else lambda x: (get(x),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __getstate__(self):
+        return self._values(self)
+
+    def __setstate__(self, state):
+        if isinstance(state, dict):  # pickled by the dataclass forms of these classes
+            state = [state[name] for name in self.__match_args__]
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
 
 
 class NeutroCalcError(Exception):

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NoReturn, Union
 
@@ -60,6 +59,7 @@ from .errors import (
     ShapeMismatch,
     UnboundIdentifier,
     _check_type,
+    _Frozen,
 )
 from .monads import _NOTATION, MonadKind, NsNumber, _read_decimal
 from .triples import (
@@ -92,19 +92,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: NeutroTriple
+class Literal(_Frozen):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: NeutroTriple):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Frozen):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-class _Compound:
+class _Compound(_Frozen):
     """Not and the binary operators.  Equality, hashing and repr walk the
-    tree on explicit stacks; the ones dataclass writes recurse."""
+    tree on explicit stacks, where the base's would recurse."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -131,28 +137,35 @@ class _Compound:
 
 # The operator table, which parser and printer both read: `prec` is the
 # binding strength (higher binds tighter), and `right_assoc` the grouping.
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Compound):
-    operand: "Formula"
+    __slots__ = __match_args__ = ("operand",)
     prec = 4
 
+    def __init__(self, operand: "Formula"):
+        object.__setattr__(self, "operand", operand)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class _Binary(_Compound):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = __match_args__ = ("left", "right")
     right_assoc = False
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class And(_Binary):
+    __slots__ = ()
     symbol, prec = "&", 3
 
 
 class Or(_Binary):
+    __slots__ = ()
     symbol, prec = "|", 2
 
 
 class Implies(_Binary):
+    __slots__ = ()
     symbol, prec, right_assoc = "->", 1, True
 
 
@@ -483,29 +496,36 @@ def free_identifiers(f: Formula) -> frozenset[str]:
     return frozenset(node.name for node in _postorder(f) if isinstance(node, Var))
 
 
-@dataclass(frozen=True)
-class EvalRequest:
+_FRESH = object()  # the default bindings: a new empty dict per request
+
+
+class EvalRequest(_Frozen):
     """One evaluation: formula text plus the full operator context.
 
     Bindings are expressed in the same scale as the formula literals;
     bounds are always on the unit scale.
     """
 
-    formula: str
-    config: OperatorConfig = OperatorConfig()
-    scale: str = "unit"
-    bounds: OffsetBounds = UNIT_BOUNDS
-    bindings: Mapping[str, NeutroTriple] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("formula", "config", "scale", "bounds", "bindings")
 
-    def __post_init__(self):
-        _check_type("formula", self.formula, str)
-        if self.scale not in ("unit", "percent"):
+    def __init__(
+        self,
+        formula: str,
+        config: OperatorConfig = OperatorConfig(),
+        scale: str = "unit",
+        bounds: OffsetBounds = UNIT_BOUNDS,
+        bindings: Mapping[str, NeutroTriple] = _FRESH,
+    ):
+        bindings = {} if bindings is _FRESH else bindings
+        _check_type("formula", formula, str)
+        if scale not in ("unit", "percent"):
             raise ValueError("scale must be 'unit' or 'percent'")
-        _check_type("config", self.config, OperatorConfig)
-        _check_type("bounds", self.bounds, OffsetBounds)
-        _check_type("bindings", self.bindings, Mapping)
-        for name, value in self.bindings.items():
+        _check_type("config", config, OperatorConfig)
+        _check_type("bounds", bounds, OffsetBounds)
+        _check_type("bindings", bindings, Mapping)
+        for name, value in bindings.items():
             _check_type(f"binding {name!r}", value, NeutroTriple)
+        self.__setstate__((formula, config, scale, bounds, bindings))
 
 
 def evaluate(req: EvalRequest) -> NeutroTriple:

@@ -11,11 +11,10 @@ still members.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import EmptySet, InvalidInterval, _check_type
+from .errors import EmptySet, InvalidInterval, _check_type, _Frozen
 from .monads import _AT_LEAST, _AT_MOST, _AT_VALUE, MonadKind, NsNumber, as_fraction
 from .monads import compare_ns, left, right, std
 
@@ -32,16 +31,15 @@ __all__ = [
     "AnomalyReport",
 ]
 
-@dataclass(frozen=True)
-class NsInterval:
-    lo: NsNumber
-    hi: NsNumber
+class NsInterval(_Frozen):
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        _check_type("lo", self.lo, NsNumber)
-        _check_type("hi", self.hi, NsNumber)
-        if compare_ns(self.lo, self.hi) not in _AT_MOST:
-            raise InvalidInterval(f"]{self.lo}, {self.hi}[ has endpoints out of order")
+    def __init__(self, lo: NsNumber, hi: NsNumber):
+        _check_type("lo", lo, NsNumber)
+        _check_type("hi", hi, NsNumber)
+        if compare_ns(lo, hi) not in _AT_MOST:
+            raise InvalidInterval(f"]{lo}, {hi}[ has endpoints out of order")
+        self.__setstate__((lo, hi))
 
     def __str__(self) -> str:
         return f"]{self.lo}, {self.hi}["
@@ -163,8 +161,7 @@ def rough_contains(a, b, x: NsNumber) -> bool:
     return a <= x.value <= b
 
 
-@dataclass(frozen=True)
-class AnomalyReport:
+class AnomalyReport(_Frozen):
     """Membership of the same probes in two differently-decorated rough intervals.
 
     outer nominally reaches past b, inner nominally starts past a and
@@ -172,13 +169,15 @@ class AnomalyReport:
     membership vectors coincide and each interval contains the other.
     """
 
-    lower: Fraction
-    upper: Fraction
-    outer_notation: str
-    inner_notation: str
-    probes: tuple[NsNumber, ...]
-    outer_membership: tuple[bool, ...]
-    inner_membership: tuple[bool, ...]
+    __slots__ = __match_args__ = (
+        "lower", "upper", "outer_notation", "inner_notation",
+        "probes", "outer_membership", "inner_membership",
+    )
+
+    def __init__(self, lower, upper, outer_notation, inner_notation, probes,
+                 outer_membership, inner_membership):
+        self.__setstate__((lower, upper, outer_notation, inner_notation, probes,
+                           outer_membership, inner_membership))
 
     @property
     def discrepancies(self) -> tuple[int, ...]:
@@ -204,7 +203,12 @@ def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     a, b = as_fraction(a), as_fraction(b)
     if not a < b:
         raise ValueError("anomaly check requires a < b")
-    probes = tuple(probes)
+    try:
+        probes = tuple(probes)
+    except TypeError:  # checked only here, off the path that succeeds
+        if isinstance(probes, Iterable):
+            raise
+        raise TypeError(f"probes must be an iterable of NsNumber, not {type(probes).__name__}")
     # a <= x.value <= b for each probe x, on integer cross-products.
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     try:

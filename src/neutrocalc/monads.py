@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .errors import IncomparableOperands, _check_type
+from .errors import IncomparableOperands, _check_type, _Frozen
 
 __all__ = [
     "MonadKind",
@@ -177,22 +176,21 @@ class OrderRelation(Enum):
         return _MIRROR[self]
 
 
-@dataclass(frozen=True)
-class NsNumber:
+class NsNumber(_Frozen):
     """An exact value decorated with the monad part it denotes."""
 
-    value: Fraction
-    kind: MonadKind = MonadKind.STD
+    __slots__ = __match_args__ = ("value", "kind")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        if not isinstance(self.kind, MonadKind):
+    def __init__(self, value: Fraction, kind: MonadKind = MonadKind.STD):
+        object.__setattr__(self, "value", as_fraction(value))
+        if not isinstance(kind, MonadKind):
             raise TypeError("kind must be a MonadKind")
+        object.__setattr__(self, "kind", kind)
 
     @classmethod
     def _of(cls, value: Fraction, kind: MonadKind) -> "NsNumber":
         """Trusted: value is an exact Fraction and kind a MonadKind, the
-        checks __post_init__ makes; for values the library built itself."""
+        checks __init__ makes; for values the library built itself."""
         self = _new(cls)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "kind", kind)

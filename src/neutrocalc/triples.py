@@ -11,7 +11,6 @@ to the active bounds.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedNonstandardConfig,
     _check_type,
+    _Frozen,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
 from .monads import MonadKind, NsNumber, _plain, _ratio, add_ns, as_fraction, std
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class Component:
+class Component(_Frozen):
     """Base of the four component shapes; each keeps its behaviour on its class.
 
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
@@ -59,7 +59,8 @@ class Component:
     Only the single and interval ``scaled``, which percent-scale formulas
     run, build degrees from integer cross-products by ``monads._ratio``.
 
-    Public constructors coerce and check.  ``_of`` and
+    Public constructors coerce and check; the library builds the values
+    it computed itself through ``_of``, which skips that.  ``_of`` and
     ``_apply(other, op)``, the connectives' step that applies op to the
     degrees of two same-shape components, trust their caller: the degrees
     are exact Fractions, and op maps them to Fractions, monotone in both
@@ -75,13 +76,12 @@ class Component:
         return ComponentBounds(std(lo), std(hi))
 
 
-@dataclass(frozen=True)
 class SingleValued(Component):
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
     shape = "single"
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", as_fraction(value))
 
     @classmethod
     def _of(cls, value: Fraction) -> "SingleValued":
@@ -106,17 +106,15 @@ class SingleValued(Component):
         return {"shape": self.shape, "kind": "std", "value": float(self.value)}
 
 
-@dataclass(frozen=True)
 class IntervalValued(Component):
-    lo: Fraction
-    hi: Fraction
+    __slots__ = __match_args__ = ("lo", "hi")
     shape = "interval"
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise InvalidInterval(f"[{_plain(self.lo)}, {_plain(self.hi)}] is reversed")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise InvalidInterval(f"[{_plain(lo)}, {_plain(hi)}] is reversed")
+        self.__setstate__((lo, hi))
 
     @classmethod
     def _of(cls, lo: Fraction, hi: Fraction) -> "IntervalValued":
@@ -164,14 +162,13 @@ def _canonical(values) -> tuple[Fraction, ...]:
     return tuple([f for _, f in keyed])
 
 
-@dataclass(frozen=True)
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("values",)
     shape = "hesitant"
 
-    def __init__(self, values):
+    def __init__(self, values: Iterable):
         if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
             raise TypeError(
                 f"hesitant values must be an iterable of numbers, not {type(values).__name__}"
@@ -205,14 +202,13 @@ class Hesitant(Component):
         return {"shape": self.shape, "values": [float(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
 class Nonstandard(Component):
     """A finite union of decorated numbers and decorated intervals."""
 
-    members: tuple
+    __slots__ = __match_args__ = ("members",)
     shape = "nonstandard"
 
-    def __init__(self, members):
+    def __init__(self, members: Iterable):
         if isinstance(members, (NsNumber, NsInterval)):
             members = (members,)
         elif not isinstance(members, Iterable):
@@ -279,23 +275,21 @@ class Nonstandard(Component):
         return {"shape": self.shape, "members": [m.to_json() for m in self.members]}
 
 
-@dataclass(frozen=True)
-class NeutroTriple:
+class NeutroTriple(_Frozen):
     """Homogeneous (T, I, F) triple."""
 
-    t: Component
-    i: Component
-    f: Component
+    __slots__ = __match_args__ = ("t", "i", "f")
 
-    def __post_init__(self):
-        if not (type(self.t) is type(self.i) is type(self.f)):
+    def __init__(self, t: Component, i: Component, f: Component):
+        if not (type(t) is type(i) is type(f)):
             raise ShapeMismatch(
                 "triple components must share one shape, got "
-                f"{type(self.t).__name__}/{type(self.i).__name__}/{type(self.f).__name__}"
+                f"{type(t).__name__}/{type(i).__name__}/{type(f).__name__}"
             )
-        for c in (self.t, self.i, self.f):
+        for c in (t, i, f):
             if not isinstance(c, Component):
                 raise TypeError("triple fields must be components")
+        self.__setstate__((t, i, f))
 
     @classmethod
     def _of(cls, t: Component, i: Component, f: Component) -> "NeutroTriple":
@@ -310,36 +304,36 @@ class NeutroTriple:
     def shape(self) -> str:
         return self.t.shape
 
+    # The three components share one class by construction.
     @classmethod
     def single(cls, t, i, f) -> "NeutroTriple":
-        return cls(SingleValued(t), SingleValued(i), SingleValued(f))
+        return cls._of(SingleValued(t), SingleValued(i), SingleValued(f))
 
     @classmethod
     def nonstandard(cls, t: NsNumber, i: NsNumber, f: NsNumber) -> "NeutroTriple":
-        return cls(Nonstandard(t), Nonstandard(i), Nonstandard(f))
+        return cls._of(Nonstandard(t), Nonstandard(i), Nonstandard(f))
 
 
-@dataclass(frozen=True)
-class OffsetBounds:
+class OffsetBounds(_Frozen):
     """Component range [psi, omega] with psi <= 0 < 1 <= omega."""
 
-    psi: Fraction
-    omega: Fraction
+    __slots__ = __match_args__ = ("psi", "omega")
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi", as_fraction(self.psi))
-        object.__setattr__(self, "omega", as_fraction(self.omega))
-        if not (self.psi <= 0 < 1 <= self.omega):
+    def __init__(self, psi: Fraction, omega: Fraction):
+        psi, omega = as_fraction(psi), as_fraction(omega)
+        if not (psi <= 0 < 1 <= omega):
             raise InvalidBounds("bounds must satisfy psi <= 0 < 1 <= omega")
+        self.__setstate__((psi, omega))
 
 
 UNIT_BOUNDS = OffsetBounds(Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
-class ComponentBounds:
-    inf: NsNumber
-    sup: NsNumber
+class ComponentBounds(_Frozen):
+    __slots__ = __match_args__ = ("inf", "sup")
+
+    def __init__(self, inf: NsNumber, sup: NsNumber):
+        self.__setstate__((inf, sup))
 
 
 def component_bounds(c: Component) -> ComponentBounds:
@@ -357,16 +351,18 @@ def triple_sums(x: NeutroTriple) -> tuple[NsNumber, NsNumber]:
     return n_inf, n_sup
 
 
-@dataclass(frozen=True)
-class Violation:
-    where: str  # "t" | "i" | "f" | "sum"
-    message: str
+class Violation(_Frozen):
+    __slots__ = __match_args__ = ("where", "message")
+
+    def __init__(self, where: str, message: str):  # where: "t" | "i" | "f" | "sum"
+        self.__setstate__((where, message))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(_Frozen):
+    __slots__ = __match_args__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
+        self.__setstate__((ok, violations))
 
 
 _PASSED = ValidationReport(ok=True)
@@ -449,7 +445,13 @@ def classify_logic(t, i, f, scale: str = "unit") -> frozenset[str]:
     """
     if scale not in ("unit", "percent"):
         raise ValueError("scale must be 'unit' or 'percent'")
-    t, i, f = (as_fraction(v) for v in (t, i, f))
+    degrees = []
+    for name, v in (("t", t), ("i", i), ("f", f)):
+        try:
+            degrees.append(as_fraction(v))
+        except TypeError:
+            raise TypeError(f"{name} must be a number, got {v!r}") from None
+    t, i, f = degrees
     if scale == "percent":
         t, i, f = t / 100, i / 100, f / 100
     n = t + i + f

@@ -38,6 +38,7 @@ from neutrocalc import (
     Var,
     add_ns,
     anomaly_check,
+    classify_logic,
     compare_ns,
     conj,
     contains,
@@ -783,6 +784,10 @@ class TestEvaluate:
             (lambda: add_ns(std(1), 2), "y must be a NsNumber, got 2"),
             (lambda: rough_contains(0, 1, 1), "x must be a NsNumber, got 1"),
             (lambda: anomaly_check(0, 1, [std(0), 1]), "probes[1] must be a NsNumber, got 1"),
+            (lambda: anomaly_check(0, 1, 5), "probes must be an iterable of NsNumber, not int"),
+            (lambda: classify_logic(None, 0, 0), "t must be a number, got None"),
+            (lambda: classify_logic(0, True, 0), "i must be a number, got True"),
+            (lambda: classify_logic(0, 0, object()), "f must be a number, got <object object"),
             (lambda: inf_ns(1), "interval must be a NsInterval, got 1"),
             (lambda: sup_ns(std(1)), "interval must be a NsInterval, got NsNumber("),
             (lambda: evaluate(1), "req must be a EvalRequest, got 1"),
@@ -829,6 +834,10 @@ class TestEvaluate:
             "add_ns-y-int",
             "rough_contains-x-int",
             "anomaly_check-probe-int",
+            "anomaly_check-int",
+            "classify_logic-t-none",
+            "classify_logic-i-bool",
+            "classify_logic-f-object",
             "inf_ns-int",
             "sup_ns-nsnumber",
             "evaluate-int",

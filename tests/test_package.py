@@ -1,6 +1,9 @@
 """The package surface: each module's __all__ is its public list."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +48,20 @@ def test_star_import_binds_every_listed_name():
     namespace = {}
     exec("from neutrocalc import *", namespace)
     assert set(neutrocalc.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Loading them took about 40% of the import time of a one-shot `neutrocalc` call.
+    src = str(Path(neutrocalc.__file__).parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import neutrocalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert run.stdout == "[]\n"
