@@ -27,7 +27,8 @@ error.  Every scanner alternative spells a number in the one unambiguous
 way, so a literal that almost matches fails in linear time.  The parser
 walks the token list by index, climbing precedence on explicit stacks,
 and shares the lexer and decorated-number reader with `parse_nsnumber`.
-Numbers are read by `monads._read_decimal`.  Parsed single-valued,
+Numbers are read by `monads._read_decimal`, whose bounded memo reads
+each distinct short numeral once per process.  Parsed single-valued,
 hesitant, decorated and well-ordered interval triples skip the public
 constructors' coercion.
 
@@ -496,9 +497,6 @@ def free_identifiers(f: Formula) -> frozenset[str]:
     return frozenset(node.name for node in _postorder(f) if isinstance(node, Var))
 
 
-_FRESH = object()  # the default bindings: a new empty dict per request
-
-
 class EvalRequest(_Frozen):
     """One evaluation: formula text plus the full operator context.
 
@@ -514,15 +512,16 @@ class EvalRequest(_Frozen):
         config: OperatorConfig = OperatorConfig(),
         scale: str = "unit",
         bounds: OffsetBounds = UNIT_BOUNDS,
-        bindings: Mapping[str, NeutroTriple] = _FRESH,
+        bindings: Mapping[str, NeutroTriple] = {},  # copied below, never mutated
     ):
-        bindings = {} if bindings is _FRESH else bindings
         _check_type("formula", formula, str)
         if scale not in ("unit", "percent"):
             raise ValueError("scale must be 'unit' or 'percent'")
         _check_type("config", config, OperatorConfig)
         _check_type("bounds", bounds, OffsetBounds)
         _check_type("bindings", bindings, Mapping)
+        # A copy, so that a binding the caller changes later cannot skip the checks.
+        bindings = dict(bindings)
         for name, value in bindings.items():
             _check_type(f"binding {name!r}", value, NeutroTriple)
         self.__setstate__((formula, config, scale, bounds, bindings))

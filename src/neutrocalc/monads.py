@@ -83,20 +83,42 @@ def _ratio(n: int, d: int) -> Fraction:
     return q
 
 
+# Numeral text -> its Fraction, for reads without an exponent.  Degrees are
+# short decimals that recur, so most reads are a dict lookup.
+_MEMO: dict[str, Fraction] = {}
+_MEMO_CAP = 4096  # entries; the memo is emptied when it is full
+_MEMO_WIDTH = 20  # characters; a longer numeral is read, never stored
+
+
 def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
     """numeral * 10**exponent, exactly; numeral is an optional sign, digits
     and an optional point, as _DECIMAL's numeral group spells it.  The one
     reader of decimal text: the formula lexer's numbers and as_fraction's
-    strings, Decimals and float reprs."""
-    whole, _, frac = numeral.partition(".")
-    shift = len(frac) - exponent
-    try:
-        n = int(whole + frac)
-    except ValueError:  # more digits than int() reads at once
-        n = _long_int(whole + frac)
-    if shift < 0:
-        return _ratio(n * 10**-shift, 1)
-    return _ratio(n, 10**shift)
+    strings, Decimals and float reprs.
+
+    A read without an exponent goes through `_MEMO`, which stores
+    numerals of at most `_MEMO_WIDTH` characters and is emptied before
+    an insert once it holds `_MEMO_CAP` entries, so hostile input cannot
+    pin memory.  Callers share the stored values, which is safe because
+    a Fraction is immutable and no code relies on its identity.  Threads
+    share the memo without a lock: each dict operation is atomic, and a
+    lost or doubled insert stores the same value, so racing inserts can
+    only overshoot the cap by one entry per thread until the next clear.
+    """
+    q = None if exponent else _MEMO.get(numeral)
+    if q is None:
+        whole, _, frac = numeral.partition(".")
+        shift = len(frac) - exponent
+        try:
+            n = int(whole + frac)
+        except ValueError:  # more digits than int() reads at once
+            n = _long_int(whole + frac)
+        q = _ratio(n * 10**-shift, 1) if shift < 0 else _ratio(n, 10**shift)
+        if not exponent and len(numeral) <= _MEMO_WIDTH:
+            if len(_MEMO) >= _MEMO_CAP:
+                _MEMO.clear()
+            _MEMO[numeral] = q
+    return q
 
 
 def _long_int(run: str) -> int:

@@ -647,6 +647,16 @@ class TestEvaluate:
         with pytest.raises(UnboundIdentifier):
             evaluate(EvalRequest("x & <1,0,0>"))
 
+    def test_request_keeps_a_copy_of_the_bindings(self):
+        # A binding added to the caller's dict later skips the type check.
+        caller = {}
+        req = EvalRequest("x", bindings=caller)
+        caller["x"] = 5
+        assert req.bindings == {} and req == EvalRequest("x")
+        with pytest.raises(UnboundIdentifier) as info:
+            evaluate(req)
+        assert info.value.name == "x"
+
     def test_first_unbound_identifier_in_source_order(self):
         names = ["d", "a", "c", "b"]
         for k in range(len(names)):

@@ -5,6 +5,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import neutrocalc
 import oracles
 from neutrocalc import (
+    FormulaSyntaxError,
     IncomparableOperands,
     MonadKind,
     NsNumber,
@@ -30,6 +33,8 @@ from neutrocalc import (
     left,
     max_ns,
     min_ns,
+    monads,
+    parse,
     right,
     roughly_leq,
     std,
@@ -358,6 +363,83 @@ class TestRatio:
         assert _shown(built) == _shown(public)
         total = built + Fraction(1, 3)
         assert total == public + Fraction(1, 3) and _shown(total) == _shown(public + Fraction(1, 3))
+
+
+@contextmanager
+def _empty_memo():
+    """An empty numeral memo for the block, the process's own restored after."""
+    saved, monads._MEMO = monads._MEMO, {}
+    try:
+        yield monads._MEMO
+    finally:
+        monads._MEMO = saved
+
+
+class TestDecimalMemo:
+    """_read_decimal memoises short numerals read without an exponent.
+    Every test starts from an empty memo of its own."""
+
+    @given(st.from_regex(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)", fullmatch=True))
+    def test_cold_and_warm_reads_are_exact(self, text):
+        with _empty_memo() as memo:
+            cold = _read_decimal(text)
+            assert (text in memo) is (len(text) <= monads._MEMO_WIDTH)
+            warm = _read_decimal(text)
+        assert type(cold) is type(warm) is Fraction
+        assert cold == warm == Fraction(text)
+
+    def test_memo_is_capped(self):
+        with _empty_memo() as memo:
+            for i in range(10_000):
+                assert _read_decimal(f"0.{i}") == Fraction(i, 10 ** len(str(i)))
+                assert len(memo) <= monads._MEMO_CAP
+            assert memo  # emptied at the cap, then filled again
+
+    def test_long_numerals_and_exponents_are_not_stored(self):
+        width = monads._MEMO_WIDTH
+        with _empty_memo() as memo:
+            assert _read_decimal("1" * (width + 1)) == int("1" * (width + 1))
+            assert _read_decimal("-0." + "5" * (width - 2)) == -Fraction("0." + "5" * (width - 2))
+            assert as_fraction("5e-1") == Fraction(1, 2)
+            assert list(memo) == []
+            with pytest.raises(FormulaSyntaxError, match="'@'"):
+                parse("<" + "1" * 400_000 + " @")  # the digits-400000 hostile literal
+            assert list(memo) == []
+            assert _read_decimal("1" * width) == int("1" * width)
+            assert list(memo) == ["1" * width]
+
+    def test_threads_share_the_memo(self):
+        """8 threads, more than the cores, start together and read the same
+        numerals, more than the cap, under a short switch interval."""
+        threads_n = 8
+        texts = [f"{i % 7}.{i:04d}" for i in range(monads._MEMO_CAP + 1000)]
+        expected = [Fraction(t) for t in texts]
+        start = threading.Barrier(threads_n, timeout=60)
+        wrong, sizes = [], []
+
+        def read():
+            start.wait()
+            largest = 0
+            for t, q in zip(texts, expected):
+                if _read_decimal(t) != q:
+                    wrong.append(t)
+                largest = max(largest, len(monads._MEMO))
+            sizes.append(largest)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _empty_memo():
+                threads = [threading.Thread(target=read) for _ in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert wrong == [] and len(sizes) == threads_n
+        assert max(sizes) <= monads._MEMO_CAP + threads_n
 
 
 def test_delta_oracle_agreement_bulk():
