@@ -13,7 +13,6 @@ import sys
 import warnings
 from fractions import Fraction
 from random import Random
-from typing import Callable, NamedTuple
 
 from .connectives import OperatorConfig, OperatorFamily, TNormFamily
 from .errors import FormulaSyntaxError, NeutroCalcError
@@ -82,15 +81,15 @@ def _binding(text: str) -> tuple[str, NeutroTriple]:
     return name, node.value
 
 
-class _Output(NamedTuple):
+class _Output:
     """What a subcommand prints.  main prints payload() as JSON under
     --json, else the warnings on stderr and then lines() on stdout.  Both
     are built only when printed, so the form not asked for cannot fail."""
 
-    code: int
-    payload: Callable[[], dict] | None
-    lines: Callable[[], list[str]]
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("code", "payload", "lines", "warnings")
+
+    def __init__(self, code: int, payload, lines, warnings: tuple[str, ...] = ()):
+        self.code, self.payload, self.lines, self.warnings = code, payload, lines, warnings
 
 
 def _cmd_eval(args) -> _Output:

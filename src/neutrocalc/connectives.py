@@ -10,11 +10,12 @@ clamped into [0, 1] first, with a ClampWarning per clamp), and
 "decorated" for nonstandard operands (min_ns/max_ns, under the min/max
 kernel only).  Degrees leave [0, 1] only under widened bounds [psi,
 omega], and clamping a degree in [0, 1] changes and warns nothing, so
-the domain follows from the bounds, never from the values.  The public
-`conj`, `disj` and `impl`, which see no bounds, take the offset row for
-standard operands.  `formula.evaluate` takes the unit row under psi = 0,
-omega = 1, where admission keeps every degree in [0, 1], and the offset
-row otherwise.  Both apply the chosen row through the one step `_step`.
+the domain follows from the bounds, never from the values.  `_row` is
+the one place that chooses the row: decorated for nonstandard operands,
+else unit under psi = 0, omega = 1, where admission keeps every degree
+in [0, 1], and offset under widened bounds or none.  `formula.evaluate`
+passes the request's bounds, and the public `conj`, `disj` and `impl`
+none.  Both apply the row through `_step`.
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type, _Frozen
 from .monads import NsNumber, _plain, _ratio, add_ns, as_fraction, max_ns, min_ns
-from .triples import NeutroTriple, Nonstandard
+from .triples import UNIT_BOUNDS, NeutroTriple, Nonstandard
 
 __all__ = [
     "TNormFamily",
@@ -243,10 +244,16 @@ def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
 
 
-def _row(cfg: OperatorConfig, domain: str, is_conj: bool) -> tuple:
-    """The (t_op, i_op, f_op) of one connective in one number domain: "unit"
-    only where the bounds keep every degree in [0, 1], else "offset", and
-    "decorated" for nonstandard operands."""
+def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tuple:
+    """The (t_op, i_op, f_op) of one connective on operands of x's shape:
+    "decorated" for nonstandard operands, else "unit" under the bounds
+    psi = 0, omega = 1, and "offset" under widened bounds or none."""
+    if isinstance(x.t, Nonstandard):
+        domain = "decorated"
+    elif bounds is not None and bounds == UNIT_BOUNDS:
+        domain = "unit"
+    else:
+        domain = "offset"
     rows = _OPERATORS.get((cfg.tnorm, domain))
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
@@ -270,5 +277,4 @@ def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: boo
     _check_type("y", y, NeutroTriple)
     _check_type("cfg", cfg, OperatorConfig)
     _check_shapes(x, y)
-    domain = "decorated" if isinstance(x.t, Nonstandard) else "offset"
-    return _step(x, y, _row(cfg, domain, is_conj))
+    return _step(x, y, _row(cfg, x, is_conj))

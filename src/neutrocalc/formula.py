@@ -5,6 +5,9 @@
     triple  := "<" comp "," comp "," comp ">"
     comp    := nsnum | "[" number "," number "]" | "{" number ("," number)* "}"
     nsnum   := number | "L(" number ")" | "R(" number ")" | "B(" number ")"
+    number  := ["-"] (digits ["." [digits]] | "." digits)
+
+A digit is any Unicode decimal digit, so "<٠.٥,0,0>" reads as <0.5, 0, 0>.
 
 From tightest to loosest the operators bind as ! & | ->; -> groups to the
 right, & and | to the left.  Whitespace is insignificant.  The unicode
@@ -38,11 +41,10 @@ first input that fails, in source order: the first unbound identifier,
 else the first literal outside the bounds, else the first binding
 outside them.
 
-`evaluate` picks the numeric operator row once per request, from the
-bounds: the bare "unit" row under psi = 0, omega = 1, where admission
-keeps every degree in [0, 1], and the clamping "offset" row under
-widened bounds (see `connectives`).  Its fold applies each node's
-resolved row through `connectives._step`, as the public connectives do.
+`evaluate`'s fold takes each connective's operator row from
+`connectives._row`, which alone chooses it, once per operand shape and
+connective in a request, and applies it through `connectives._step`, as
+the public connectives do.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import NoReturn, Union
 
 from .connectives import OperatorConfig, _check_shapes, _row, _step, neg
 from .errors import (
@@ -62,7 +63,7 @@ from .errors import (
     _check_type,
     _Frozen,
 )
-from .monads import _NOTATION, MonadKind, NsNumber, _read_decimal
+from .monads import _NOTATION, _NUMERAL, MonadKind, NsNumber, _read_decimal
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -172,17 +173,17 @@ class Implies(_Binary):
 
 _BINARY = {cls.symbol: cls for cls in (And, Or, Implies)}
 
-Formula = Union[Literal, Var, Not, And, Or, Implies]
+Formula = Literal | Var | Not | And | Or | Implies
 
 
 _ALIASES = {"∧": "&", "∨": "|", "¬": "!", "→": "->"}
 _MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
 
-# One spelling of a number for every scanner alternative.  It matches a
-# digit run in one way only, so an alternative that repeats it fails in
-# linear time; \d+\.?\d* splits a run in many ways, and a hesitant literal
-# that fails would try each split of each value in turn.
-_NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)"
+# One spelling of a number for every scanner alternative.  monads._NUMERAL
+# matches a digit run in one way only, so an alternative that repeats it
+# fails in linear time; \d+\.?\d* splits a run in many ways, and a hesitant
+# literal that fails would try each split of each value in turn.
+_NUMBER = rf"-?{_NUMERAL}"
 _NUMBERS = re.compile(_NUMBER)
 
 
@@ -363,7 +364,7 @@ def parse(text: str) -> Formula:
             i += 1
 
 
-def _triple(tokens: list, i: int) -> NoReturn:
+def _triple(tokens: list, i: int):
     """Raise the error of the malformed triple literal whose "<" is tokens[i].
 
     The scanner takes every well-formed literal whole, so this reader sees
@@ -535,12 +536,8 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
     failing input raises BoundsViolation rather than silently clamping
     at this stage.
     """
-    try:
-        text = req.formula
-    except AttributeError:  # checked only here, off the path that succeeds
-        _check_type("req", req, EvalRequest)
-        raise
-    nodes = _postorder(parse(text))
+    _check_type("req", req, EvalRequest)
+    nodes = _postorder(parse(req.formula))
     names = dict.fromkeys(node.name for node in nodes if isinstance(node, Var))
     if unbound := [name for name in names if name not in req.bindings]:
         raise UnboundIdentifier(unbound[0])
@@ -560,7 +557,6 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
     literals = iter([admit("literal", n.value) for n in nodes if isinstance(n, Literal)])
     leaves = {name: admit(f"binding {name!r}", req.bindings[name]) for name in names}
 
-    numeric = "unit" if req.bounds == UNIT_BOUNDS else "offset"
     values: list[NeutroTriple] = []
     rows = {}
     for node in nodes:
@@ -575,9 +571,9 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
             if isinstance(node, Implies):
                 x = neg(x)
             _check_shapes(x, y)
-            key = ("decorated" if isinstance(x.t, Nonstandard) else numeric, isinstance(node, And))
+            key = (type(x.t), isinstance(node, And))
             row = rows.get(key)
             if row is None:
-                row = rows[key] = _row(req.config, *key)
+                row = rows[key] = _row(req.config, x, key[1], req.bounds)
             values[-1] = _step(x, y, row)
     return values[0]

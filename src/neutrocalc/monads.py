@@ -57,9 +57,13 @@ __all__ = [
 
 # The exponent of e-notation, as Fraction's grammar and str(Decimal) spell it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-# A plain decimal: sign, digits, optional point, optional exponent.
+# The one spelling of an unsigned numeral, which matches a digit run in one
+# way only.  \d is any Unicode decimal digit, as int() reads it, so "٠.٥"
+# is 0.5: a deliberate reading, which the tests pin.
+_NUMERAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
+# A plain decimal: sign, numeral, optional exponent.
 _DECIMAL = re.compile(
-    r"\s*(?P<numeral>[-+]?(?:\d+(?:\.\d*)?|\.\d+))(?:[eE](?P<exponent>[-+]?\d+))?\s*\Z"
+    rf"\s*(?P<numeral>[-+]?{_NUMERAL})(?:[eE](?P<exponent>[-+]?\d+))?\s*\Z"
 )
 
 _new = object.__new__
@@ -86,7 +90,7 @@ def _ratio(n: int, d: int) -> Fraction:
 # Numeral text -> its Fraction, for reads without an exponent.  Degrees are
 # short decimals that recur, so most reads are a dict lookup.
 _MEMO: dict[str, Fraction] = {}
-_MEMO_CAP = 4096  # entries; the memo is emptied when it is full
+_MEMO_CAP = 4096  # entries; the memo stores nothing more once it is full
 _MEMO_WIDTH = 20  # characters; a longer numeral is read, never stored
 
 
@@ -97,13 +101,13 @@ def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
     strings, Decimals and float reprs.
 
     A read without an exponent goes through `_MEMO`, which stores
-    numerals of at most `_MEMO_WIDTH` characters and is emptied before
-    an insert once it holds `_MEMO_CAP` entries, so hostile input cannot
-    pin memory.  Callers share the stored values, which is safe because
-    a Fraction is immutable and no code relies on its identity.  Threads
+    numerals of at most `_MEMO_WIDTH` characters until it holds
+    `_MEMO_CAP` entries and then stops, so hostile input cannot pin
+    memory.  Callers share the stored values, which is safe because a
+    Fraction is immutable and no code relies on its identity.  Threads
     share the memo without a lock: each dict operation is atomic, and a
     lost or doubled insert stores the same value, so racing inserts can
-    only overshoot the cap by one entry per thread until the next clear.
+    overshoot the cap by at most one entry per thread.
     """
     q = None if exponent else _MEMO.get(numeral)
     if q is None:
@@ -114,9 +118,7 @@ def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
         except ValueError:  # more digits than int() reads at once
             n = _long_int(whole + frac)
         q = _ratio(n * 10**-shift, 1) if shift < 0 else _ratio(n, 10**shift)
-        if not exponent and len(numeral) <= _MEMO_WIDTH:
-            if len(_MEMO) >= _MEMO_CAP:
-                _MEMO.clear()
+        if not exponent and len(numeral) <= _MEMO_WIDTH and len(_MEMO) < _MEMO_CAP:
             _MEMO[numeral] = q
     return q
 

@@ -374,10 +374,11 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
     Violations are reported, never raised; offset data is legitimate
     input and the caller decides what to do with a failing report.
 
-    On integer cross-products (denominators are positive), a triple whose
-    components' extremes all lie in [psi, omega] passes: its least sum is
-    then at least 3 psi, and its greatest at most 3 omega.  Only a triple
-    that fails is walked value by value.
+    A triple whose components' extremes all lie in [psi, omega] passes:
+    its least sum is then at least 3 psi, and its greatest at most 3
+    omega.  That test runs on integer cross-products (denominators are
+    positive) and stops at the first extreme outside.  Only a failing
+    triple is reported, value by value, then its sums from `triple_sums`.
     """
     _check_type("x", x, NeutroTriple)
     _check_type("bounds", bounds, OffsetBounds)
@@ -391,33 +392,25 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
             break
     else:
         return _PASSED
-    # A failing triple: every value outside the bounds, component by
-    # component, then the extreme sums, which are the values of triple_sums(x).
     violations: list[Violation] = []
-    lo_n = hi_n = 0
-    lo_d = hi_d = 1
     for where, c in (("t", x.t), ("i", x.i), ("f", x.f)):
-        values, lo, hi = c.value_range()
-        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        for v in values:
-            n, d = v.as_integer_ratio()
-            if n * pd < pn * d:
+        for v in c.value_range()[0]:
+            if v < psi:
                 violations.append(
                     Violation(where, f"value {_plain(v)} below lower bound {_plain(psi)}")
                 )
-            elif n * od > on * d:
+            elif v > omega:
                 violations.append(
                     Violation(where, f"value {_plain(v)} above upper bound {_plain(omega)}")
                 )
-        lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
-        hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
-    if lo_n * pd < 3 * pn * lo_d:
+    n_inf, n_sup = triple_sums(x)
+    if n_inf.value < 3 * psi:
         violations.append(
-            Violation("sum", f"lower sum {_plain(_ratio(lo_n, lo_d))} below {_plain(3 * psi)}")
+            Violation("sum", f"lower sum {_plain(n_inf.value)} below {_plain(3 * psi)}")
         )
-    if hi_n * od > 3 * on * hi_d:
+    if n_sup.value > 3 * omega:
         violations.append(
-            Violation("sum", f"upper sum {_plain(_ratio(hi_n, hi_d))} above {_plain(3 * omega)}")
+            Violation("sum", f"upper sum {_plain(n_sup.value)} above {_plain(3 * omega)}")
         )
     return ValidationReport(ok=False, violations=tuple(violations))
 

@@ -770,6 +770,9 @@ CLI_CASES = [
         "",
         "error: anomaly check requires a < b\n",
     ),
+    # Any Unicode decimal digit reads as its value, as the formula grammar says.
+    (["eval", "<٠.٥,0,0>"], 0, "<0.5, 0, 0>\n", ""),
+    (["compare", "L(٠.٥)", "L(0.5)"], 0, "=N\n", ""),
 ]
 
 

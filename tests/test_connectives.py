@@ -21,6 +21,7 @@ from neutrocalc import (
     ShapeMismatch,
     SingleValued,
     TNormFamily,
+    UNIT_BOUNDS,
     UnsupportedNonstandardConfig,
     bimonad,
     conj,
@@ -514,7 +515,7 @@ class TestOffsetOperands:
                         (disj, False, a),
                         (impl, False, neg(a)),
                     ):
-                        row = connectives._row(cfg, "unit", is_conj)
+                        row = connectives._row(cfg, first, is_conj, UNIT_BOUNDS)
                         assert op(a, b, cfg) == connectives._step(first, b, row)
 
 

@@ -1,10 +1,10 @@
 """`evaluate`'s plan fold against a per-node fold of the public connectives.
 
-`evaluate` admits the literals and bindings once, picks its numeric
-operator row once per request from the bounds (the bare kernels under
-psi = 0, omega = 1, where every admitted degree lies in [0, 1], and the
-clamping kernels under widened bounds), and then applies pre-resolved
-operator rows.  The reference below is the fold it replaced: `validate`
+`evaluate` admits the literals and bindings once, takes each connective's
+operator row from `connectives._row` once per operand shape in a request
+(the bare kernels under psi = 0, omega = 1, where every admitted degree
+lies in [0, 1], and the clamping kernels under widened bounds), and then
+applies those rows.  The reference below is the fold it replaced: `validate`
 on every literal, then every binding, and then `conj`/`disj`/`impl`/`neg`
 per node, each public connective clamping its standard operands, which
 leaves a degree in [0, 1] as it is and warns nothing.  Both must agree

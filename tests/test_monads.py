@@ -393,7 +393,7 @@ class TestDecimalMemo:
             for i in range(10_000):
                 assert _read_decimal(f"0.{i}") == Fraction(i, 10 ** len(str(i)))
                 assert len(memo) <= monads._MEMO_CAP
-            assert memo  # emptied at the cap, then filled again
+            assert len(memo) == monads._MEMO_CAP  # full, and no longer stored into
 
     def test_long_numerals_and_exponents_are_not_stored(self):
         width = monads._MEMO_WIDTH

@@ -51,11 +51,12 @@ def test_star_import_binds_every_listed_name():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Loading them took about 40% of the import time of a one-shot `neutrocalc` call.
+    # Loading them took about 40% of the import time of a one-shot `neutrocalc`
+    # call, and typing another 3-5 ms; nothing the package imports loads them.
     src = str(Path(neutrocalc.__file__).parents[1])
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import neutrocalc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     run = subprocess.run(
         [sys.executable, "-I", "-S", "-c", probe],

@@ -235,11 +235,13 @@ class TestValidateAgainstFractions:
                     expected.append((where, f"value {std(v)} below lower bound {std(bounds.psi)}"))
                 elif v > bounds.omega:
                     expected.append((where, f"value {std(v)} above upper bound {std(bounds.omega)}"))
-        n_inf, n_sup = triple_sums(x)
-        if n_inf.value < 3 * bounds.psi:
-            expected.append(("sum", f"lower sum {std(n_inf.value)} below {std(3 * bounds.psi)}"))
-        if n_sup.value > 3 * bounds.omega:
-            expected.append(("sum", f"upper sum {std(n_sup.value)} above {std(3 * bounds.omega)}"))
+        # From the values, not from triple_sums, which validate itself calls.
+        lo_sum = sum(min(_values(c)) for c in (x.t, x.i, x.f))
+        hi_sum = sum(max(_values(c)) for c in (x.t, x.i, x.f))
+        if lo_sum < 3 * bounds.psi:
+            expected.append(("sum", f"lower sum {std(lo_sum)} below {std(3 * bounds.psi)}"))
+        if hi_sum > 3 * bounds.omega:
+            expected.append(("sum", f"upper sum {std(hi_sum)} above {std(3 * bounds.omega)}"))
         report = validate(x, bounds)
         assert [(v.where, v.message) for v in report.violations] == expected
         assert report.ok is not expected
