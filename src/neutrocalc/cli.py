@@ -1,5 +1,8 @@
 """Command line surface: one-shot subcommands over the library.
 
+`_COMMANDS` is the one declaration of the CLI: each subcommand's help,
+handler and arguments, from which `build_parser` builds the parser.
+
 Exit codes: 0 on success, 1 on evaluation or validation failure,
 2 on syntax or usage errors.
 """
@@ -29,8 +32,6 @@ from .monads import (
 )
 from .triples import NeutroTriple, OffsetBounds, classify_logic, validate
 
-_FAMILY = {f.value: f for f in OperatorFamily}
-_TNORM = {t.value: t for t in TNormFamily}
 # Kinds by name and by initial, in declaration order.
 _KIND_ORDER = tuple(MonadKind)
 _KIND = {spelling: k for k in _KIND_ORDER for spelling in (k.value, k.value[0])}
@@ -95,7 +96,7 @@ class _Output:
 def _cmd_eval(args) -> _Output:
     req = EvalRequest(
         formula=args.expr,
-        config=OperatorConfig(_FAMILY[args.family], _TNORM[args.tnorm]),
+        config=OperatorConfig(OperatorFamily(args.family), TNormFamily(args.tnorm)),
         scale=args.scale,
         bounds=OffsetBounds(args.psi, args.omega),
         bindings=dict(args.bind or ()),
@@ -126,18 +127,10 @@ def _relation(args, relate) -> _Output:
     return _Output(0, payload, lambda: [symbol])
 
 
-def _cmd_compare(args) -> _Output:
-    return _relation(args, lambda x, y: compare_ns(x, y).value)
-
-
 def _rough_symbol(x: NsNumber, y: NsNumber) -> str:
     if infinitely_close(x, y):
         return "≈"
     return "≲" if roughly_leq(x, y) else "≳"
-
-
-def _cmd_rough_compare(args) -> _Output:
-    return _relation(args, _rough_symbol)
 
 
 def _cmd_interval(args) -> _Output:
@@ -212,9 +205,73 @@ def _cmd_anomaly(args) -> _Output:
     return _Output(0, payload, lambda: lines)
 
 
+def _arg(*names: str, **options) -> tuple:
+    """One argument, as the parser is given it: its names and its options."""
+    return names, options
+
+
+# Arguments that several subcommands share, each written once.
+_JSON = _arg("--json", action="store_true")
+_TRIPLE = tuple(_arg(name, type=_fraction) for name in "tif")
+_BOUNDS = (
+    _arg("--psi", type=_fraction, default=Fraction(0)),
+    _arg("--omega", type=_fraction, default=Fraction(1)),
+)
+_SCALE = _arg("--scale", choices=("unit", "percent"), default="unit")
+_PAIR = _arg("x"), _arg("y")
+_ENDS = tuple(_arg(f"--{name}", type=_fraction, required=True) for name in "ab")
+_KIND_VALUE = {"type": _kind_value, "required": True, "metavar": "KIND:VALUE"}
+
+#: Subcommand -> (help, handler, arguments), the arguments in the order
+#: that the subcommand's --help lists them.
+_COMMANDS = {
+    "eval": ("evaluate a formula", _cmd_eval, (
+        _arg("expr"),
+        _arg("--family", choices=sorted(f.value for f in OperatorFamily), default="if"),
+        _arg("--tnorm", choices=sorted(t.value for t in TNormFamily), default="minmax"),
+        _JSON,
+        *_BOUNDS,
+        _SCALE,
+        _arg("--bind", type=_binding, action="append", metavar="NAME=<triple>"),
+    )),
+    "compare": (
+        "six-valued comparison of two decorated numbers",
+        functools.partial(_relation, relate=lambda x, y: compare_ns(x, y).value),
+        (*_PAIR, _JSON),
+    ),
+    "rough-compare": (
+        "rough-order comparison",
+        functools.partial(_relation, relate=_rough_symbol),
+        (*_PAIR, _JSON),
+    ),
+    "interval": ("decorated infimum/supremum of an interval", _cmd_interval, (
+        _arg("which", choices=("inf", "sup")),
+        _arg("--lo", **_KIND_VALUE),
+        _arg("--hi", **_KIND_VALUE),
+        _JSON,
+    )),
+    "classify": ("name the logics a (t, i, f) triple satisfies", _cmd_classify, (
+        *_TRIPLE, _SCALE, _JSON
+    )),
+    "validate": ("check a triple against offset bounds", _cmd_validate, (
+        *_TRIPLE, *_BOUNDS, _JSON
+    )),
+    "table": ("print golden decision tables", _cmd_table, (
+        _arg("what", choices=("inequalities",)), *_ENDS
+    )),
+    "anomaly": ("rough-interval membership demonstration", _cmd_anomaly, (
+        *_ENDS,
+        _arg("--probes", type=_count, default=1000,
+             help=f"number of random probes, 0 to {_MAX_PROBES} (default: %(default)s)"),
+        _arg("--seed", type=int, default=0),
+        _JSON,
+    )),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for every subcommand.
+    """The argument parser for every subcommand, built from _COMMANDS.
 
     Built on first use and shared by every later call in the process,
     so callers must not mutate it.
@@ -224,73 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonstandard neutrosophic calculus evaluator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula")
-    p.add_argument("expr")
-    p.add_argument("--family", choices=sorted(_FAMILY), default="if")
-    p.add_argument("--tnorm", choices=sorted(_TNORM), default="minmax")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--psi", type=_fraction, default=Fraction(0))
-    p.add_argument("--omega", type=_fraction, default=Fraction(1))
-    p.add_argument("--scale", choices=("unit", "percent"), default="unit")
-    p.add_argument("--bind", type=_binding, action="append", metavar="NAME=<triple>")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("compare", help="six-valued comparison of two decorated numbers")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("rough-compare", help="rough-order comparison")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rough_compare)
-
-    p = sub.add_parser("interval", help="decorated infimum/supremum of an interval")
-    p.add_argument("which", choices=("inf", "sup"))
-    p.add_argument("--lo", type=_kind_value, required=True, metavar="KIND:VALUE")
-    p.add_argument("--hi", type=_kind_value, required=True, metavar="KIND:VALUE")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_interval)
-
-    p = sub.add_parser("classify", help="name the logics a (t, i, f) triple satisfies")
-    p.add_argument("t", type=_fraction)
-    p.add_argument("i", type=_fraction)
-    p.add_argument("f", type=_fraction)
-    p.add_argument("--scale", choices=("unit", "percent"), default="unit")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("validate", help="check a triple against offset bounds")
-    p.add_argument("t", type=_fraction)
-    p.add_argument("i", type=_fraction)
-    p.add_argument("f", type=_fraction)
-    p.add_argument("--psi", type=_fraction, default=Fraction(0))
-    p.add_argument("--omega", type=_fraction, default=Fraction(1))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("table", help="print golden decision tables")
-    p.add_argument("what", choices=("inequalities",))
-    p.add_argument("--a", type=_fraction, required=True)
-    p.add_argument("--b", type=_fraction, required=True)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("anomaly", help="rough-interval membership demonstration")
-    p.add_argument("--a", type=_fraction, required=True)
-    p.add_argument("--b", type=_fraction, required=True)
-    p.add_argument(
-        "--probes",
-        type=_count,
-        default=1000,
-        help=f"number of random probes, 0 to {_MAX_PROBES} (default: %(default)s)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_anomaly)
-
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            command.add_argument(*names, **options)
+        command.set_defaults(func=handler)
     return parser
 
 
@@ -315,7 +310,3 @@ def main(argv=None) -> int:
             print(note, file=sys.stderr)
         sys.stdout.write("".join(line + "\n" for line in out.lines()))
     return out.code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -245,10 +245,12 @@ _SCAN = re.compile(
     + r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<end>\Z)|(?P<bad>.))"
 )
 # Scanner group of a literal shape -> the indices of the texts its
-# components capture, which follow the group's own.
+# components capture: the groups between its own and the next named one.
+_GROUPS = sorted(_SCAN.groupindex.items(), key=lambda item: item[1])
 _LITERALS = {
-    shape: tuple(_SCAN.groupindex[shape] + k for k in range(1, 3 * re.compile(part).groups + 1))
-    for shape, (part, _) in _SHAPES.items()
+    shape: tuple(range(start + 1, end))
+    for (shape, start), (_, end) in zip(_GROUPS, _GROUPS[1:])
+    if shape in _SHAPES
 }
 
 

@@ -259,19 +259,19 @@ def _plain(q: Fraction, digits=str) -> str:
 
 
 def std(value) -> NsNumber:
-    return NsNumber(as_fraction(value), MonadKind.STD)
+    return NsNumber(value, MonadKind.STD)
 
 
 def left(value) -> NsNumber:
-    return NsNumber(as_fraction(value), MonadKind.LEFT)
+    return NsNumber(value, MonadKind.LEFT)
 
 
 def right(value) -> NsNumber:
-    return NsNumber(as_fraction(value), MonadKind.RIGHT)
+    return NsNumber(value, MonadKind.RIGHT)
 
 
 def bimonad(value) -> NsNumber:
-    return NsNumber(as_fraction(value), MonadKind.BIMONAD)
+    return NsNumber(value, MonadKind.BIMONAD)
 
 
 #: The one hand-written fact about decorations: the sides of its value

@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -835,7 +838,51 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert run(capsys, ["compare", "L(0.5)", "0.5"]) == (0, "<N\n", "")
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys, monkeypatch):
     proc = run_module(["compare", "L(0.5)", "R(0.5)"])
     assert proc.returncode == 0
     assert proc.stdout == "<N\n"
+    # The same entry in this process, where a line tracer sees it run.
+    monkeypatch.setattr(sys, "argv", ["neutrocalc", "compare", "L(0.5)", "R(0.5)"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("neutrocalc", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "<N\n"
+
+
+def _screens() -> list[tuple[list[str], int, str]]:
+    """(argv, exit code, output) of each `$ neutrocalc ...` block in cli_screens.txt."""
+    text = (DATA / "cli_screens.txt").read_text(encoding="utf-8")
+    screens = []
+    for block in re.split(r"^\$ ", text, flags=re.M)[1:]:
+        command, code, output = block.split("\n", 2)
+        screens.append((shlex.split(command)[1:], int(code.removeprefix("exit ")), output))
+    return screens
+
+
+SCREENS = _screens()
+
+
+def _words(text: str) -> str:
+    """text with runs of whitespace collapsed and no quotes in a `choose from` list.
+
+    Python 3.13 wraps the top-level usage line differently from 3.10-3.12,
+    with the same words, and later 3.12 and 3.13 releases print the choices
+    of an invalid-choice error bare ('if', 'ti' -> if, ti).
+    """
+    text = re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), text)
+    return " ".join(text.split())
+
+
+@pytest.mark.parametrize(
+    "argv, code, output", SCREENS, ids=[" ".join(argv) or "no-arguments" for argv, _, _ in SCREENS]
+)
+def test_help_screens_and_usage_errors(capsys, monkeypatch, argv, code, output):
+    # Help goes to stdout with exit 0, a usage error to stderr with exit 2.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    assert _words(err if code else out) == _words(output)
+    assert (out if code else err) == ""

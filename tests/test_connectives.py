@@ -491,6 +491,16 @@ class TestOffsetOperands:
             for w in clamped
         ]
 
+    def test_clamp_message_past_the_float_range(self):
+        # float() of the degree overflows, so the message shows its exact decimal.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = conj(NeutroTriple.single(10**400, 0, 0), NeutroTriple.single(0.5, 0, 0))
+        assert out == NeutroTriple.single(0.5, 0, 0)
+        assert [str(w.message) for w in caught] == [
+            f"degree 1{'0' * 400} clamped into [0, 1] for kernel application"
+        ]
+
     @pytest.mark.parametrize("cfg", ALL_CONFIGS)
     def test_no_warning_at_exactly_zero_and_one(self, cfg):
         # The public connectives clamp every standard operand; at the unit

@@ -803,6 +803,9 @@ class TestEvaluate:
             (lambda: evaluate(1), "req must be a EvalRequest, got 1"),
             (lambda: evaluate("<0,0,0>"), "req must be a EvalRequest, got '<0,0,0>'"),
             (lambda: free_identifiers(1), "f must be a Formula, got 1"),
+            (lambda: NsNumber(0, "left"), "kind must be a MonadKind"),
+            (lambda: Nonstandard([0.5]), "nonstandard members must be NsNumber or NsInterval"),
+            (lambda: NeutroTriple(1, 1, 1), "triple fields must be components"),
         ],
         ids=[
             "bindings-list",
@@ -853,6 +856,9 @@ class TestEvaluate:
             "evaluate-int",
             "evaluate-str",
             "free_identifiers-int",
+            "NsNumber-kind-str",
+            "Nonstandard-member-float",
+            "NeutroTriple-ints",
         ],
     )
     def test_malformed_fields_raise_type_error(self, build, message):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from neutrocalc import (
+    AnomalyReport,
     EmptySet,
     InvalidInterval,
     MonadKind,
@@ -175,6 +176,12 @@ class TestAnomaly:
         with pytest.raises(ValueError):
             anomaly_check(0.5, 0.5, [std(0.5)])
 
+    def test_discrepancies_index_the_probes_whose_memberships_differ(self):
+        probes, outer, inner = (std(0.5), std(2)), (True, True), (True, False)
+        report = AnomalyReport(0, 1, "]0, R(1)[", "]R(0), L(1)[", probes, outer, inner)
+        assert report.discrepancies == (1,)
+        assert not report.memberships_coincide
+
     def test_random_probe_sweep_has_no_discrepancies(self):
         rng = Random(11)
         for _ in range(20):
@@ -185,3 +192,43 @@ class TestAnomaly:
             assert report.memberships_coincide
             for probe, member in zip(report.probes, report.outer_membership):
                 assert member == (a <= probe.value <= b)
+
+
+# Errors that the type checks after a failed read let through.
+UNREADABLE = AttributeError("value cannot be read")
+FAILING = TypeError("the iterable failed")
+
+
+class _Unreadable(NsNumber):
+    """An NsNumber whose value raises UNREADABLE when read."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        if name == "value":
+            raise UNREADABLE
+        return super().__getattribute__(name)
+
+
+def _failing():
+    raise FAILING
+    yield
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: compare_ns(std(0), _Unreadable(0.5)), UNREADABLE),
+        (lambda: contains(NsInterval(std(0), std(1)), _Unreadable(0.5)), UNREADABLE),
+        (lambda: inf_ns_set(_failing()), FAILING),
+        (lambda: sup_ns_set([std(0), _Unreadable(1)]), UNREADABLE),
+        (lambda: anomaly_check(0, 1, _failing()), FAILING),
+        (lambda: anomaly_check(0, 1, [std(0.5), _Unreadable(0.5)]), UNREADABLE),
+    ],
+    ids=["compare_ns", "contains", "inf_ns_set-iter", "sup_ns_set-value", "anomaly-iter",
+         "anomaly-value"],
+)
+def test_an_error_the_type_checks_pass_comes_through_unchanged(call, error):
+    with pytest.raises(type(error)) as info:
+        call()
+    assert info.value is error

@@ -332,6 +332,15 @@ class TestConstruction:
         assert str(right(2)) == "R(2)"
         assert str(bimonad(-0.5)) == "B(-0.5)"
 
+    def test_notation_past_the_str_digit_limit(self):
+        # str() refuses an integer of more digits; Decimal renders it exactly.
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert str(std(10**4400)) == "1" + "0" * 4400
+        finally:
+            sys.set_int_max_str_digits(previous)
+
 
 def _shown(q) -> str:
     """repr(q), or the error repr raises past the int/str digit limit."""
