@@ -30,7 +30,7 @@ from .monads import (
     infinitely_close,
     roughly_leq,
 )
-from .triples import NeutroTriple, OffsetBounds, classify_logic, validate
+from .triples import _SCALES, NeutroTriple, OffsetBounds, classify_logic, validate
 
 # Kinds by name and by initial, in declaration order.
 _KIND_ORDER = tuple(MonadKind)
@@ -217,7 +217,7 @@ _BOUNDS = (
     _arg("--psi", type=_fraction, default=Fraction(0)),
     _arg("--omega", type=_fraction, default=Fraction(1)),
 )
-_SCALE = _arg("--scale", choices=("unit", "percent"), default="unit")
+_SCALE = _arg("--scale", choices=tuple(_SCALES), default="unit")
 _PAIR = _arg("x"), _arg("y")
 _ENDS = tuple(_arg(f"--{name}", type=_fraction, required=True) for name in "ab")
 _KIND_VALUE = {"type": _kind_value, "required": True, "metavar": "KIND:VALUE"}

@@ -2,12 +2,15 @@
 
     formula := "!" formula | formula ("&" | "|" | "->") formula | atom
     atom    := triple | ident | "(" formula ")"
-    triple  := "<" comp "," comp "," comp ">"
-    comp    := nsnum | "[" number "," number "]" | "{" number ("," number)* "}"
-    nsnum   := number | "L(" number ")" | "R(" number ")" | "B(" number ")"
+    triple  := "<" list(comp) ">"
+    comp    := nsnum | "[" number "," number "]" | "{" list(number) "}"
+    nsnum   := number | ("L" | "R" | "B") "(" number ")"
+    list(x) := x ("," x)*
     number  := ["-"] (digits ["." [digits]] | "." digits)
 
-A digit is any Unicode decimal digit, so "<٠.٥,0,0>" reads as <0.5, 0, 0>.
+A triple has three components of one shape, where plain numbers count as
+decorated ones.  A digit is any Unicode decimal digit, so "<٠.٥,0,0>"
+reads as <0.5, 0, 0>.
 
 From tightest to loosest the operators bind as ! & | ->; -> groups to the
 right, & and | to the left.  Whitespace is insignificant.  The unicode
@@ -24,13 +27,19 @@ which are decorated) and the texts its components capture.  The parser
 reaches the literal in source order and hands those texts to the shape's
 reader, which builds the triple, so a lexing error anywhere in the text
 still comes before a literal's InvalidInterval, and a syntax error
-before the literal after it.  Any other "<" is a plain punctuation
-token, and `_triple` reads what follows it token by token to name the
-error.  Every scanner alternative spells a number in the one unambiguous
-way, so a literal that almost matches fails in linear time.  The parser
-walks the token list by index, climbing precedence on explicit stacks,
-and shares the lexer and decorated-number reader with `parse_nsnumber`.
-Numbers are read by `monads._read_decimal`, whose bounded memo reads
+before the literal after it.  Every scanner alternative spells a number
+in the one unambiguous way, so a literal that almost matches fails in
+linear time.
+
+Each component spelling is one row of `_SPELLINGS`, the kinds of its
+tokens and its pattern; the scanner's shapes are built from the
+patterns.  Any other "<" is a plain punctuation token, and `_triple`
+reads what follows it by the kinds to name the error where the literal
+goes wrong, as `parse_nsnumber` reads a decorated number.
+
+The parser walks the token list by index, climbing precedence on
+explicit stacks, and shares the lexer with `parse_nsnumber`.  Numbers
+are read by `monads._read_decimal`, whose bounded memo reads
 each distinct short numeral once per process.  Parsed single-valued,
 hesitant, decorated and well-ordered interval triples skip the public
 constructors' coercion.
@@ -51,7 +60,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from fractions import Fraction
 
 from .connectives import OperatorConfig, _check_shapes, _row, _step, neg
 from .errors import (
@@ -72,6 +80,7 @@ from .triples import (
     OffsetBounds,
     SingleValued,
     UNIT_BOUNDS,
+    _SCALES,
     scale_triple,
     validate,
 )
@@ -186,12 +195,25 @@ _MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
 _NUMBER = rf"-?{_NUMERAL}"
 _NUMBERS = re.compile(_NUMBER)
 
+# Component spelling, keyed by the kind of the token that opens it ("monad"
+# for a monad letter that "(" follows) -> the kinds of its tokens, where a
+# pair (item, close) is a `_list`, and its pattern, whose groups capture its
+# numbers.  A new spelling is a row here and its shape's reader in _SHAPES.
+_SPELLINGS = {
+    "number": (("number",), f"({_NUMBER})"),
+    "[": (("[", "number", ",", "number", "]"), rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]"),
+    "{": (("{", (("number",), "}")), rf"\{{\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\}}"),
+    "monad": (
+        ("ident", "(", "number", ")"),
+        rf"([{''.join(_MONAD_LETTER)}])\s*\(\s*({_NUMBER})\s*\)",
+    ),
+}
+
 
 def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> Nonstandard:
     """The one-number nonstandard component L(x), R(x), B(x) or plain x."""
-    if letter is None:
-        return Nonstandard._of((NsNumber._of(_read_decimal(plain), MonadKind.STD),))
-    return Nonstandard._of((NsNumber._of(_read_decimal(inner), _MONAD_LETTER[letter]),))
+    kind = _MONAD_LETTER.get(letter, MonadKind.STD)
+    return Nonstandard._of((NsNumber._of(_read_decimal(inner or plain), kind),))
 
 
 def _hesitant(text: str) -> Hesitant:
@@ -205,12 +227,13 @@ def _interval(lo_text: str, hi_text: str) -> IntervalValued:
     return IntervalValued._of(lo, hi) if ln * hd <= hn * ld else IntervalValued(lo, hi)
 
 
-# Literal shape -> the pattern of one component, and the reader that builds
-# the triple, through the trusted constructors, from the texts its three
-# components capture.  A new spelling goes here and into _triple.
+# Literal shape -> the pattern of one component, from _SPELLINGS, and the
+# reader that builds the triple, through the trusted constructors, from the
+# texts its three components capture.  A decorated component is a monad
+# letter's spelling or a plain number.
 _SHAPES = {
     "single": (
-        f"({_NUMBER})",
+        _SPELLINGS["number"][1],
         lambda t: NeutroTriple._of(
             SingleValued._of(_read_decimal(t[0])),
             SingleValued._of(_read_decimal(t[1])),
@@ -218,17 +241,17 @@ _SHAPES = {
         ),
     ),
     "interval": (
-        rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]",
+        _SPELLINGS["["][1],
         lambda t: NeutroTriple._of(
             _interval(t[0], t[1]), _interval(t[2], t[3]), _interval(t[4], t[5])
         ),
     ),
     "hesitant": (
-        rf"\{{\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\}}",
+        _SPELLINGS["{"][1],
         lambda t: NeutroTriple._of(_hesitant(t[0]), _hesitant(t[1]), _hesitant(t[2])),
     ),
     "decorated": (
-        rf"(?:([{''.join(_MONAD_LETTER)}])\s*\(\s*({_NUMBER})\s*\)|({_NUMBER}))",
+        f"(?:{_SPELLINGS['monad'][1]}|{_SPELLINGS['number'][1]})",
         lambda t: NeutroTriple._of(_nsnum(*t[0:3]), _nsnum(*t[3:6]), _nsnum(*t[6:9])),
     ),
 }
@@ -292,18 +315,52 @@ def _unexpected(tok: tuple, expected: frozenset[str], what: str | None = None):
     return FormulaSyntaxError(f"expected {what}, found {_describe(tok[0])}", tok[2], expected)
 
 
-def _check(tokens: list, i: int, kinds: tuple[str, ...]) -> None:
-    """Raise at the first token from tokens[i] on that is not of the next
-    kind; kinds other than the last are never "end", the last token."""
+def _opener(tokens: list, i: int) -> str:
+    """The _SPELLINGS key of the component that tokens[i] would open: its
+    kind, or "monad" for a monad letter that "(" follows."""
+    kind, text = tokens[i][:2]
+    return "monad" if text in _MONAD_LETTER and tokens[i + 1][0] == "(" else kind
+
+
+def _component(tokens: list, i: int, kinds: tuple | None = None) -> int:
+    """Read tokens of `kinds`, by default those of the component spelling
+    that tokens[i] opens, from tokens[i] on, and return the index past
+    them.  Raise at the first token that is not of the next kind; a pair
+    (item, close) among the kinds is a `_list`.  Kinds other than the
+    last are never "end", the last token."""
+    if kinds is None:
+        if (row := _SPELLINGS.get(_opener(tokens, i))) is None:
+            raise _unexpected(tokens[i], _COMP_EXPECTED, "a triple component")
+        kinds = row[0]
     for kind in kinds:
-        if tokens[i][0] != kind:
+        if type(kind) is tuple:
+            i = _list(tokens, i, *kind)[0]
+        elif tokens[i][0] != kind:
             raise _unexpected(tokens[i], frozenset({_describe(kind)}))
+        else:
+            i += 1
+    return i
+
+
+def _list(tokens: list, i: int, item: tuple | None, close: str) -> tuple[int, list[str]]:
+    """Read an item, then "," and an item as often as "," follows, then
+    `close`, from tokens[i] on.  An item is tokens of the kinds `item`, or
+    any component for None.  Returns the index past `close` and the
+    `_opener` of each item."""
+    openers = []
+    while True:
+        openers.append(_opener(tokens, i))
+        i = _component(tokens, i, item)
+        if tokens[i][0] != ",":
+            break
         i += 1
+    if tokens[i][0] != close:
+        raise _unexpected(tokens[i], frozenset({"','", _describe(close)}))
+    return i + 1, openers
 
 
-_PERCENT = Fraction(1, 100)
 _NSNUM_EXPECTED = frozenset({"number", *(f"'{letter}('" for letter in _MONAD_LETTER)})
-_COMP_EXPECTED = _NSNUM_EXPECTED | {"'['", "'{'"}
+_COMP_EXPECTED = _NSNUM_EXPECTED | {_describe(key) for key in _SPELLINGS if key != "monad"}
 _ATOM_EXPECTED = frozenset({"'<'", "identifier", "'('", "'!'"})
 _AFTER_FORMULA = frozenset({"'&'", "'|'", "'->'", "end of input"})
 
@@ -370,72 +427,31 @@ def _triple(tokens: list, i: int):
     """Raise the error of the malformed triple literal whose "<" is tokens[i].
 
     The scanner takes every well-formed literal whole, so this reader sees
-    only malformed ones.  It reads the literal token by token and raises
-    at the token where it goes wrong, a missing or stray token, else for
-    the wrong number of components, else for components of mixed shapes:
-    the scanner builds every literal of one shape, and reads plain numbers
-    among decorated ones as standard.  It accepts every spelling that the
-    scanner's shapes accept; a new spelling goes into both.
+    only malformed ones.  It reads the components as one `_list` and
+    raises at the token where the literal goes wrong, a missing or stray
+    token, else for the wrong number of components, else for components
+    of mixed shapes: the scanner builds every literal of one shape, and
+    reads plain numbers among decorated ones as standard.
     """
-    start = tokens[i][2]
-    tags = []
-    while True:
-        i += 1  # past the "<" or ","
-        kind = tokens[i][0]
-        if kind == "number":
-            tags.append("num")
-            i += 1
-        elif kind == "[":
-            _check(tokens, i + 1, ("number", ",", "number", "]"))
-            tags.append("interval")
-            i += 5
-        elif kind == "{":
-            while True:
-                _check(tokens, i + 1, ("number",))
-                i += 2
-                if tokens[i][0] != ",":
-                    break
-            if tokens[i][0] != "}":
-                raise _unexpected(tokens[i], frozenset({"','", "'}'"}))
-            tags.append("hesitant")
-            i += 1
-        elif _decorated(tokens, i) is not None:
-            tags.append("ns")
-            i += 4
-        else:
-            raise _unexpected(tokens[i], _COMP_EXPECTED, "a triple component")
-        if tokens[i][0] != ",":
-            break
-    if tokens[i][0] != ">":
-        raise _unexpected(tokens[i], frozenset({"','", "'>'"}))
-    if len(tags) != 3:
-        raise ArityError(f"triple literal has {len(tags)} components, expected 3", start)
-    if "ns" in tags:
+    _, openers = _list(tokens, i + 1, None, ">")
+    if len(openers) != 3:
+        raise ArityError(f"triple literal has {len(openers)} components, expected 3", tokens[i][2])
+    if "monad" in openers:
         raise ShapeMismatch("decorated numbers cannot mix with interval or hesitant components")
     raise ShapeMismatch("triple components must share one shape")
-
-
-def _decorated(tokens: list, i: int) -> NsNumber | None:
-    """The decorated number L(x), R(x) or B(x) that spans tokens[i:i + 4];
-    None when no decorated number starts at tokens[i]."""
-    kind, text = tokens[i][:2]
-    if kind != "ident" or text not in _MONAD_LETTER or tokens[i + 1][0] != "(":
-        return None
-    _check(tokens, i + 2, ("number", ")"))
-    return NsNumber._of(tokens[i + 2][3], _MONAD_LETTER[text])
 
 
 def parse_nsnumber(text: str) -> NsNumber:
     """Parse a bare decorated-number literal such as 0.8 or L(0.3)."""
     _check_type("text", text, str)
     tokens = _lex(text)
-    if tokens[0][0] == "number":
+    if tokens[0][0] == "number":  # the common case, kept off _component for speed
         n, i = NsNumber._of(tokens[0][3], MonadKind.STD), 1
-    elif (n := _decorated(tokens, 0)) is not None:
-        i = 4
+    elif _opener(tokens, 0) == "monad":
+        i, n = _component(tokens, 0), NsNumber._of(tokens[2][3], _MONAD_LETTER[tokens[0][1]])
     else:
         raise _unexpected(tokens[0], _NSNUM_EXPECTED, "a decorated number")
-    _check(tokens, i, ("end",))
+    _component(tokens, i, ("end",))
     return n
 
 
@@ -518,7 +534,7 @@ class EvalRequest(_Frozen):
         bindings: Mapping[str, NeutroTriple] = {},  # copied below, never mutated
     ):
         _check_type("formula", formula, str)
-        if scale not in ("unit", "percent"):
+        if scale not in tuple(_SCALES):
             raise ValueError("scale must be 'unit' or 'percent'")
         _check_type("config", config, OperatorConfig)
         _check_type("bounds", bounds, OffsetBounds)
@@ -546,8 +562,8 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
 
     def admit(source: str, tr: NeutroTriple) -> NeutroTriple:
         """tr on the unit scale, once it passes validate."""
-        if req.scale == "percent":
-            tr = scale_triple(tr, _PERCENT)
+        if (factor := _SCALES[req.scale]) != 1:
+            tr = scale_triple(tr, factor)
         report = validate(tr, req.bounds)
         if not report.ok:
             detail = "; ".join(f"{v.where}: {v.message}" for v in report.violations)

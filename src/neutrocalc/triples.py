@@ -18,6 +18,7 @@ from .errors import (
     EmptyComponent,
     InvalidBounds,
     InvalidInterval,
+    NeutroCalcError,
     ShapeMismatch,
     UnsupportedNonstandardConfig,
     _check_type,
@@ -162,6 +163,12 @@ def _canonical(values) -> tuple[Fraction, ...]:
     return tuple([f for _, f in keyed])
 
 
+#: Most value pairs that one hesitant operation computes.  Each conjunct of
+#: a hesitant product multiplies the values of a component by about its own
+#: count, so an unchecked chain grows without bound.
+_MAX_PAIRS = 2**16
+
+
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted."""
 
@@ -195,7 +202,13 @@ class Hesitant(Component):
         return Hesitant._of(v * q for v in self.values)
 
     def _apply(self, other: "Hesitant", op) -> "Hesitant":
-        """op on every pair of values, in pair order."""
+        """op on every pair of values, in pair order; refused, before any
+        pair is computed, past _MAX_PAIRS pairs."""
+        m, n = len(self.values), len(other.values)
+        if m * n > _MAX_PAIRS:
+            raise NeutroCalcError(
+                f"hesitant product of {m} by {n} values exceeds the limit of {_MAX_PAIRS} pairs"
+            )
         return Hesitant._of(op(u, v) for u in self.values for v in other.values)
 
     def to_json(self) -> dict:
@@ -436,17 +449,15 @@ def classify_logic(t, i, f, scale: str = "unit") -> frozenset[str]:
     Classification happens on the unit scale; pass scale="percent" for
     degrees quoted out of 100.  Equality is tested at tolerance 1e-9.
     """
-    if scale not in ("unit", "percent"):
+    if scale not in tuple(_SCALES):
         raise ValueError("scale must be 'unit' or 'percent'")
     degrees = []
     for name, v in (("t", t), ("i", i), ("f", f)):
         try:
-            degrees.append(as_fraction(v))
+            degrees.append(as_fraction(v) * _SCALES[scale])
         except TypeError:
             raise TypeError(f"{name} must be a number, got {v!r}") from None
     t, i, f = degrees
-    if scale == "percent":
-        t, i, f = t / 100, i / 100, f / 100
     n = t + i + f
     labels = set()
     if _gt(n, 0) and _lt(n, 1):
@@ -501,6 +512,12 @@ def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     if x.kind is MonadKind.STD and x.value == 0:
         return TruthGrade.RELATIVE_NEGATIVE
     return TruthGrade.ORDINARY
+
+
+# Scale name -> the factor that takes its degrees onto the unit scale.  A
+# name is checked against tuple(_SCALES), by ==, so that an unhashable one
+# is refused like any other.
+_SCALES = {"unit": 1, "percent": Fraction(1, 100)}
 
 
 def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:

@@ -440,6 +440,20 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (0, "<1, 0, 0>\n")
         assert "Traceback" not in proc.stderr
 
+    def test_hesitant_product_past_the_limit_exits_1(self, capsys):
+        # Eight literals of 5 distinct values per component: the product
+        # conjunction would reach 5**8 values; the sixth "&" is refused.
+        literals = [
+            "<" + ",".join("{" + ",".join(f"0.{k}{c}{j}1" for j in range(1, 6)) + "}"
+                           for c in range(3)) + ">"
+            for k in range(1, 9)
+        ]
+        code, out, err = run(capsys, ["eval", " & ".join(literals), "--tnorm", "product"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: hesitant product of 15625 by 5 values exceeds the limit of 65536 pairs\n"
+        )
+
     def test_unsupported_nonstandard_config_exits_1(self, capsys):
         code, _, err = run(
             capsys, ["eval", "<R(1),0,0> & <0,0,R(1)>", "--tnorm", "product"]

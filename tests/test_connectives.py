@@ -12,6 +12,7 @@ from neutrocalc import (
     EvalRequest,
     Hesitant,
     IntervalValued,
+    NeutroCalcError,
     NeutroTriple,
     Nonstandard,
     NsInterval,
@@ -236,6 +237,36 @@ class TestHesitant:
         out = conj(x, y, cfg)
         meet = {tnorm(u, v, cfg.tnorm) for u in x.t.values for v in y.t.values}
         assert set(out.t.values) == meet
+
+
+def _hesitant_t(count: int, first: int) -> NeutroTriple:
+    """count distinct degrees from first/1024 on in T, one degree in I and F."""
+    values = [Fraction(first + k, 1024) for k in range(count)]
+    return NeutroTriple(Hesitant(values), Hesitant([0]), Hesitant([0]))
+
+
+class TestHesitantPairLimit:
+    """One hesitant operation computes at most 2**16 value pairs; past that,
+    a typed error, before any pair is computed."""
+
+    def test_refused_past_the_limit(self):
+        with pytest.raises(NeutroCalcError) as info:
+            conj(_hesitant_t(257, 1), _hesitant_t(256, 300), OperatorConfig(IF, PRODUCT))
+        assert str(info.value) == (
+            "hesitant product of 257 by 256 values exceeds the limit of 65536 pairs"
+        )
+
+    def test_no_pair_computed_when_refused(self):
+        x, y = _hesitant_t(2**16 + 1, 0).t, Hesitant([1])
+        pairs = []
+        with pytest.raises(NeutroCalcError, match="hesitant product of 65537 by 1 values"):
+            x._apply(y, lambda u, v: pairs.append((u, v)))
+        assert pairs == []
+
+    def test_computed_at_the_limit(self):
+        x, y = _hesitant_t(256, 1), _hesitant_t(256, 300)
+        out = conj(x, y, OperatorConfig(IF, PRODUCT))
+        assert set(out.t.values) == {u * v for u in x.t.values for v in y.t.values}
 
 
 class TestNonstandard:

@@ -67,7 +67,7 @@ from neutrocalc import (
     unparse,
     validate,
 )
-from neutrocalc.formula import _lex, _postorder
+from neutrocalc.formula import _MONAD_LETTER, _SPELLINGS, _component, _lex, _postorder
 
 IF_MINMAX = OperatorConfig(OperatorFamily.F_ALIGNED, TNormFamily.MIN_MAX)
 
@@ -266,6 +266,13 @@ _ERROR_CASES = [
     )),
     (parse_nsnumber, "", (
         FormulaSyntaxError, "expected a decorated number, found end of input (at position 1)", 1,
+        _NSNUM,
+    )),
+    (parse_nsnumber, "{0.5}", (  # a component spelling, but not a decorated number
+        FormulaSyntaxError, "expected a decorated number, found '{' (at position 1)", 1, _NSNUM,
+    )),
+    (parse_nsnumber, "L 0.5", (  # a monad letter that "(" does not follow
+        FormulaSyntaxError, "expected a decorated number, found identifier (at position 1)", 1,
         _NSNUM,
     )),
     (parse_nsnumber, "R(", (
@@ -468,6 +475,59 @@ def test_well_formed_literals_lex_to_one_token(literal, lead):
     kind, _, offset, comps = tokens[0]
     assert (kind, offset) == ("<", len(lead) + 1) and comps is not None
     assert parse(lead + text) == Literal(expected)
+
+
+@st.composite
+def _spelling_tokens(draw, kinds):
+    """Token texts of a component spelled by `kinds`, as _SPELLINGS writes
+    them: a number in any accepted spelling, a monad letter for "ident",
+    and for a pair (item, close) one to three items apart by "," and then
+    close."""
+    texts = []
+    for kind in kinds:
+        if isinstance(kind, tuple):
+            item, close = kind
+            for n in range(draw(st.integers(1, 3))):
+                texts += [","] * (n > 0) + draw(_spelling_tokens(item))
+            texts.append(close)
+        elif kind == "number":
+            texts.append(draw(_spelled_number())[0])
+        elif kind == "ident":
+            texts.append(draw(st.sampled_from(sorted(_MONAD_LETTER))))
+        else:
+            texts.append(kind)
+    return texts
+
+
+def _spaced(draw, texts, gaps):
+    """texts with a gap drawn from gaps between each two."""
+    return "".join(draw(gaps) + t if n else t for n, t in enumerate(texts))
+
+
+@pytest.mark.parametrize("key", _SPELLINGS)
+@given(data=st.data())
+def test_spelling_kinds_and_pattern_agree(key, data):
+    """Each row's two columns, the kinds `_component` reads and the pattern
+    the scanner takes its shapes from, accept the same texts: a spelling
+    built from the kinds, and not once one of its tokens is dropped or
+    doubled."""
+    kinds, pattern = _SPELLINGS[key]
+    texts = data.draw(_spelling_tokens(kinds))
+    text = _spaced(data.draw, texts, _SPACE)
+    assert re.fullmatch(pattern, text)
+    tokens = _lex(text)
+    assert _component(tokens, 0) == len(tokens) - 1
+
+    k = data.draw(st.integers(0, len(texts) - 1))
+    texts[k:k + 1] = data.draw(st.sampled_from([[], [texts[k]] * 2]))
+    # Never an empty gap, so that no two tokens merge into one.
+    text = _spaced(data.draw, texts, st.text(alphabet=" \t\n\u00a0", min_size=1, max_size=3))
+    assert not re.fullmatch(pattern, text)
+    tokens = _lex(text)
+    try:
+        assert _component(tokens, 0) < len(tokens) - 1
+    except FormulaSyntaxError:
+        pass
 
 
 _HOSTILE = {
@@ -738,6 +798,12 @@ class TestEvaluate:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             EvalRequest("<1,0,0>", scale="permille")
+
+    @pytest.mark.parametrize("scale", ["permille", [], {}, None])
+    def test_bad_scale_message(self, scale):
+        with pytest.raises(ValueError) as info:
+            EvalRequest("<1,0,0>", scale=scale)
+        assert str(info.value) == "scale must be 'unit' or 'percent'"
 
     @pytest.mark.parametrize("value", [5, "<1,0,0>", None, Literal(NeutroTriple.single(1, 0, 0))])
     def test_bindings_must_be_triples(self, value):

@@ -308,6 +308,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_logic(1, 0, 0, scale="permille")
 
+    @pytest.mark.parametrize("scale", ["permille", [], {}, None])
+    def test_bad_scale_message(self, scale):
+        with pytest.raises(ValueError) as info:
+            classify_logic(1, 0, 0, scale=scale)
+        assert str(info.value) == "scale must be 'unit' or 'percent'"
+
     @given(unit_fractions, unit_fractions, unit_fractions)
     def test_unit_triples_are_multi_valued(self, t, i, f):
         labels = classify_logic(t, i, f)
