@@ -4,6 +4,16 @@ Conjunction always meets T and joins F; disjunction mirrors that.  The
 families differ only in how indeterminacy travels (``_FAMILY_RULES``): I
 follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
+The blend is the midpoint of meet and join, and every kernel's t-norm and
+t-conorm add up to the operands' sum: min(a, b) + max(a, b) = a + b,
+ab + (a + b - ab) = a + b, and max(0, a + b - 1) + min(1, a + b) = a + b.
+So the unit and decorated rows blend each value pair in one call, the
+midpoint of the operands.  The offset row's blend is the midpoint of its
+clamped operands too, but it still applies both clamping kernels: each
+clamps, and warns about, an out-of-range degree, and the benchmark's
+reference expects those two ClampWarnings per degree (ROADMAP item 15
+moves it to one).
+
 Each connective reads its operators from one table keyed by (kernel,
 number domain): "unit" (the bare kernels), "offset" (every operand
 clamped into [0, 1] first, with a ClampWarning per clamp), and
@@ -31,7 +41,7 @@ from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type, _Frozen
 from .monads import NsNumber, _plain, _ratio, add_ns, as_fraction, max_ns, min_ns
-from .triples import UNIT_BOUNDS, NeutroTriple, Nonstandard
+from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _check_pairs
 
 __all__ = [
     "TNormFamily",
@@ -213,12 +223,17 @@ _FAMILY_RULES = {
 }
 
 
-def _rows(meet, join, midpoint) -> dict:
-    """(t_op, i_op, f_op) per (family, is_conj); blend is the midpoint of meet and join."""
+def _rows(meet, join, blend) -> dict:
+    """(t_op, i_op, f_op) per (family, is_conj); blend is the plithogenic I op.
 
-    def blend(a, b):
-        return midpoint(meet(a, b), join(a, b))
-
+    The blend is the midpoint of meet and join.  T(a, b) + S(a, b) = a + b
+    under every kernel (min + max; ab + (a + b - ab); max(0, a + b - 1) +
+    min(1, a + b)), so the unit rows blend with `_midpoint`.  The decorated
+    row blends with `_ns_midpoint`: `Nonstandard._apply` admits only single
+    L, S or R numbers, which min_ns and max_ns always rank, so {min, max} =
+    {a, b}, and the decorated sum is symmetric.  The offset row blends its
+    clamping meet and join, so that each warns (see the module docstring).
+    """
     return {
         (family, is_conj): tuple({"meet": m, "join": j, "blend": blend}[r] for r in rules)
         for family, rules in _FAMILY_RULES.items()
@@ -226,11 +241,21 @@ def _rows(meet, join, midpoint) -> dict:
     }
 
 
+def _offset_rows(tn, tc) -> dict:
+    """The rows of kernel (tn, tc) on operands clamped into [0, 1] first."""
+    meet, join = _offset(tn), _offset(tc)
+
+    def blend(a: Fraction, b: Fraction) -> Fraction:
+        return _midpoint(meet(a, b), join(a, b))
+
+    return _rows(meet, join, blend)
+
+
 #: The one operator table: (kernel, domain) -> rows.  Only min/max ranks decorated numbers.
 _OPERATORS = {
-    (kernel, domain): _rows(*ops, _midpoint)
+    (kernel, domain): rows
     for kernel, (tn, tc) in _KERNELS.items()
-    for domain, ops in (("unit", (tn, tc)), ("offset", (_offset(tn), _offset(tc))))
+    for domain, rows in (("unit", _rows(tn, tc, _midpoint)), ("offset", _offset_rows(tn, tc)))
 }
 # Looked up at call time, as _offset's kernels look up _clamped, so that wrappers
 # set on this module after import (a tracer's spans) see every call.
@@ -261,8 +286,13 @@ def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tu
 
 
 def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
-    """row applied to two same-shape triples, component by component."""
+    """row applied to two same-shape triples, component by component.
+    Hesitant operands are refused past the pair limit before any pair of
+    any component is computed."""
     t_op, i_op, f_op = row
+    if type(x.t) is Hesitant:
+        for c, d in ((x.t, y.t), (x.i, y.i), (x.f, y.f)):
+            _check_pairs(c, d)
     # Spelled out rather than looped, for speed; each _apply returns its
     # operands' class, so the shapes still agree.
     return NeutroTriple._of(

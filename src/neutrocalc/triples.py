@@ -169,6 +169,15 @@ def _canonical(values) -> tuple[Fraction, ...]:
 _MAX_PAIRS = 2**16
 
 
+def _check_pairs(x: "Hesitant", y: "Hesitant") -> None:
+    """Refuse an operation on the values of x and y past _MAX_PAIRS pairs."""
+    m, n = len(x.values), len(y.values)
+    if m * n > _MAX_PAIRS:
+        raise NeutroCalcError(
+            f"hesitant product of {m} by {n} values exceeds the limit of {_MAX_PAIRS} pairs"
+        )
+
+
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted."""
 
@@ -204,11 +213,7 @@ class Hesitant(Component):
     def _apply(self, other: "Hesitant", op) -> "Hesitant":
         """op on every pair of values, in pair order; refused, before any
         pair is computed, past _MAX_PAIRS pairs."""
-        m, n = len(self.values), len(other.values)
-        if m * n > _MAX_PAIRS:
-            raise NeutroCalcError(
-                f"hesitant product of {m} by {n} values exceeds the limit of {_MAX_PAIRS} pairs"
-            )
+        _check_pairs(self, other)
         return Hesitant._of(op(u, v) for u in self.values for v in other.values)
 
     def to_json(self) -> dict:

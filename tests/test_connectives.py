@@ -263,6 +263,26 @@ class TestHesitantPairLimit:
             x._apply(y, lambda u, v: pairs.append((u, v)))
         assert pairs == []
 
+    def test_no_pair_of_any_component_computed_when_one_is_refused(self, monkeypatch):
+        # T is at the limit and I past it: the refusal names I, and no
+        # component, T included, has been applied.
+        x = NeutroTriple(_hesitant_t(256, 1).t, _hesitant_t(257, 1).t, Hesitant([0]))
+        y = NeutroTriple(_hesitant_t(256, 300).t, _hesitant_t(256, 300).t, Hesitant([0]))
+        applied = []
+        original = Hesitant._apply
+
+        def recording(self, other, op):
+            applied.append((len(self.values), len(other.values)))
+            return original(self, other, op)
+
+        monkeypatch.setattr(Hesitant, "_apply", recording)
+        with pytest.raises(NeutroCalcError) as info:
+            conj(x, y, OperatorConfig(IF, PRODUCT))
+        assert str(info.value) == (
+            "hesitant product of 257 by 256 values exceeds the limit of 65536 pairs"
+        )
+        assert applied == []
+
     def test_computed_at_the_limit(self):
         x, y = _hesitant_t(256, 1), _hesitant_t(256, 300)
         out = conj(x, y, OperatorConfig(IF, PRODUCT))
@@ -558,6 +578,51 @@ class TestOffsetOperands:
                     ):
                         row = connectives._row(cfg, first, is_conj, UNIT_BOUNDS)
                         assert op(a, b, cfg) == connectives._step(first, b, row)
+
+
+def _pairs(c, d) -> list:
+    """The value pairs one connective applies its I op to: every hesitant
+    pair, else the pairs of single values or of interval endpoints."""
+    cv, dv = c.value_range()[0], d.value_range()[0]
+    return [(u, v) for u in cv for v in dv] if isinstance(c, Hesitant) else list(zip(cv, dv))
+
+
+class TestUnitBlend:
+    """Under the bounds [0, 1] the plithogenic I is the midpoint of each
+    value pair's t-norm and t-conorm, exactly."""
+
+    @pytest.mark.parametrize("k", ALL_KERNELS)
+    @settings(max_examples=40, phases=NO_SHRINK)  # 3 parameter cases share the budget
+    @given(
+        pair=st.one_of(
+            st.tuples(single_triples, single_triples),
+            st.tuples(interval_triples, interval_triples),
+            st.tuples(hesitant_triples, hesitant_triples),
+        ),
+        op=st.sampled_from(["&", "|", "->"]),
+    )
+    def test_blend_matches_the_kernel_definitions(self, k, pair, op):
+        x, y = pair
+        req = EvalRequest(
+            f"x {op} y", OperatorConfig(PLITH, k), bounds=UNIT_BOUNDS, bindings={"x": x, "y": y}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evaluate(req)
+        # Negation keeps I, so x -> y blends the same I pairs as x | y.
+        blends = [(_ref_tnorm(u, v, k) + _ref_tconorm(u, v, k)) / 2 for u, v in _pairs(x.i, y.i)]
+        if isinstance(x.i, Hesitant):
+            blends = sorted(set(blends))
+        degrees = list(out.i.value_range()[0])
+        assert degrees == blends
+        assert all(type(v) is Fraction for v in degrees)
+
+    def test_unit_and_decorated_rows_blend_the_operands(self):
+        ops = connectives._OPERATORS
+        for is_conj in (True, False):
+            for k in ALL_KERNELS:
+                assert ops[k, "unit"][PLITH, is_conj][1] is connectives._midpoint
+            assert ops[MINMAX, "decorated"][PLITH, is_conj][1] is connectives._ns_midpoint
 
 
 def _rebuilt(x: NeutroTriple) -> NeutroTriple:

@@ -11,6 +11,7 @@ on the same question.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -20,6 +21,7 @@ import oracles
 from neutrocalc import (
     Hesitant,
     IncomparableOperands,
+    MonadKind,
     NeutroTriple,
     Nonstandard,
     NsInterval,
@@ -34,6 +36,7 @@ from neutrocalc import (
     compare_ns,
     conj,
     contains,
+    disj,
     inf_ns_set,
     max_ns,
     min_ns,
@@ -236,11 +239,24 @@ def test_nonstandard_scaling_is_exact(data, drawn, hesitant, q):
         assert [type(v) for v in after.values] == [Fraction] * len(after.values)
 
 
-@given(one_sided, one_sided)
-def test_plithogenic_blend_is_exact(x, y):
+def _every_one_sided_pair(test):
+    """test with one example per L/S/R kind pair, at equal values and at
+    distinct ones in both orders, under conjunction and disjunction."""
+    sides = (MonadKind.STD, MonadKind.LEFT, MonadKind.RIGHT)
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    for kx, ky in product(sides, sides):
+        for a, b in ((third, third), (third, two_thirds), (two_thirds, third)):
+            for connective in (conj, disj):
+                test = example(NsNumber(a, kx), NsNumber(b, ky), connective)(test)
+    return test
+
+
+@_every_one_sided_pair
+@given(one_sided, one_sided, st.sampled_from([conj, disj]))
+def test_plithogenic_blend_is_exact(x, y, connective):
     t = NeutroTriple.nonstandard(x, x, x)
     u = NeutroTriple.nonstandard(y, y, y)
-    out = conj(t, u, OperatorConfig(OperatorFamily.PLITHOGENIC, TNormFamily.MIN_MAX))
+    out = connective(t, u, OperatorConfig(OperatorFamily.PLITHOGENIC, TNormFamily.MIN_MAX))
     [blend] = out.i.members
     assert blend.value == (x.value + y.value) / 2
     assert blend.kind is add_ns(min_ns(x, y), max_ns(x, y)).kind
