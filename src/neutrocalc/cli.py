@@ -293,12 +293,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
-    except FormulaSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NeutroCalcError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, FormulaSyntaxError) else 1
     if getattr(args, "json", False):  # table has no --json
         try:
             sys.stdout.write(json.dumps(out.payload(), ensure_ascii=False) + "\n")

@@ -4,15 +4,9 @@ Conjunction always meets T and joins F; disjunction mirrors that.  The
 families differ only in how indeterminacy travels (``_FAMILY_RULES``): I
 follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
-The blend is the midpoint of meet and join, and every kernel's t-norm and
-t-conorm add up to the operands' sum: min(a, b) + max(a, b) = a + b,
-ab + (a + b - ab) = a + b, and max(0, a + b - 1) + min(1, a + b) = a + b.
-So the unit and decorated rows blend each value pair in one call, the
-midpoint of the operands.  The offset row's blend is the midpoint of its
-clamped operands too, but it still applies both clamping kernels: each
-clamps, and warns about, an out-of-range degree, and the benchmark's
-reference expects those two ClampWarnings per degree (ROADMAP item 15
-moves it to one).
+The blend is the midpoint of meet and join; `_rows` states the identity
+that lets the unit and decorated rows take it in one call per value
+pair, and why the offset row does not.
 
 Each connective reads its operators from one table keyed by (kernel,
 number domain): "unit" (the bare kernels), "offset" (every operand
@@ -231,8 +225,11 @@ def _rows(meet, join, blend) -> dict:
     min(1, a + b)), so the unit rows blend with `_midpoint`.  The decorated
     row blends with `_ns_midpoint`: `Nonstandard._apply` admits only single
     L, S or R numbers, which min_ns and max_ns always rank, so {min, max} =
-    {a, b}, and the decorated sum is symmetric.  The offset row blends its
-    clamping meet and join, so that each warns (see the module docstring).
+    {a, b}, and the decorated sum is symmetric.  The offset row's blend is
+    the midpoint of its clamped operands too, but it applies both clamping
+    kernels: each clamps, and warns about, an out-of-range degree, and the
+    benchmark's reference expects those two ClampWarnings per degree
+    (ROADMAP item 15 moves it to one).
     """
     return {
         (family, is_conj): tuple({"meet": m, "join": j, "blend": blend}[r] for r in rules)
@@ -287,8 +284,8 @@ def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tu
 
 def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
     """row applied to two same-shape triples, component by component.
-    Hesitant operands are refused past the pair limit before any pair of
-    any component is computed."""
+    Hesitant operands are refused past the pair limit here alone, before
+    any pair of any component is computed."""
     t_op, i_op, f_op = row
     if type(x.t) is Hesitant:
         for c, d in ((x.t, y.t), (x.i, y.i), (x.f, y.f)):

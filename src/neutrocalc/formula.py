@@ -467,28 +467,37 @@ def unparse(f: Formula) -> str:
     _check_type("f", f, Formula, "Formula")
     pieces: list[str] = []
     # Pairs of a node or text to emit and the least binding strength it
-    # prints bare at; the next one is last.
+    # prints bare at, None for a text; the next one is last.
     todo: list = [(f, 0)]
     while todo:
         node, least = todo.pop()
-        if isinstance(node, str):
+        if least is None:
             pieces.append(node)
         elif isinstance(node, _Binary) and node.prec < least:
-            todo += ((")", 0), (node, 0), ("(", 0))
+            todo += ((")", None), (node, 0), ("(", None))
         elif isinstance(node, Literal):
             pieces.append(format_triple(node.value))
-        elif isinstance(node, Var):
+        elif isinstance(node, Var) and isinstance(node.name, str):
             pieces.append(node.name)
         elif isinstance(node, Not):
             pieces.append("!")
             todo.append((node.operand, node.prec))
-        else:
+        elif isinstance(node, _Binary):
             todo += (
                 (node.right, node.prec + (not node.right_assoc)),
-                (f" {node.symbol} ", 0),
+                (f" {node.symbol} ", None),
                 (node.left, node.prec + node.right_assoc),
             )
+        else:
+            raise _malformed(node)
     return "".join(pieces)
+
+
+def _malformed(node) -> TypeError:
+    """The walkers' refusal of a tree that holds node, which is not a
+    Formula node or is a Var whose name is not a str.  The walkers check,
+    not the constructors, which the parser calls once per node."""
+    return TypeError(f"f must be a Formula, got a tree that holds {node!r}")
 
 
 def _postorder(f: Formula) -> list[Formula]:
@@ -513,7 +522,13 @@ def _signature(f: Formula) -> tuple:
 
 def free_identifiers(f: Formula) -> frozenset[str]:
     _check_type("f", f, Formula, "Formula")
-    return frozenset(node.name for node in _postorder(f) if isinstance(node, Var))
+    names = set()
+    for node in _postorder(f):
+        if isinstance(node, Var) and isinstance(node.name, str):
+            names.add(node.name)
+        elif not isinstance(node, (Literal, Not, _Binary)):
+            raise _malformed(node)
+    return frozenset(names)
 
 
 class EvalRequest(_Frozen):

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import product
 
 from .errors import EmptySet, InvalidInterval, _check_type, _Frozen
-from .monads import _AT_LEAST, _AT_MOST, _AT_VALUE, MonadKind, NsNumber, as_fraction
+from .monads import _AT_MOST, _KIND_JOIN, _KIND_MEET, NsNumber, as_fraction
 from .monads import compare_ns, left, right, std
 
 __all__ = [
@@ -88,47 +87,40 @@ def sup_ns(interval: NsInterval) -> NsNumber:
     return interval.hi
 
 
-def _bound_kinds(order: frozenset) -> dict:
-    """For every pair of kinds at one value, read off the at-value order: the
-    greatest lower bound (order _AT_MOST) or the least upper bound (_AT_LEAST)."""
-    table = {}
-    for a, b in product(MonadKind, repeat=2):
-        bounds = [k for k in MonadKind if {_AT_VALUE[k, a], _AT_VALUE[k, b]} <= order]
-        table[a, b] = next(k for k in bounds if all(_AT_VALUE[j, k] in order for j in bounds))
-    return table
-
-
-# At a fixed value the four kinds form a diamond: LEFT below everything,
-# RIGHT above everything, STD and BIMONAD incomparable in the middle.
-_KIND_MEET, _KIND_JOIN = _bound_kinds(_AT_MOST), _bound_kinds(_AT_LEAST)
-
-
-def _bound_set(values: Iterable[NsNumber], name: str, sign: int, table: dict) -> NsNumber:
-    """The bound at the least (sign -1) or greatest (sign 1) value, the kinds
-    there folded by `table`; values are compared on integer cross-products."""
+def _read_ns(name: str, values, read, *args):
+    """read(items, *args) on the tuple of values, whose elements read takes
+    for NsNumbers.  Checked only off the path that succeeds: a TypeError
+    names `name` for a non-iterable, or `name[k]` for the first element
+    that is not an NsNumber once read fails with AttributeError."""
     try:
-        items = list(values)
-    except TypeError:  # checked only here, off the path that succeeds
+        items = tuple(values)
+    except TypeError:
         if isinstance(values, Iterable):
             raise
-        raise TypeError(f"values must be an iterable of NsNumber, not {type(values).__name__}")
+        raise TypeError(f"{name} must be an iterable of NsNumber, not {type(values).__name__}")
+    try:
+        return read(items, *args)
+    except AttributeError:
+        for k, x in enumerate(items):
+            _check_type(f"{name}[{k}]", x, NsNumber)
+        raise
+
+
+def _bound_set(items: tuple, name: str, sign: int, table: dict) -> NsNumber:
+    """The bound at the least (sign -1) or greatest (sign 1) value, the kinds
+    there folded by `table`; values are compared on integer cross-products."""
     if not items:
         raise EmptySet(f"{name} over an empty set")
-    try:
-        best = items[0].value
-        kind = items[0].kind
-        bn, bd = best.as_integer_ratio()
-        for x in items[1:]:
-            n, d = x.value.as_integer_ratio()
-            side = (n * bd - bn * d) * sign
-            if side > 0:
-                best, kind, bn, bd = x.value, x.kind, n, d
-            elif side == 0:
-                kind = table[kind, x.kind]
-    except AttributeError:  # checked only here, off the path that succeeds
-        for k, x in enumerate(items):
-            _check_type(f"values[{k}]", x, NsNumber)
-        raise
+    best = items[0].value
+    kind = items[0].kind
+    bn, bd = best.as_integer_ratio()
+    for x in items[1:]:
+        n, d = x.value.as_integer_ratio()
+        side = (n * bd - bn * d) * sign
+        if side > 0:
+            best, kind, bn, bd = x.value, x.kind, n, d
+        elif side == 0:
+            kind = table[kind, x.kind]
     return NsNumber._of(best, kind)
 
 
@@ -140,12 +132,12 @@ def inf_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     particular a std/bimonad mix has no comparable member below it other
     than the left monad of that value.
     """
-    return _bound_set(values, "inf", -1, _KIND_MEET)
+    return _read_ns("values", values, _bound_set, "inf", -1, _KIND_MEET)
 
 
 def sup_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     """Least NsNumber that is ≥N every element of the set."""
-    return _bound_set(values, "sup", 1, _KIND_JOIN)
+    return _read_ns("values", values, _bound_set, "sup", 1, _KIND_JOIN)
 
 
 def rough_contains(a, b, x: NsNumber) -> bool:
@@ -192,6 +184,23 @@ class AnomalyReport(_Frozen):
         return not self.discrepancies
 
 
+def _report(probes: tuple, a: Fraction, b: Fraction) -> AnomalyReport:
+    """The report on probes, NsNumbers: a <= x.value <= b for each probe x,
+    on integer cross-products."""
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    pairs = [x.value.as_integer_ratio() for x in probes]
+    membership = tuple([an * d <= n * ad and n * bd <= bn * d for n, d in pairs])
+    return AnomalyReport(
+        lower=a,
+        upper=b,
+        outer_notation=f"]{std(a)}, {right(b)}[",
+        inner_notation=f"]{right(a)}, {left(b)}[",
+        probes=probes,
+        outer_membership=membership,
+        inner_membership=membership,
+    )
+
+
 def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     """Probe the two rough intervals ]a, R(b)[ and ]R(a), L(b)[.
 
@@ -203,27 +212,4 @@ def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     a, b = as_fraction(a), as_fraction(b)
     if not a < b:
         raise ValueError("anomaly check requires a < b")
-    try:
-        probes = tuple(probes)
-    except TypeError:  # checked only here, off the path that succeeds
-        if isinstance(probes, Iterable):
-            raise
-        raise TypeError(f"probes must be an iterable of NsNumber, not {type(probes).__name__}")
-    # a <= x.value <= b for each probe x, on integer cross-products.
-    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    try:
-        pairs = [x.value.as_integer_ratio() for x in probes]
-    except AttributeError:  # checked only here, off the path that succeeds
-        for k, x in enumerate(probes):
-            _check_type(f"probes[{k}]", x, NsNumber)
-        raise
-    membership = tuple([an * d <= n * ad and n * bd <= bn * d for n, d in pairs])
-    return AnomalyReport(
-        lower=a,
-        upper=b,
-        outer_notation=f"]{std(a)}, {right(b)}[",
-        inner_notation=f"]{right(a)}, {left(b)}[",
-        probes=probes,
-        outer_membership=membership,
-        inner_membership=membership,
-    )
+    return _read_ns("probes", probes, _report, a, b)

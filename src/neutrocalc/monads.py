@@ -303,11 +303,28 @@ _PAIRS = [(kx, a, ky, b) for kx, a in _SIDES.items() for ky, b in _SIDES.items()
 #: (x.kind, y.kind) -> compare_ns(x, y) at equal values.
 _AT_VALUE = {(kx, ky): _side_order(a, b) for kx, a, ky, b in _PAIRS}
 _MIRROR = {rel: _AT_VALUE[k, j] for (j, k), rel in _AT_VALUE.items()}
+_AT_MOST = frozenset({OrderRelation.LT_N, OrderRelation.LE_N, OrderRelation.EQ_N})
+_AT_LEAST = frozenset({OrderRelation.GT_N, OrderRelation.GE_N, OrderRelation.EQ_N})
 #: (x.kind, y.kind) -> add_ns(x, y).kind: the sides off the point that either
 #: operand occupies, else the point.  So L + R gives the pierced B, though the
 #: sum itself is reachable (ROADMAP item 3).
 _KIND_OF = {sides: kind for kind, sides in _SIDES.items()}
 _SUM = {(kx, ky): _KIND_OF[tuple(sorted(set(a + b) - {0})) or (0,)] for kx, a, ky, b in _PAIRS}
+
+
+def _bound_kind(a: MonadKind, b: MonadKind, order: frozenset) -> MonadKind:
+    """The greatest lower bound (order _AT_MOST) or the least upper bound
+    (_AT_LEAST) of kinds a and b at one value, read off the at-value order."""
+    bounds = [k for k in MonadKind if {_AT_VALUE[k, a], _AT_VALUE[k, b]} <= order]
+    return next(k for k in bounds if all(_AT_VALUE[j, k] in order for j in bounds))
+
+
+#: (x.kind, y.kind) -> inf_ns_set([x, y]).kind and sup_ns_set([x, y]).kind at
+#: equal values.  At one value the four kinds form a diamond: LEFT below
+#: everything, RIGHT above everything, STD and BIMONAD incomparable between.
+_KIND_MEET, _KIND_JOIN = (
+    {(a, b): _bound_kind(a, b, order) for a, b in _AT_VALUE} for order in (_AT_MOST, _AT_LEAST)
+)
 
 
 def compare_ns(x: NsNumber, y: NsNumber) -> OrderRelation:
@@ -357,10 +374,6 @@ def roughly_leq(x: NsNumber, y: NsNumber) -> bool:
     """
     _check_operands(x, y)
     return x.value <= y.value
-
-
-_AT_MOST = frozenset({OrderRelation.LT_N, OrderRelation.LE_N, OrderRelation.EQ_N})
-_AT_LEAST = frozenset({OrderRelation.GT_N, OrderRelation.GE_N, OrderRelation.EQ_N})
 
 
 def min_ns(x: NsNumber, y: NsNumber) -> NsNumber:

@@ -66,7 +66,9 @@ class Component(_Frozen):
     degrees of two same-shape components, trust their caller: the degrees
     are exact Fractions, and op maps them to Fractions, monotone in both
     arguments as the kernels are, so an interval's image is the op of
-    its endpoints.
+    its endpoints.  `connectives._step`, the one caller of ``_apply``,
+    refuses hesitant operands past the pair limit before any ``_apply``;
+    ``Nonstandard._apply`` refuses unions, intervals and bimonads itself.
     """
 
     __slots__ = ()
@@ -211,9 +213,8 @@ class Hesitant(Component):
         return Hesitant._of(v * q for v in self.values)
 
     def _apply(self, other: "Hesitant", op) -> "Hesitant":
-        """op on every pair of values, in pair order; refused, before any
-        pair is computed, past _MAX_PAIRS pairs."""
-        _check_pairs(self, other)
+        """op on every pair of values, in pair order; `connectives._step`
+        has refused the operands past _MAX_PAIRS pairs."""
         return Hesitant._of(op(u, v) for u in self.values for v in other.values)
 
     def to_json(self) -> dict:
@@ -496,6 +497,15 @@ class TruthGrade(Enum):
     ORDINARY = "ordinary"
 
 
+#: (grades truth, kind, value) -> each grade but the ordinary one.
+_GRADES = {
+    (True, MonadKind.RIGHT, 1): TruthGrade.ABSOLUTE_TRUTH,
+    (True, MonadKind.STD, 1): TruthGrade.RELATIVE_TRUTH,
+    (False, MonadKind.LEFT, 0): TruthGrade.ABSOLUTE_NEGATIVE,
+    (False, MonadKind.STD, 0): TruthGrade.RELATIVE_NEGATIVE,
+}
+
+
 def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     """Grade a degree as absolute (all worlds) or relative (some world).
 
@@ -506,17 +516,7 @@ def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     """
     _check_type("x", x, NsNumber)
     _check_type("role", role, Role)
-    if role is Role.T:
-        if x.kind is MonadKind.RIGHT and x.value == 1:
-            return TruthGrade.ABSOLUTE_TRUTH
-        if x.kind is MonadKind.STD and x.value == 1:
-            return TruthGrade.RELATIVE_TRUTH
-        return TruthGrade.ORDINARY
-    if x.kind is MonadKind.LEFT and x.value == 0:
-        return TruthGrade.ABSOLUTE_NEGATIVE
-    if x.kind is MonadKind.STD and x.value == 0:
-        return TruthGrade.RELATIVE_NEGATIVE
-    return TruthGrade.ORDINARY
+    return _GRADES.get((role is Role.T, x.kind, x.value), TruthGrade.ORDINARY)
 
 
 # Scale name -> the factor that takes its degrees onto the unit scale.  A

@@ -256,18 +256,23 @@ class TestHesitantPairLimit:
             "hesitant product of 257 by 256 values exceeds the limit of 65536 pairs"
         )
 
-    def test_no_pair_computed_when_refused(self):
-        x, y = _hesitant_t(2**16 + 1, 0).t, Hesitant([1])
-        pairs = []
-        with pytest.raises(NeutroCalcError, match="hesitant product of 65537 by 1 values"):
-            x._apply(y, lambda u, v: pairs.append((u, v)))
-        assert pairs == []
-
-    def test_no_pair_of_any_component_computed_when_one_is_refused(self, monkeypatch):
-        # T is at the limit and I past it: the refusal names I, and no
-        # component, T included, has been applied.
-        x = NeutroTriple(_hesitant_t(256, 1).t, _hesitant_t(257, 1).t, Hesitant([0]))
-        y = NeutroTriple(_hesitant_t(256, 300).t, _hesitant_t(256, 300).t, Hesitant([0]))
+    @pytest.mark.parametrize("via", ["conj", "evaluate"])
+    @pytest.mark.parametrize("refused", "TIF")
+    def test_no_pair_of_any_component_computed_when_one_is_refused(
+        self, monkeypatch, refused, via
+    ):
+        # The refused component is past the limit, by a count of values that
+        # names it, and the other two are at it: no component, those before
+        # the refused one included, has been applied.
+        count = 257 + "TIF".index(refused)
+        past, at = _hesitant_t(count, 1).t, _hesitant_t(256, 1).t
+        x = NeutroTriple(*[past if role == refused else at for role in "TIF"])
+        y = NeutroTriple(*[_hesitant_t(256, 300).t] * 3)
+        cfg = OperatorConfig(IF, PRODUCT)
+        combine = {
+            "conj": lambda: conj(x, y, cfg),
+            "evaluate": lambda: evaluate(EvalRequest("x & y", cfg, bindings={"x": x, "y": y})),
+        }[via]
         applied = []
         original = Hesitant._apply
 
@@ -277,9 +282,9 @@ class TestHesitantPairLimit:
 
         monkeypatch.setattr(Hesitant, "_apply", recording)
         with pytest.raises(NeutroCalcError) as info:
-            conj(x, y, OperatorConfig(IF, PRODUCT))
+            combine()
         assert str(info.value) == (
-            "hesitant product of 257 by 256 values exceeds the limit of 65536 pairs"
+            f"hesitant product of {count} by 256 values exceeds the limit of 65536 pairs"
         )
         assert applied == []
 

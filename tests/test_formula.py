@@ -869,6 +869,13 @@ class TestEvaluate:
             (lambda: evaluate(1), "req must be a EvalRequest, got 1"),
             (lambda: evaluate("<0,0,0>"), "req must be a EvalRequest, got '<0,0,0>'"),
             (lambda: free_identifiers(1), "f must be a Formula, got 1"),
+            (lambda: unparse(Not(5)), "f must be a Formula, got a tree that holds 5"),
+            (lambda: unparse(Var(5)), "f must be a Formula, got a tree that holds Var(name=5)"),
+            (lambda: free_identifiers(Not(5)), "f must be a Formula, got a tree that holds 5"),
+            (
+                lambda: free_identifiers(And(Var(5), Var("y"))),
+                "f must be a Formula, got a tree that holds Var(name=5)",
+            ),
             (lambda: NsNumber(0, "left"), "kind must be a MonadKind"),
             (lambda: Nonstandard([0.5]), "nonstandard members must be NsNumber or NsInterval"),
             (lambda: NeutroTriple(1, 1, 1), "triple fields must be components"),
@@ -922,6 +929,10 @@ class TestEvaluate:
             "evaluate-int",
             "evaluate-str",
             "free_identifiers-int",
+            "unparse-not-int",
+            "unparse-var-int",
+            "free_identifiers-not-int",
+            "free_identifiers-var-int",
             "NsNumber-kind-str",
             "Nonstandard-member-float",
             "NeutroTriple-ints",

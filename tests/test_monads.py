@@ -39,8 +39,8 @@ from neutrocalc import (
     roughly_leq,
     std,
 )
-from neutrocalc.intervals import _KIND_JOIN, _KIND_MEET
-from neutrocalc.monads import _AT_LEAST, _AT_MOST, _AT_VALUE, _SUM, _ratio, _read_decimal
+from neutrocalc.monads import _AT_LEAST, _AT_MOST, _AT_VALUE, _KIND_JOIN, _KIND_MEET, _SUM
+from neutrocalc.monads import _ratio, _read_decimal
 from strategies import grid_fractions, ns_numbers
 
 LT = OrderRelation.LT_N

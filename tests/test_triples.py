@@ -13,6 +13,7 @@ from neutrocalc import (
     IntervalValued,
     InvalidBounds,
     InvalidInterval,
+    MonadKind,
     NeutroCalcError,
     NeutroTriple,
     Nonstandard,
@@ -322,6 +323,30 @@ class TestClassify:
             assert "fuzzy" in labels
 
 
+_O, _AT, _RT = TruthGrade.ORDINARY, TruthGrade.ABSOLUTE_TRUTH, TruthGrade.RELATIVE_TRUTH
+_AN, _RN = TruthGrade.ABSOLUTE_NEGATIVE, TruthGrade.RELATIVE_NEGATIVE
+
+#: The grade of each (role, kind) pair at 0, at 1 and at the ordinary 0.5,
+#: from the definition: truth peaks at 1, where the right monad is absolute
+#: truth and the standard 1 relative truth; indeterminacy and falsity bottom
+#: out at 0, where the left monad is absolutely and the standard 0 relatively
+#: negative.  Everything else is ordinary.
+GRADES_AT_0_1_HALF = {
+    (Role.T, MonadKind.STD): (_O, _RT, _O),
+    (Role.T, MonadKind.LEFT): (_O, _O, _O),
+    (Role.T, MonadKind.RIGHT): (_O, _AT, _O),
+    (Role.T, MonadKind.BIMONAD): (_O, _O, _O),
+    (Role.I, MonadKind.STD): (_RN, _O, _O),
+    (Role.I, MonadKind.LEFT): (_AN, _O, _O),
+    (Role.I, MonadKind.RIGHT): (_O, _O, _O),
+    (Role.I, MonadKind.BIMONAD): (_O, _O, _O),
+    (Role.F, MonadKind.STD): (_RN, _O, _O),
+    (Role.F, MonadKind.LEFT): (_AN, _O, _O),
+    (Role.F, MonadKind.RIGHT): (_O, _O, _O),
+    (Role.F, MonadKind.BIMONAD): (_O, _O, _O),
+}
+
+
 class TestTruthGrade:
     @pytest.mark.parametrize(
         "x, role, expected",
@@ -336,6 +361,11 @@ class TestTruthGrade:
             (std(0), Role.I, TruthGrade.RELATIVE_NEGATIVE),
             (right(1), Role.F, TruthGrade.ORDINARY),
             (right(0), Role.I, TruthGrade.ORDINARY),
+            *(
+                (NsNumber(value, kind), role, grade)
+                for (role, kind), grades in GRADES_AT_0_1_HALF.items()
+                for value, grade in zip((0, 1, Fraction(1, 2)), grades)
+            ),
         ],
     )
     def test_grading(self, x, role, expected):
