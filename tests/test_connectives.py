@@ -256,6 +256,18 @@ class TestHesitantPairLimit:
             "hesitant product of 257 by 256 values exceeds the limit of 65536 pairs"
         )
 
+    def test_no_pair_computed_when_refused(self):
+        x, y = _hesitant_t(2**16 + 1, 0), _hesitant_t(1, 0)
+        pairs = []
+
+        def record(u, v):
+            pairs.append((u, v))
+            return u
+
+        with pytest.raises(NeutroCalcError, match="hesitant product of 65537 by 1 values"):
+            connectives._step(x, y, (record, record, record))
+        assert pairs == []
+
     @pytest.mark.parametrize("via", ["conj", "evaluate"])
     @pytest.mark.parametrize("refused", "TIF")
     def test_no_pair_of_any_component_computed_when_one_is_refused(
