@@ -21,21 +21,28 @@ in [0, 1], and offset under widened bounds or none.  `formula.evaluate`
 passes the request's bounds, and the public `conj`, `disj` and `impl`
 none.  Both apply the row through `_step`.
 
+For hesitant operands `_row` returns the row under the same key in
+`_SET_FORMS` instead, built once at import from the scalar row: each
+set form maps the two sorted value tuples of a component to the sorted,
+distinct values of its op over every pair (`_set_form`).
+
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type, _Frozen
-from .monads import NsNumber, _plain, _ratio, add_ns, as_fraction, max_ns, min_ns
-from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _check_pairs
+from .monads import NsNumber, _plain, _ratio, _ratios, add_ns, as_fraction, max_ns, min_ns
+from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _canonical, _check_pairs
 
 __all__ = [
     "TNormFamily",
@@ -261,6 +268,90 @@ _OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(
 )
 
 
+#: Bit length of the values' common denominator past which a Cartesian set
+#: form maps the pairs with its scalar kernel.  The bench corpora peak at
+#: 20 bits; values with many distinct large denominators would lift to
+#: numerators far longer than the pairwise kernels' cross-products.
+_MAX_LIFT_BITS = 64
+
+
+def _pairwise(op):
+    """The set form that maps every pair with op, in pair order."""
+
+    def form(xs: tuple, ys: tuple) -> tuple:
+        return _canonical([op(u, v) for u in xs for v in ys])
+
+    return form
+
+
+def _cartesian(kernel, numerators):
+    """kernel's set form on integers.  Each value's numerator is lifted to
+    the values' least common denominator D, and numerators(a, b, D) gives
+    the set of result numerators over their one denominator: equal values
+    share a numerator, and the integer order is the value order.  Past
+    _MAX_LIFT_BITS the pairs go through kernel instead."""
+    pairwise = _pairwise(kernel)
+
+    def form(xs: tuple, ys: tuple) -> tuple:
+        xp = [v.as_integer_ratio() for v in xs]
+        yp = [v.as_integer_ratio() for v in ys]
+        d = math.lcm(*[e for _, e in xp], *[e for _, e in yp])
+        if d.bit_length() > _MAX_LIFT_BITS:
+            return pairwise(xs, ys)
+        out, den = numerators([n * (d // e) for n, e in xp], [n * (d // e) for n, e in yp], d)
+        return _ratios(sorted(out), den)
+
+    return form
+
+
+# For each unit kernel, the result numerators of every pair of lifted
+# numerators p and q over D, and their denominator.
+_NUMERATORS = {
+    _product_tnorm: lambda a, b, d: ({p * q for p in a for q in b}, d * d),
+    _product_tconorm: lambda a, b, d: ({(p + q) * d - p * q for p in a for q in b}, d * d),
+    _luk_tnorm: lambda a, b, d: ({p + q - d if p + q > d else 0 for p in a for q in b}, d),
+    _luk_tconorm: lambda a, b, d: ({p + q if p + q < d else d for p in a for q in b}, d),
+    _midpoint: lambda a, b, d: ({p + q for p in a for q in b}, 2 * d),
+}
+
+
+def _meet_set(xs: tuple, ys: tuple) -> tuple:
+    """{min(a, b)} = {a in A : a <= max B} | {b in B : b <= max A}: if
+    a <= max B, then min(a, max B) = a, and each min(a, b) is such an a
+    or such a b.  Two bisections, and no pair: the two prefixes are sorted
+    runs, which the sort in _canonical merges in one pass."""
+    return _canonical(xs[: bisect_right(xs, ys[-1])] + ys[: bisect_right(ys, xs[-1])])
+
+
+def _join_set(xs: tuple, ys: tuple) -> tuple:
+    """{max(a, b)}, dually: the values of each set from the other's least on."""
+    return _canonical(xs[bisect_left(xs, ys[0]) :] + ys[bisect_left(ys, xs[0]) :])
+
+
+def _set_form(op):
+    """op's set form on two hesitant components' sorted values: the sorted,
+    distinct values of op over every pair.  The min/max kernels take the
+    linear forms and the other unit kernels the Cartesian ones.  The offset
+    row's clamping ops keep the pairwise map: each clamp warns once per
+    pair, in pair order, which the benchmark's reference counts (ROADMAP
+    items 15 and 21)."""
+    if op is _min:
+        return _meet_set
+    if op is _max:
+        return _join_set
+    if op in _NUMERATORS:
+        return _cartesian(op, _NUMERATORS[op])
+    return _pairwise(op)
+
+
+#: The rows of set forms that hesitant operands take, keyed as _OPERATORS.
+_SET_FORMS = {
+    key: {k: tuple(map(_set_form, row)) for k, row in rows.items()}
+    for key, rows in _OPERATORS.items()
+    if key[1] != "decorated"
+}
+
+
 def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
     if type(x.t) is not type(y.t):
         raise ShapeMismatch(f"operand shapes differ: {x.shape} vs {y.shape}")
@@ -269,14 +360,15 @@ def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
 def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tuple:
     """The (t_op, i_op, f_op) of one connective on operands of x's shape:
     "decorated" for nonstandard operands, else "unit" under the bounds
-    psi = 0, omega = 1, and "offset" under widened bounds or none."""
+    psi = 0, omega = 1, and "offset" under widened bounds or none; set
+    forms for hesitant operands, scalar ops for the other shapes."""
     if isinstance(x.t, Nonstandard):
         domain = "decorated"
     elif bounds is not None and bounds == UNIT_BOUNDS:
         domain = "unit"
     else:
         domain = "offset"
-    rows = _OPERATORS.get((cfg.tnorm, domain))
+    rows = (_SET_FORMS if type(x.t) is Hesitant else _OPERATORS).get((cfg.tnorm, domain))
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
     return rows[cfg.family, is_conj]

@@ -132,15 +132,23 @@ class _Compound(_Frozen):
         return hash(_signature(self))
 
     def __repr__(self) -> str:
-        pieces, todo = [], [self]
+        # Pairs of a node or a text piece of this walk, and whether it is
+        # such a piece: a str child prints as repr prints it.
+        pieces, todo = [], [(self, False)]
         while todo:
-            node = todo.pop()
-            if isinstance(node, str):
+            node, piece = todo.pop()
+            if piece:
                 pieces.append(node)
             elif isinstance(node, Not):
-                todo += (")", node.operand, "Not(operand=")
+                todo += ((")", True), (node.operand, False), ("Not(operand=", True))
             elif isinstance(node, _Binary):
-                todo += (")", node.right, ", right=", node.left, f"{type(node).__name__}(left=")
+                todo += (
+                    (")", True),
+                    (node.right, False),
+                    (", right=", True),
+                    (node.left, False),
+                    (f"{type(node).__name__}(left=", True),
+                )
             else:
                 pieces.append(repr(node))
         return "".join(pieces)
@@ -475,7 +483,7 @@ def unparse(f: Formula) -> str:
             pieces.append(node)
         elif isinstance(node, _Binary) and node.prec < least:
             todo += ((")", None), (node, 0), ("(", None))
-        elif isinstance(node, Literal):
+        elif isinstance(node, Literal) and isinstance(node.value, NeutroTriple):
             pieces.append(format_triple(node.value))
         elif isinstance(node, Var) and isinstance(node.name, str):
             pieces.append(node.name)
@@ -495,8 +503,9 @@ def unparse(f: Formula) -> str:
 
 def _malformed(node) -> TypeError:
     """The walkers' refusal of a tree that holds node, which is not a
-    Formula node or is a Var whose name is not a str.  The walkers check,
-    not the constructors, which the parser calls once per node."""
+    Formula node, or is a Var whose name is not a str or a Literal whose
+    value is not a NeutroTriple.  The walkers check, not the constructors,
+    which the parser calls once per node."""
     return TypeError(f"f must be a Formula, got a tree that holds {node!r}")
 
 
@@ -526,7 +535,10 @@ def free_identifiers(f: Formula) -> frozenset[str]:
     for node in _postorder(f):
         if isinstance(node, Var) and isinstance(node.name, str):
             names.add(node.name)
-        elif not isinstance(node, (Literal, Not, _Binary)):
+        elif not (
+            isinstance(node, _Compound)
+            or isinstance(node, Literal) and isinstance(node.value, NeutroTriple)
+        ):
             raise _malformed(node)
     return frozenset(names)
 

@@ -87,6 +87,21 @@ def _ratio(n: int, d: int) -> Fraction:
     return q
 
 
+def _ratios(numerators, d: int) -> tuple[Fraction, ...]:
+    """The Fraction n/d for each n of numerators, in order, each built as
+    _ratio builds it.  One loop, not a call per value: a hesitant set form
+    builds every distinct value of its result over one denominator, and
+    the call was half of that cost."""
+    gcd, out = math.gcd, []
+    for n in numerators:
+        g = gcd(n, d)
+        q = _new(Fraction)
+        q._numerator = n // g
+        q._denominator = d // g
+        out.append(q)
+    return tuple(out)
+
+
 # Numeral text -> its Fraction, for reads without an exponent.  Degrees are
 # short decimals that recur, so most reads are a dict lookup.
 _MEMO: dict[str, Fraction] = {}

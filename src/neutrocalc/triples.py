@@ -66,9 +66,14 @@ class Component(_Frozen):
     degrees of two same-shape components, trust their caller: the degrees
     are exact Fractions, and op maps them to Fractions, monotone in both
     arguments as the kernels are, so an interval's image is the op of
-    its endpoints.  `connectives._step`, the one caller of ``_apply``,
-    refuses hesitant operands past the pair limit before any ``_apply``;
-    ``Nonstandard._apply`` refuses unions, intervals and bimonads itself.
+    its endpoints.  For ``Hesitant`` op is a set form instead: it maps
+    the two sorted value tuples to the sorted, distinct values of the
+    kernel over every pair, on integer numerators over one common
+    denominator where that denominator is short, and pair by pair on the
+    offset row, whose clamps warn per pair.  `connectives._step`, the one
+    caller of ``_apply``, refuses hesitant operands past the pair limit
+    before any ``_apply``; ``Nonstandard._apply`` refuses unions,
+    intervals and bimonads itself.
     """
 
     __slots__ = ()
@@ -199,8 +204,13 @@ class Hesitant(Component):
     @classmethod
     def _of(cls, values) -> "Hesitant":
         """Trusted: at least one value, each an exact Fraction."""
+        return cls._sorted(_canonical(values))
+
+    @classmethod
+    def _sorted(cls, values: tuple) -> "Hesitant":
+        """Trusted: a non-empty tuple of distinct exact Fractions, increasing."""
         self = object.__new__(cls)
-        object.__setattr__(self, "values", _canonical(values))
+        object.__setattr__(self, "values", values)
         return self
 
     def __str__(self) -> str:
@@ -212,10 +222,22 @@ class Hesitant(Component):
     def scaled(self, q: Fraction) -> "Hesitant":
         return Hesitant._of(v * q for v in self.values)
 
-    def _apply(self, other: "Hesitant", op) -> "Hesitant":
-        """op on every pair of values, in pair order; `connectives._step`
-        has refused the operands past _MAX_PAIRS pairs."""
-        return Hesitant._of(op(u, v) for u in self.values for v in other.values)
+    def _apply(self, other: "Hesitant", form) -> "Hesitant":
+        """form, a set form of `connectives._set_form`, on the two sorted
+        value tuples; its result is sorted and distinct already.
+        `connectives._step` has refused the operands past _MAX_PAIRS pairs.
+
+        Under the unit bounds the product and Lukasiewicz forms, and the
+        plithogenic midpoint, lift both tuples to their least common
+        denominator D and compute on integer numerators, so one set of ints
+        deduplicates and one int sort orders the values; past a D of
+        `connectives._MAX_LIFT_BITS` bits they map the pairs with the scalar
+        kernel.  Min and max take linear forms, two bisections and a merge
+        with no pair mapped.  The offset row maps every pair with its
+        clamping kernel, so each clamp warns once per pair in pair order,
+        as the benchmark's reference counts them.
+        """
+        return Hesitant._sorted(form(self.values, other.values))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "values": [float(v) for v in self.values]}

@@ -1,10 +1,11 @@
 """Kernels, the three operator families, and shape handling."""
 
+import signal
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from neutrocalc import (
@@ -44,6 +45,7 @@ from strategies import (
     single_triples,
     unit_fractions,
 )
+from neutrocalc.triples import _canonical
 
 ALL_KERNELS = list(TNormFamily)
 ALL_FAMILIES = list(OperatorFamily)
@@ -304,6 +306,133 @@ class TestHesitantPairLimit:
         x, y = _hesitant_t(256, 1), _hesitant_t(256, 300)
         out = conj(x, y, OperatorConfig(IF, PRODUCT))
         assert set(out.t.values) == {u * v for u in x.t.values for v in y.t.values}
+
+
+# Denominators of the set-form differential: decimal, non-decimal, one past
+# the float range, and a 61-bit prime, which lifts alone or with 3 or 7 and
+# passes the guard of connectives._MAX_LIFT_BITS with 21 or 1000.
+_SET_DENOMINATORS = (10, 1000, 3, 7, 2**20, 10**400, 2**61 - 1)
+set_degrees = st.sampled_from(_SET_DENOMINATORS).flatmap(
+    lambda den: st.integers(0, den).map(lambda k: Fraction(k, den))
+)
+
+
+@st.composite
+def set_operands(draw):
+    """One component's two value lists, the second sharing some values of
+    the first; either may hold one value."""
+    xs = draw(st.lists(set_degrees, min_size=1, max_size=5))
+    ys = draw(st.lists(st.one_of(st.sampled_from(xs), set_degrees), min_size=1, max_size=5))
+    return xs, ys
+
+
+_THIRD, _SEVENTH, _BIG = Fraction(1, 3), Fraction(2, 7), Fraction(1, 2**61 - 1)
+
+
+def _pairwise_map(scalar, xs, ys) -> tuple:
+    """The scalar op's image of every pair, as Hesitant keeps values."""
+    return _canonical([scalar(u, v) for u in xs for v in ys])
+
+
+class TestSetForms:
+    """Hesitant operands under the bounds [0, 1] take the set forms of the
+    unit row; each must give the pairwise map of its scalar op."""
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    @settings(max_examples=15, phases=NO_SHRINK)  # 18 parameter cases share the budget
+    @given(parts=st.tuples(set_operands(), set_operands(), set_operands()))
+    @example(  # past the guard: 2**61 - 1 with 3 and 7, and 10**400
+        parts=(
+            ([_BIG, _THIRD], [_SEVENTH, Fraction(1, 2)]),
+            ([Fraction(1, 10**400), Fraction(1)], [Fraction(3, 10**400)]),
+            ([_BIG, Fraction(1, 1000)], [_BIG]),
+        )
+    )
+    @example(  # one value each, and sets that coincide
+        parts=(([_THIRD], [_THIRD]), ([_SEVENTH, _BIG], [_SEVENTH, _BIG]), ([0], [1])),
+    )
+    def test_evaluate_matches_the_pairwise_map(self, cfg, op, parts):
+        x = NeutroTriple(*[Hesitant(xs) for xs, _ in parts])
+        y = NeutroTriple(*[Hesitant(ys) for _, ys in parts])
+        req = EvalRequest(f"x {op} y", cfg, bounds=UNIT_BOUNDS, bindings={"x": x, "y": y})
+        out = evaluate(req)
+        row = connectives._OPERATORS[cfg.tnorm, "unit"][cfg.family, op == "&"]
+        for part, scalar in zip("tif", row):
+            xs, ys = getattr(x, part).values, getattr(y, part).values
+            values = getattr(out, part).values
+            assert values == _pairwise_map(scalar, xs, ys)
+            assert all(type(v) is Fraction for v in values)
+            # The linear min/max forms against the Cartesian map.
+            assert connectives._meet_set(xs, ys) == _pairwise_map(connectives._min, xs, ys)
+            assert connectives._join_set(xs, ys) == _pairwise_map(connectives._max, xs, ys)
+
+    def test_hesitant_operands_take_set_forms(self):
+        x = NeutroTriple(Hesitant([0.5]), Hesitant([0.5]), Hesitant([0.5]))
+        for k in ALL_KERNELS:
+            for domain, bounds in (("unit", UNIT_BOUNDS), ("offset", None)):
+                row = connectives._row(OperatorConfig(PLITH, k), x, True, bounds)
+                assert row is connectives._SET_FORMS[k, domain][PLITH, True]
+        unit = connectives._SET_FORMS[MINMAX, "unit"][IF, True]
+        assert unit == (connectives._meet_set, connectives._join_set, connectives._join_set)
+
+
+def _primes(count: int, start: int) -> list:
+    """The first count primes from start on, by trial division."""
+    out, n = [], start
+    while len(out) < count:
+        if all(n % p for p in range(2, int(n**0.5) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+_PRIMES = _primes(512, 2**16)
+# Two 256-value T components, each value over its own 17-bit prime or over
+# a power of ten.  The prime denominators lift to about 8,700 bits, where
+# the Cartesian forms map the pairs with the scalar kernels instead.
+_LARGE_SETS = {
+    "prime-denominators": (
+        [Fraction(p // 3, p) for p in _PRIMES[:256]],
+        [Fraction(p // 2, p) for p in _PRIMES[256:]],
+    ),
+    "decimal": (
+        [Fraction(k, 10**4) for k in range(1, 257)],
+        [Fraction(3 * k + 1, 10**4) for k in range(256)],
+    ),
+}
+
+
+def _over_time(signum, frame):
+    raise TimeoutError("the hesitant step ran past its time bound")
+
+
+@pytest.mark.parametrize(
+    "sets, op, k",
+    [
+        ("prime-denominators", "&", PRODUCT),
+        ("prime-denominators", "|", LUK),
+        ("decimal", "&", PRODUCT),
+    ],
+)
+def test_large_hesitant_steps_finish_in_time(sets, op, k):
+    """65,536 pairs, within 2 s: pair by pair this takes about 0.2 s, and
+    the prime denominators lifted to one common denominator about 4.5 s."""
+    xs, ys = _LARGE_SETS[sets]
+    zero = Hesitant([0])
+    x, y = NeutroTriple(Hesitant(xs), zero, zero), NeutroTriple(Hesitant(ys), zero, zero)
+    req = EvalRequest(
+        f"x {op} y", OperatorConfig(IF, k), bounds=UNIT_BOUNDS, bindings={"x": x, "y": y}
+    )
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        out = evaluate(req)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    scalar = connectives._KERNELS[k][op == "|"]
+    assert out.t.values == _pairwise_map(scalar, x.t.values, y.t.values)
 
 
 class TestNonstandard:

@@ -876,6 +876,14 @@ class TestEvaluate:
                 lambda: free_identifiers(And(Var(5), Var("y"))),
                 "f must be a Formula, got a tree that holds Var(name=5)",
             ),
+            (
+                lambda: unparse(Literal(5)),
+                "f must be a Formula, got a tree that holds Literal(value=5)",
+            ),
+            (
+                lambda: free_identifiers(Literal(5)),
+                "f must be a Formula, got a tree that holds Literal(value=5)",
+            ),
             (lambda: NsNumber(0, "left"), "kind must be a MonadKind"),
             (lambda: Nonstandard([0.5]), "nonstandard members must be NsNumber or NsInterval"),
             (lambda: NeutroTriple(1, 1, 1), "triple fields must be components"),
@@ -933,6 +941,8 @@ class TestEvaluate:
             "unparse-var-int",
             "free_identifiers-not-int",
             "free_identifiers-var-int",
+            "unparse-literal-int",
+            "free_identifiers-literal-int",
             "NsNumber-kind-str",
             "Nonstandard-member-float",
             "NeutroTriple-ints",
@@ -1004,3 +1014,7 @@ def test_tree_equality_and_repr_follow_the_dataclass_forms():
     assert And(x, y) != And(y, x)
     assert And(Not(x), y) != And(x, Not(y))
     assert Not(x) != x and Not(x) != "Not(operand=Var(name='x'))"
+    # A str child prints as repr prints it, apart from the walk's own text.
+    assert repr(Not("x")) == "Not(operand='x')"
+    assert repr(Not(")")) == "Not(operand=')')"
+    assert repr(And(Not(x), ", right=")) == "And(left=Not(operand=Var(name='x')), right=', right=')"
