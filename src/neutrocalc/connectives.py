@@ -40,9 +40,15 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ShapeMismatch, UnsupportedNonstandardConfig, _check_type, _Frozen
+from .errors import (
+    NeutroCalcError,
+    ShapeMismatch,
+    UnsupportedNonstandardConfig,
+    _check_type,
+    _Frozen,
+)
 from .monads import NsNumber, _plain, _ratio, _ratios, add_ns, as_fraction, max_ns, min_ns
-from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _canonical, _check_pairs
+from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _canonical
 
 __all__ = [
     "TNormFamily",
@@ -372,6 +378,21 @@ def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tu
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
     return rows[cfg.family, is_conj]
+
+
+#: Most value pairs that one hesitant operation computes.  Each conjunct of
+#: a hesitant product multiplies the values of a component by about its own
+#: count, so an unchecked chain grows without bound.
+_MAX_PAIRS = 2**16
+
+
+def _check_pairs(x: Hesitant, y: Hesitant) -> None:
+    """Refuse an operation on the values of x and y past _MAX_PAIRS pairs."""
+    m, n = len(x.values), len(y.values)
+    if m * n > _MAX_PAIRS:
+        raise NeutroCalcError(
+            f"hesitant product of {m} by {n} values exceeds the limit of {_MAX_PAIRS} pairs"
+        )
 
 
 def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:

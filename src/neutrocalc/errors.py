@@ -2,12 +2,16 @@
 base of the immutable value classes, shared across the package.
 
 A value class names its fields once, ``__slots__ = __match_args__ =
-(...)``.  Its own ``__init__`` checks the arguments and stores them with
-``self.__setstate__``, or with the cheaper ``object.__setattr__`` per field
-for one field or on the parser's path.  `_Frozen` reads the fields in that
-order for ``==`` (same class only), ``hash`` (of the field tuple),
-``repr``, ``pickle`` and ``copy``, and refuses to assign or delete a
-field.  Instances have no ``__dict__`` and take no weak references.
+(...)``.  From those names `_Frozen` builds, once per class, the reader of
+the field tuple and the writers of the fields, the slots' own descriptors,
+and from the writers the two ways to store them.  A public ``__init__``
+checks and coerces its arguments, then stores them with
+``self.__setstate__``.  The generated ``cls._of(*fields)`` builds a value
+from fields that the library built itself, and checks nothing.
+`_Frozen` reads the fields in that order for ``==`` (same class only),
+``hash`` (of the field tuple), ``repr``, ``pickle`` and ``copy``, and
+refuses to assign or delete a field.  Instances have no ``__dict__`` and
+take no weak references.
 """
 
 from __future__ import annotations
@@ -37,6 +41,40 @@ def _check_type(field: str, value, kind, name: str | None = None) -> None:
         raise TypeError(f"{field} must be a {name or kind.__name__}, got {value!r}")
 
 
+def _trusted(puts: list):
+    """cls._of(*fields), which stores the fields of a new cls instance
+    through puts, the writers in field order, unchecked.  One body for
+    one field and one for two, the most common counts, and a loop past
+    two."""
+    new = object.__new__
+    if len(puts) == 1:
+        (put,) = puts
+
+        def _of(cls, value):
+            self = new(cls)
+            put(self, value)
+            return self
+
+    elif len(puts) == 2:
+        put_1, put_2 = puts
+
+        def _of(cls, value_1, value_2):
+            self = new(cls)
+            put_1(self, value_1)
+            put_2(self, value_2)
+            return self
+
+    else:
+
+        def _of(cls, *values):
+            self = new(cls)
+            for put, value in zip(puts, values):
+                put(self, value)
+            return self
+
+    return classmethod(_of)
+
+
 class _Frozen:
     """Base of the immutable value classes; see the module docstring."""
 
@@ -45,9 +83,21 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls.__dict__.get("__match_args__")
-        if names:  # the reader of the field tuple, built once per class
-            get = attrgetter(*names)
-            cls._values = staticmethod(get if len(names) > 1 else lambda x: (get(x),))
+        if not names:
+            return
+        get = attrgetter(*names)
+        cls._values = staticmethod(get if len(names) > 1 else lambda x: (get(x),))
+        # A slot's own descriptor stores past the refusing __setattr__.
+        puts = [cls.__dict__[name].__set__ for name in names]
+        cls._of = _trusted(puts)
+
+        def __setstate__(self, state):
+            if isinstance(state, dict):  # pickled by the dataclass forms of these classes
+                state = [state[name] for name in names]
+            for put, value in zip(puts, state):
+                put(self, value)
+
+        cls.__setstate__ = __setstate__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,12 +119,6 @@ class _Frozen:
 
     def __getstate__(self):
         return self._values(self)
-
-    def __setstate__(self, state):
-        if isinstance(state, dict):  # pickled by the dataclass forms of these classes
-            state = [state[name] for name in self.__match_args__]
-        for name, value in zip(self.__match_args__, state):
-            object.__setattr__(self, name, value)
 
 
 class NeutroCalcError(Exception):

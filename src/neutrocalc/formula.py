@@ -40,9 +40,14 @@ goes wrong, as `parse_nsnumber` reads a decorated number.
 The parser walks the token list by index, climbing precedence on
 explicit stacks, and shares the lexer with `parse_nsnumber`.  Numbers
 are read by `monads._read_decimal`, whose bounded memo reads
-each distinct short numeral once per process.  Parsed single-valued,
-hesitant, decorated and well-ordered interval triples skip the public
-constructors' coercion.
+each distinct short numeral once per process.
+
+The public node constructors check their fields: a Literal holds a
+NeutroTriple, a Var a str, and Not and the binary nodes Formula
+children.  The parser builds every node, and the single-valued,
+hesitant, decorated and well-ordered interval triples, through the
+trusted ``_of``, which skips the checks and the coercion.  So no public
+path builds a malformed tree, and the walkers check only the root.
 
 Parser, printer, evaluator and the trees' ==, hash and repr walk on
 explicit stacks, so formulas nest to any depth.  `evaluate` names the
@@ -81,6 +86,8 @@ from .triples import (
     SingleValued,
     UNIT_BOUNDS,
     _SCALES,
+    _canonical,
+    _check_scale,
     scale_triple,
     validate,
 )
@@ -107,14 +114,16 @@ class Literal(_Frozen):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: NeutroTriple):
-        object.__setattr__(self, "value", value)
+        _check_type("value", value, NeutroTriple)
+        self.__setstate__((value,))
 
 
 class Var(_Frozen):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _check_type("name", name, str)
+        self.__setstate__((name,))
 
 
 class _Compound(_Frozen):
@@ -132,23 +141,15 @@ class _Compound(_Frozen):
         return hash(_signature(self))
 
     def __repr__(self) -> str:
-        # Pairs of a node or a text piece of this walk, and whether it is
-        # such a piece: a str child prints as repr prints it.
-        pieces, todo = [], [(self, False)]
+        pieces, todo = [], [self]  # nodes, and the text pieces of this walk
         while todo:
-            node, piece = todo.pop()
-            if piece:
+            node = todo.pop()
+            if isinstance(node, str):
                 pieces.append(node)
             elif isinstance(node, Not):
-                todo += ((")", True), (node.operand, False), ("Not(operand=", True))
+                todo += (")", node.operand, "Not(operand=")
             elif isinstance(node, _Binary):
-                todo += (
-                    (")", True),
-                    (node.right, False),
-                    (", right=", True),
-                    (node.left, False),
-                    (f"{type(node).__name__}(left=", True),
-                )
+                todo += (")", node.right, ", right=", node.left, f"{type(node).__name__}(left=")
             else:
                 pieces.append(repr(node))
         return "".join(pieces)
@@ -161,7 +162,8 @@ class Not(_Compound):
     prec = 4
 
     def __init__(self, operand: "Formula"):
-        object.__setattr__(self, "operand", operand)
+        _check_type("operand", operand, Formula, "Formula")
+        self.__setstate__((operand,))
 
 
 class _Binary(_Compound):
@@ -169,8 +171,9 @@ class _Binary(_Compound):
     right_assoc = False
 
     def __init__(self, left: "Formula", right: "Formula"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _check_type("left", left, Formula, "Formula")
+        _check_type("right", right, Formula, "Formula")
+        self.__setstate__((left, right))
 
 
 class And(_Binary):
@@ -225,7 +228,7 @@ def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> Nonstand
 
 
 def _hesitant(text: str) -> Hesitant:
-    return Hesitant._of([_read_decimal(v) for v in _NUMBERS.findall(text)])
+    return Hesitant._of(_canonical([_read_decimal(v) for v in _NUMBERS.findall(text)]))
 
 
 def _interval(lo_text: str, hi_text: str) -> IntervalValued:
@@ -397,10 +400,10 @@ def parse(text: str) -> Formula:
             if literal is None:  # not a well-formed literal
                 _triple(tokens, i)
             shape, texts = literal
-            operands.append(Literal(_SHAPES[shape][1](texts)))
+            operands.append(Literal._of(_SHAPES[shape][1](texts)))
             i += 1
         elif kind == "ident":
-            operands.append(Var(tokens[i][1]))
+            operands.append(Var._of(tokens[i][1]))
             i += 1
         else:
             raise _unexpected(tokens[i], _ATOM_EXPECTED, "a formula atom")
@@ -411,10 +414,10 @@ def parse(text: str) -> Formula:
             while ops and ops[-1] is not None and ops[-1].prec >= least:
                 op = ops.pop()
                 if op is Not:
-                    operands[-1] = Not(operands[-1])
+                    operands[-1] = Not._of(operands[-1])
                 else:
                     right = operands.pop()
-                    operands[-1] = op(operands[-1], right)
+                    operands[-1] = op._of(operands[-1], right)
             if cls is not None:
                 ops.append(cls)
                 i += 1
@@ -481,32 +484,22 @@ def unparse(f: Formula) -> str:
         node, least = todo.pop()
         if least is None:
             pieces.append(node)
-        elif isinstance(node, _Binary) and node.prec < least:
-            todo += ((")", None), (node, 0), ("(", None))
-        elif isinstance(node, Literal) and isinstance(node.value, NeutroTriple):
+        elif isinstance(node, Literal):
             pieces.append(format_triple(node.value))
-        elif isinstance(node, Var) and isinstance(node.name, str):
+        elif isinstance(node, Var):
             pieces.append(node.name)
         elif isinstance(node, Not):
             pieces.append("!")
             todo.append((node.operand, node.prec))
-        elif isinstance(node, _Binary):
+        elif node.prec < least:
+            todo += ((")", None), (node, 0), ("(", None))
+        else:
             todo += (
                 (node.right, node.prec + (not node.right_assoc)),
                 (f" {node.symbol} ", None),
                 (node.left, node.prec + node.right_assoc),
             )
-        else:
-            raise _malformed(node)
     return "".join(pieces)
-
-
-def _malformed(node) -> TypeError:
-    """The walkers' refusal of a tree that holds node, which is not a
-    Formula node, or is a Var whose name is not a str or a Literal whose
-    value is not a NeutroTriple.  The walkers check, not the constructors,
-    which the parser calls once per node."""
-    return TypeError(f"f must be a Formula, got a tree that holds {node!r}")
 
 
 def _postorder(f: Formula) -> list[Formula]:
@@ -531,16 +524,7 @@ def _signature(f: Formula) -> tuple:
 
 def free_identifiers(f: Formula) -> frozenset[str]:
     _check_type("f", f, Formula, "Formula")
-    names = set()
-    for node in _postorder(f):
-        if isinstance(node, Var) and isinstance(node.name, str):
-            names.add(node.name)
-        elif not (
-            isinstance(node, _Compound)
-            or isinstance(node, Literal) and isinstance(node.value, NeutroTriple)
-        ):
-            raise _malformed(node)
-    return frozenset(names)
+    return frozenset(node.name for node in _postorder(f) if isinstance(node, Var))
 
 
 class EvalRequest(_Frozen):
@@ -561,8 +545,7 @@ class EvalRequest(_Frozen):
         bindings: Mapping[str, NeutroTriple] = {},  # copied below, never mutated
     ):
         _check_type("formula", formula, str)
-        if scale not in tuple(_SCALES):
-            raise ValueError("scale must be 'unit' or 'percent'")
+        _check_scale(scale)
         _check_type("config", config, OperatorConfig)
         _check_type("bounds", bounds, OffsetBounds)
         _check_type("bindings", bindings, Mapping)

@@ -87,23 +87,24 @@ def sup_ns(interval: NsInterval) -> NsNumber:
     return interval.hi
 
 
+_NS_NUMBER = frozenset({NsNumber})
+
+
 def _read_ns(name: str, values, read, *args):
-    """read(items, *args) on the tuple of values, whose elements read takes
-    for NsNumbers.  Checked only off the path that succeeds: a TypeError
-    names `name` for a non-iterable, or `name[k]` for the first element
-    that is not an NsNumber once read fails with AttributeError."""
+    """read(items, *args) on the tuple of values, once every element is an
+    NsNumber.  A TypeError names `name` for a non-iterable, or `name[k]`
+    for the first element that is not an NsNumber.  The common case, all
+    elements of the class itself, is one set test over their types."""
     try:
         items = tuple(values)
     except TypeError:
         if isinstance(values, Iterable):
             raise
         raise TypeError(f"{name} must be an iterable of NsNumber, not {type(values).__name__}")
-    try:
-        return read(items, *args)
-    except AttributeError:
+    if not _NS_NUMBER.issuperset(map(type, items)):
         for k, x in enumerate(items):
             _check_type(f"{name}[{k}]", x, NsNumber)
-        raise
+    return read(items, *args)
 
 
 def _bound_set(items: tuple, name: str, sign: int, table: dict) -> NsNumber:

@@ -216,24 +216,17 @@ class OrderRelation(Enum):
 
 
 class NsNumber(_Frozen):
-    """An exact value decorated with the monad part it denotes."""
+    """An exact value decorated with the monad part it denotes.
+
+    ``_of`` trusts that value is an exact Fraction and kind a MonadKind."""
 
     __slots__ = __match_args__ = ("value", "kind")
 
     def __init__(self, value: Fraction, kind: MonadKind = MonadKind.STD):
-        object.__setattr__(self, "value", as_fraction(value))
+        value = as_fraction(value)
         if not isinstance(kind, MonadKind):
             raise TypeError("kind must be a MonadKind")
-        object.__setattr__(self, "kind", kind)
-
-    @classmethod
-    def _of(cls, value: Fraction, kind: MonadKind) -> "NsNumber":
-        """Trusted: value is an exact Fraction and kind a MonadKind, the
-        checks __init__ makes; for values the library built itself."""
-        self = _new(cls)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "kind", kind)
-        return self
+        self.__setstate__((value, kind))
 
     def __str__(self) -> str:
         text = _plain(self.value)

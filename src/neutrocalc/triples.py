@@ -18,7 +18,6 @@ from .errors import (
     EmptyComponent,
     InvalidBounds,
     InvalidInterval,
-    NeutroCalcError,
     ShapeMismatch,
     UnsupportedNonstandardConfig,
     _check_type,
@@ -61,19 +60,14 @@ class Component(_Frozen):
     run, build degrees from integer cross-products by ``monads._ratio``.
 
     Public constructors coerce and check; the library builds the values
-    it computed itself through ``_of``, which skips that.  ``_of`` and
-    ``_apply(other, op)``, the connectives' step that applies op to the
-    degrees of two same-shape components, trust their caller: the degrees
-    are exact Fractions, and op maps them to Fractions, monotone in both
-    arguments as the kernels are, so an interval's image is the op of
-    its endpoints.  For ``Hesitant`` op is a set form instead: it maps
-    the two sorted value tuples to the sorted, distinct values of the
-    kernel over every pair, on integer numerators over one common
-    denominator where that denominator is short, and pair by pair on the
-    offset row, whose clamps warn per pair.  `connectives._step`, the one
-    caller of ``_apply``, refuses hesitant operands past the pair limit
-    before any ``_apply``; ``Nonstandard._apply`` refuses unions,
-    intervals and bimonads itself.
+    it computed itself through the generated ``_of``, which skips that.
+    ``_of`` and ``_apply(other, op)``, the connectives' step that applies
+    op to the degrees of two same-shape components, trust their caller:
+    the degrees are exact Fractions, and op maps them to Fractions,
+    monotone in both arguments as the kernels are, so an interval's image
+    is the op of its endpoints.  For ``Hesitant`` op is one of
+    `connectives`' set forms instead.  ``Nonstandard._apply`` refuses
+    unions, intervals and bimonads itself.
     """
 
     __slots__ = ()
@@ -89,13 +83,7 @@ class SingleValued(Component):
     shape = "single"
 
     def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", as_fraction(value))
-
-    @classmethod
-    def _of(cls, value: Fraction) -> "SingleValued":
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        return self
+        self.__setstate__((as_fraction(value),))
 
     def __str__(self) -> str:
         return _plain(self.value)
@@ -123,13 +111,6 @@ class IntervalValued(Component):
         if lo > hi:
             raise InvalidInterval(f"[{_plain(lo)}, {_plain(hi)}] is reversed")
         self.__setstate__((lo, hi))
-
-    @classmethod
-    def _of(cls, lo: Fraction, hi: Fraction) -> "IntervalValued":
-        self = object.__new__(cls)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        return self
 
     def __str__(self) -> str:
         return f"[{_plain(self.lo)}, {_plain(self.hi)}]"
@@ -170,23 +151,11 @@ def _canonical(values) -> tuple[Fraction, ...]:
     return tuple([f for _, f in keyed])
 
 
-#: Most value pairs that one hesitant operation computes.  Each conjunct of
-#: a hesitant product multiplies the values of a component by about its own
-#: count, so an unchecked chain grows without bound.
-_MAX_PAIRS = 2**16
-
-
-def _check_pairs(x: "Hesitant", y: "Hesitant") -> None:
-    """Refuse an operation on the values of x and y past _MAX_PAIRS pairs."""
-    m, n = len(x.values), len(y.values)
-    if m * n > _MAX_PAIRS:
-        raise NeutroCalcError(
-            f"hesitant product of {m} by {n} values exceeds the limit of {_MAX_PAIRS} pairs"
-        )
-
-
 class Hesitant(Component):
-    """A finite, deduplicated set of candidate degrees, kept sorted."""
+    """A finite, deduplicated set of candidate degrees, kept sorted.
+
+    ``_of`` trusts that values is a non-empty, increasing tuple of
+    distinct Fractions, as `_canonical` gives."""
 
     __slots__ = __match_args__ = ("values",)
     shape = "hesitant"
@@ -199,19 +168,7 @@ class Hesitant(Component):
         canonical = _canonical(as_fraction(v) for v in values)
         if not canonical:
             raise EmptyComponent("hesitant component needs at least one value")
-        object.__setattr__(self, "values", canonical)
-
-    @classmethod
-    def _of(cls, values) -> "Hesitant":
-        """Trusted: at least one value, each an exact Fraction."""
-        return cls._sorted(_canonical(values))
-
-    @classmethod
-    def _sorted(cls, values: tuple) -> "Hesitant":
-        """Trusted: a non-empty tuple of distinct exact Fractions, increasing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "values", values)
-        return self
+        self.__setstate__((canonical,))
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
@@ -220,31 +177,22 @@ class Hesitant(Component):
         return self.values, self.values[0], self.values[-1]
 
     def scaled(self, q: Fraction) -> "Hesitant":
-        return Hesitant._of(v * q for v in self.values)
+        return Hesitant._of(_canonical(v * q for v in self.values))
 
     def _apply(self, other: "Hesitant", form) -> "Hesitant":
         """form, a set form of `connectives._set_form`, on the two sorted
-        value tuples; its result is sorted and distinct already.
-        `connectives._step` has refused the operands past _MAX_PAIRS pairs.
-
-        Under the unit bounds the product and Lukasiewicz forms, and the
-        plithogenic midpoint, lift both tuples to their least common
-        denominator D and compute on integer numerators, so one set of ints
-        deduplicates and one int sort orders the values; past a D of
-        `connectives._MAX_LIFT_BITS` bits they map the pairs with the scalar
-        kernel.  Min and max take linear forms, two bisections and a merge
-        with no pair mapped.  The offset row maps every pair with its
-        clamping kernel, so each clamp warns once per pair in pair order,
-        as the benchmark's reference counts them.
-        """
-        return Hesitant._sorted(form(self.values, other.values))
+        value tuples; its result is sorted and distinct already."""
+        return Hesitant._of(form(self.values, other.values))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "values": [float(v) for v in self.values]}
 
 
 class Nonstandard(Component):
-    """A finite union of decorated numbers and decorated intervals."""
+    """A finite union of decorated numbers and decorated intervals.
+
+    ``_of`` trusts that members is a non-empty tuple of NsNumber and
+    NsInterval members."""
 
     __slots__ = __match_args__ = ("members",)
     shape = "nonstandard"
@@ -260,15 +208,7 @@ class Nonstandard(Component):
         for m in members:
             if not isinstance(m, (NsNumber, NsInterval)):
                 raise TypeError("nonstandard members must be NsNumber or NsInterval")
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def _of(cls, members: tuple) -> "Nonstandard":
-        """Trusted: a non-empty tuple of NsNumber and NsInterval members,
-        as the constructor's checks ask."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "members", members)
-        return self
+        self.__setstate__((members,))
 
     def __str__(self) -> str:
         return " ∪ ".join(str(m) for m in self.members)
@@ -317,7 +257,9 @@ class Nonstandard(Component):
 
 
 class NeutroTriple(_Frozen):
-    """Homogeneous (T, I, F) triple."""
+    """Homogeneous (T, I, F) triple.
+
+    ``_of`` trusts that t, i and f are components of one class."""
 
     __slots__ = __match_args__ = ("t", "i", "f")
 
@@ -331,15 +273,6 @@ class NeutroTriple(_Frozen):
             if not isinstance(c, Component):
                 raise TypeError("triple fields must be components")
         self.__setstate__((t, i, f))
-
-    @classmethod
-    def _of(cls, t: Component, i: Component, f: Component) -> "NeutroTriple":
-        """Trusted: three components of one class, as the checks above ask."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "f", f)
-        return self
 
     @property
     def shape(self) -> str:
@@ -477,8 +410,7 @@ def classify_logic(t, i, f, scale: str = "unit") -> frozenset[str]:
     Classification happens on the unit scale; pass scale="percent" for
     degrees quoted out of 100.  Equality is tested at tolerance 1e-9.
     """
-    if scale not in tuple(_SCALES):
-        raise ValueError("scale must be 'unit' or 'percent'")
+    _check_scale(scale)
     degrees = []
     for name, v in (("t", t), ("i", i), ("f", f)):
         try:
@@ -541,10 +473,16 @@ def truth_grade(x: NsNumber, role: Role) -> TruthGrade:
     return _GRADES.get((role is Role.T, x.kind, x.value), TruthGrade.ORDINARY)
 
 
-# Scale name -> the factor that takes its degrees onto the unit scale.  A
-# name is checked against tuple(_SCALES), by ==, so that an unhashable one
-# is refused like any other.
+# Scale name -> the factor that takes its degrees onto the unit scale.
 _SCALES = {"unit": 1, "percent": Fraction(1, 100)}
+
+
+def _check_scale(scale) -> None:
+    """Refuse a scale that _SCALES does not name.  The name is checked
+    against tuple(_SCALES), by ==, so that an unhashable one is refused
+    like any other."""
+    if scale not in tuple(_SCALES):
+        raise ValueError("scale must be 'unit' or 'percent'")
 
 
 def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:

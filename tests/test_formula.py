@@ -33,6 +33,7 @@ from neutrocalc import (
     Or,
     Role,
     ShapeMismatch,
+    SingleValued,
     TNormFamily,
     UnboundIdentifier,
     Var,
@@ -861,6 +862,10 @@ class TestEvaluate:
             (lambda: rough_contains(0, 1, 1), "x must be a NsNumber, got 1"),
             (lambda: anomaly_check(0, 1, [std(0), 1]), "probes[1] must be a NsNumber, got 1"),
             (lambda: anomaly_check(0, 1, 5), "probes must be an iterable of NsNumber, not int"),
+            (
+                lambda: anomaly_check(0, 1, [SingleValued(0.5)]),
+                "probes[0] must be a NsNumber, got SingleValued(",
+            ),
             (lambda: classify_logic(None, 0, 0), "t must be a number, got None"),
             (lambda: classify_logic(0, True, 0), "i must be a number, got True"),
             (lambda: classify_logic(0, 0, object()), "f must be a number, got <object object"),
@@ -869,21 +874,15 @@ class TestEvaluate:
             (lambda: evaluate(1), "req must be a EvalRequest, got 1"),
             (lambda: evaluate("<0,0,0>"), "req must be a EvalRequest, got '<0,0,0>'"),
             (lambda: free_identifiers(1), "f must be a Formula, got 1"),
-            (lambda: unparse(Not(5)), "f must be a Formula, got a tree that holds 5"),
-            (lambda: unparse(Var(5)), "f must be a Formula, got a tree that holds Var(name=5)"),
-            (lambda: free_identifiers(Not(5)), "f must be a Formula, got a tree that holds 5"),
-            (
-                lambda: free_identifiers(And(Var(5), Var("y"))),
-                "f must be a Formula, got a tree that holds Var(name=5)",
-            ),
-            (
-                lambda: unparse(Literal(5)),
-                "f must be a Formula, got a tree that holds Literal(value=5)",
-            ),
-            (
-                lambda: free_identifiers(Literal(5)),
-                "f must be a Formula, got a tree that holds Literal(value=5)",
-            ),
+            # A malformed tree cannot be built: its constructor refuses it.
+            (lambda: unparse(Not(5)), "operand must be a Formula, got 5"),
+            (lambda: unparse(Var(5)), "name must be a str, got 5"),
+            (lambda: free_identifiers(Not(5)), "operand must be a Formula, got 5"),
+            (lambda: free_identifiers(And(Var(5), Var("y"))), "name must be a str, got 5"),
+            (lambda: unparse(Literal(5)), "value must be a NeutroTriple, got 5"),
+            (lambda: free_identifiers(Literal(5)), "value must be a NeutroTriple, got 5"),
+            (lambda: And(1, Var("x")), "left must be a Formula, got 1"),
+            (lambda: And(Var("x"), 1), "right must be a Formula, got 1"),
             (lambda: NsNumber(0, "left"), "kind must be a MonadKind"),
             (lambda: Nonstandard([0.5]), "nonstandard members must be NsNumber or NsInterval"),
             (lambda: NeutroTriple(1, 1, 1), "triple fields must be components"),
@@ -929,6 +928,7 @@ class TestEvaluate:
             "rough_contains-x-int",
             "anomaly_check-probe-int",
             "anomaly_check-int",
+            "anomaly_check-probe-component",
             "classify_logic-t-none",
             "classify_logic-i-bool",
             "classify_logic-f-object",
@@ -943,6 +943,8 @@ class TestEvaluate:
             "free_identifiers-var-int",
             "unparse-literal-int",
             "free_identifiers-literal-int",
+            "And-left-int",
+            "And-right-int",
             "NsNumber-kind-str",
             "Nonstandard-member-float",
             "NeutroTriple-ints",
@@ -1014,7 +1016,5 @@ def test_tree_equality_and_repr_follow_the_dataclass_forms():
     assert And(x, y) != And(y, x)
     assert And(Not(x), y) != And(x, Not(y))
     assert Not(x) != x and Not(x) != "Not(operand=Var(name='x'))"
-    # A str child prints as repr prints it, apart from the walk's own text.
-    assert repr(Not("x")) == "Not(operand='x')"
-    assert repr(Not(")")) == "Not(operand=')')"
-    assert repr(And(Not(x), ", right=")) == "And(left=Not(operand=Var(name='x')), right=', right=')"
+    with pytest.raises(TypeError):
+        Not("x")

@@ -36,7 +36,7 @@ from neutrocalc import (
     truth_grade,
     validate,
 )
-from neutrocalc.triples import _PASSED
+from neutrocalc.triples import _PASSED, _canonical
 from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
@@ -69,7 +69,7 @@ class TestShapes:
         expected = tuple(sorted(set(map(as_fraction, vs))))
         assert Hesitant(vs).values == expected
         # The trusted path, on exact Fractions, shares the dedup and the sort.
-        assert Hesitant._of([as_fraction(v) for v in vs]).values == expected
+        assert Hesitant._of(_canonical([as_fraction(v) for v in vs])).values == expected
 
     def test_hesitant_must_be_nonempty(self):
         with pytest.raises(EmptyComponent):

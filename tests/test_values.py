@@ -209,6 +209,7 @@ def test_fields_in_the_dataclass_order(case):
     x, _, fields, _, _ = case
     assert type(x).__match_args__ == fields
     assert type(x)(**dict(zip(fields, _fields(x, fields)))) == x
+    assert type(x)._of(*_fields(x, fields)) == x
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
