@@ -47,7 +47,7 @@ from .errors import (
     _check_type,
     _Frozen,
 )
-from .monads import NsNumber, _plain, _ratio, _ratios, add_ns, as_fraction, max_ns, min_ns
+from .monads import NsNumber, _number, _plain, _ratio, _ratios, add_ns, max_ns, min_ns
 from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _canonical
 
 __all__ = [
@@ -145,13 +145,13 @@ _KERNELS = {
 def tnorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """min(a, b) / ab / max(0, a + b - 1) on degrees in [0, 1]."""
     _check_type("family", family, TNormFamily)
-    return _KERNELS[family][0](as_fraction(a), as_fraction(b))
+    return _KERNELS[family][0](_number("a", a), _number("b", b))
 
 
 def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """max(a, b) / a + b - ab / min(1, a + b) on degrees in [0, 1]."""
     _check_type("family", family, TNormFamily)
-    return _KERNELS[family][1](as_fraction(a), as_fraction(b))
+    return _KERNELS[family][1](_number("a", a), _number("b", b))
 
 
 def _clamped(v: Fraction) -> Fraction:

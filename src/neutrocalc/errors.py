@@ -1,5 +1,12 @@
-"""Exception types, the one argument type check, and `_Frozen`, the one
+"""Exception types, the three argument refusals, and `_Frozen`, the one
 base of the immutable value classes, shared across the package.
+
+A wrong-typed public argument is refused with a TypeError that starts
+with the parameter's name, by one of three readers: `_check_type` for a
+value of one class, `_items` for an iterable read as a tuple, which
+names the iterable or its first wrong element (``values[1]``), and
+`monads._number` for a number, which is `monads.as_fraction` naming the
+parameter: ``value must be a number, got None``.
 
 A value class names its fields once, ``__slots__ = __match_args__ =
 (...)``.  From those names `_Frozen` builds, once per class, the reader of
@@ -9,13 +16,19 @@ checks and coerces its arguments, then stores them with
 ``self.__setstate__``.  The generated ``cls._of(*fields)`` builds a value
 from fields that the library built itself, and checks nothing.
 `_Frozen` reads the fields in that order for ``==`` (same class only),
-``hash`` (of the field tuple), ``repr``, ``pickle`` and ``copy``, and
-refuses to assign or delete a field.  Instances have no ``__dict__`` and
-take no weak references.
+``hash`` (of the field tuple) and ``repr``, and refuses to assign or
+delete a field.  Its ``__reduce__`` pickles and copies a value as its
+class and fields, so unpickling and ``copy`` rebuild it through the
+checked public constructor.  ``__setstate__`` still loads older
+pickles: a dict state, from the dataclass forms of these classes,
+through the public ``__init__``, and the field tuple that `_Frozen`
+pickled before ``__reduce__``, unchecked.  Instances have no
+``__dict__`` and take no weak references.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import attrgetter
 
 __all__ = [
@@ -39,6 +52,27 @@ def _check_type(field: str, value, kind, name: str | None = None) -> None:
     or a Union of classes that `name` names."""
     if not isinstance(value, kind):
         raise TypeError(f"{field} must be a {name or kind.__name__}, got {value!r}")
+
+
+def _items(field: str, values, kinds: frozenset | None, name: str) -> tuple:
+    """values as a tuple, once every element is an instance of one of kinds,
+    classes that `name` names; kinds None admits every element.  A
+    TypeError names `field` for a str, bytes or non-iterable, and
+    `field[k]` for the first element of another class.  values is read
+    first; the common case, every element of the classes themselves, is
+    then one set test over their types."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            items = tuple(values)
+        except TypeError:
+            if isinstance(values, Iterable):  # raised while iterating
+                raise
+        else:
+            if kinds is not None and not kinds.issuperset(map(type, items)):
+                for k, x in enumerate(items):
+                    _check_type(f"{field}[{k}]", x, tuple(kinds), name)
+            return items
+    raise TypeError(f"{field} must be an iterable of {name}, not {type(values).__name__}")
 
 
 def _trusted(puts: list):
@@ -93,9 +127,10 @@ class _Frozen:
 
         def __setstate__(self, state):
             if isinstance(state, dict):  # pickled by the dataclass forms of these classes
-                state = [state[name] for name in names]
-            for put, value in zip(puts, state):
-                put(self, value)
+                type(self).__init__(self, **state)
+            else:
+                for put, value in zip(puts, state):
+                    put(self, value)
 
         cls.__setstate__ = __setstate__
 
@@ -117,8 +152,8 @@ class _Frozen:
         pairs = zip(self.__match_args__, self._values(self))
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
 
-    def __getstate__(self):
-        return self._values(self)
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 class NeutroCalcError(Exception):

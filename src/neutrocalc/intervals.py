@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import EmptySet, InvalidInterval, _check_type, _Frozen
-from .monads import _AT_MOST, _KIND_JOIN, _KIND_MEET, NsNumber, as_fraction
+from .errors import EmptySet, InvalidInterval, _check_type, _Frozen, _items
+from .monads import _AT_MOST, _KIND_JOIN, _KIND_MEET, NsNumber, _number
 from .monads import compare_ns, left, right, std
 
 __all__ = [
@@ -90,23 +90,6 @@ def sup_ns(interval: NsInterval) -> NsNumber:
 _NS_NUMBER = frozenset({NsNumber})
 
 
-def _read_ns(name: str, values, read, *args):
-    """read(items, *args) on the tuple of values, once every element is an
-    NsNumber.  A TypeError names `name` for a non-iterable, or `name[k]`
-    for the first element that is not an NsNumber.  The common case, all
-    elements of the class itself, is one set test over their types."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        if isinstance(values, Iterable):
-            raise
-        raise TypeError(f"{name} must be an iterable of NsNumber, not {type(values).__name__}")
-    if not _NS_NUMBER.issuperset(map(type, items)):
-        for k, x in enumerate(items):
-            _check_type(f"{name}[{k}]", x, NsNumber)
-    return read(items, *args)
-
-
 def _bound_set(items: tuple, name: str, sign: int, table: dict) -> NsNumber:
     """The bound at the least (sign -1) or greatest (sign 1) value, the kinds
     there folded by `table`; values are compared on integer cross-products."""
@@ -133,12 +116,12 @@ def inf_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     particular a std/bimonad mix has no comparable member below it other
     than the left monad of that value.
     """
-    return _read_ns("values", values, _bound_set, "inf", -1, _KIND_MEET)
+    return _bound_set(_items("values", values, _NS_NUMBER, "NsNumber"), "inf", -1, _KIND_MEET)
 
 
 def sup_ns_set(values: Iterable[NsNumber]) -> NsNumber:
     """Least NsNumber that is ≥N every element of the set."""
-    return _read_ns("values", values, _bound_set, "sup", 1, _KIND_JOIN)
+    return _bound_set(_items("values", values, _NS_NUMBER, "NsNumber"), "sup", 1, _KIND_JOIN)
 
 
 def rough_contains(a, b, x: NsNumber) -> bool:
@@ -147,7 +130,7 @@ def rough_contains(a, b, x: NsNumber) -> bool:
     Under the rough order only underlying values matter, so the interval
     is the same whatever decorations its endpoints carry.
     """
-    a, b = as_fraction(a), as_fraction(b)
+    a, b = _number("a", a), _number("b", b)
     if a > b:
         raise ValueError("rough interval requires a <= b")
     _check_type("x", x, NsNumber)
@@ -210,7 +193,7 @@ def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:
     inner membership; the point of the report is that the nominally
     wider and nominally narrower intervals admit exactly the same probes.
     """
-    a, b = as_fraction(a), as_fraction(b)
+    a, b = _number("a", a), _number("b", b)
     if not a < b:
         raise ValueError("anomaly check requires a < b")
-    return _read_ns("probes", probes, _report, a, b)
+    return _report(_items("probes", probes, _NS_NUMBER, "NsNumber"), a, b)

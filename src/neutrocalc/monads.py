@@ -74,9 +74,9 @@ def _ratio(n: int, d: int) -> Fraction:
 
     Trusted: n and d are ints and d > 0.  Dividing both by their gcd is
     the normalisation Fraction(n, d) does; the type dispatch around it,
-    most of that constructor's cost, is skipped.  This is the one place
-    that relies on Fraction's layout, the two slots _numerator and
-    _denominator, as CPython's own Fraction._from_coprime_ints does;
+    most of that constructor's cost, is skipped.  This and `_ratios` rely
+    on Fraction's layout, the two slots _numerator and _denominator, as
+    CPython's own Fraction._from_coprime_ints does;
     tests/test_monads.py::TestRatio::test_fraction_layout_is_pinned
     fails on a Python that changes it.
     """
@@ -160,13 +160,12 @@ def as_fraction(value) -> Fraction:
     Floats go through their shortest decimal repr, so as_fraction(0.2)
     is exactly 1/5 rather than the binary approximation.  A str or Decimal
     exponent past sys.get_int_max_str_digits() raises ValueError, not a hang;
-    a plain decimal with more digits than that converts exactly.
+    a plain decimal with more digits than that converts exactly.  A bool,
+    or a value of any other class, raises TypeError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a numeric value")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -184,7 +183,16 @@ def as_fraction(value) -> Fraction:
         if decimal:
             return _read_decimal(decimal["numeral"], int(decimal["exponent"] or 0))
         return Fraction(value)  # a ratio "n/d", digits with underscores, or not a number
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact number")
+    raise TypeError(f"value must be a number, got {value!r}")
+
+
+def _number(field: str, value) -> Fraction:
+    """as_fraction(value), its TypeError naming `field`: the reader of every
+    public numeric parameter."""
+    try:
+        return as_fraction(value)
+    except TypeError:
+        raise TypeError(f"{field} must be a number, got {value!r}") from None
 
 
 class MonadKind(Enum):
@@ -223,9 +231,8 @@ class NsNumber(_Frozen):
     __slots__ = __match_args__ = ("value", "kind")
 
     def __init__(self, value: Fraction, kind: MonadKind = MonadKind.STD):
-        value = as_fraction(value)
-        if not isinstance(kind, MonadKind):
-            raise TypeError("kind must be a MonadKind")
+        value = _number("value", value)
+        _check_type("kind", kind, MonadKind)
         self.__setstate__((value, kind))
 
     def __str__(self) -> str:

@@ -22,9 +22,10 @@ from .errors import (
     UnsupportedNonstandardConfig,
     _check_type,
     _Frozen,
+    _items,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
-from .monads import MonadKind, NsNumber, _plain, _ratio, add_ns, as_fraction, std
+from .monads import MonadKind, NsNumber, _number, _plain, _ratio, add_ns, std
 
 __all__ = [
     "Component",
@@ -54,20 +55,22 @@ class Component(_Frozen):
     ``shape`` names the shape.  ``bounds()`` gives the decorated infimum
     and supremum (the std extremes, except for ``Nonstandard``),
     ``value_range()`` the underlying values in report order with their
-    least and greatest, ``scaled(q)`` every degree times the exact q, and
-    ``to_json()`` the ``--json`` form.  ``str()`` is the formula syntax.
-    Only the single and interval ``scaled``, which percent-scale formulas
-    run, build degrees from integer cross-products by ``monads._ratio``.
+    least and greatest, and ``to_json()`` the ``--json`` form.  ``str()``
+    is the formula syntax.
 
     Public constructors coerce and check; the library builds the values
     it computed itself through the generated ``_of``, which skips that.
-    ``_of`` and ``_apply(other, op)``, the connectives' step that applies
-    op to the degrees of two same-shape components, trust their caller:
-    the degrees are exact Fractions, and op maps them to Fractions,
-    monotone in both arguments as the kernels are, so an interval's image
-    is the op of its endpoints.  For ``Hesitant`` op is one of
-    `connectives`' set forms instead.  ``Nonstandard._apply`` refuses
-    unions, intervals and bimonads itself.
+    ``_of`` and the two per-shape steps trust their caller.
+    ``_apply(other, op)``, the connectives' step, applies op to the
+    degrees of two same-shape components: the degrees are exact
+    Fractions, and op maps them to Fractions, monotone in both arguments
+    as the kernels are, so an interval's image is the op of its
+    endpoints.  For ``Hesitant`` op is one of `connectives`' set forms
+    instead.  ``Nonstandard._apply`` refuses unions, intervals and
+    bimonads itself.  ``_scaled(q)``, `scale_triple`'s step, multiplies
+    every degree by an exact q > 0, which keeps every interval ordered;
+    the single and interval ones, which percent-scale formulas run, build
+    degrees from integer cross-products by ``monads._ratio``.
     """
 
     __slots__ = ()
@@ -83,7 +86,7 @@ class SingleValued(Component):
     shape = "single"
 
     def __init__(self, value: Fraction):
-        self.__setstate__((as_fraction(value),))
+        self.__setstate__((_number("value", value),))
 
     def __str__(self) -> str:
         return _plain(self.value)
@@ -91,7 +94,7 @@ class SingleValued(Component):
     def value_range(self):
         return (self.value,), self.value, self.value
 
-    def scaled(self, q: Fraction) -> "SingleValued":
+    def _scaled(self, q: Fraction) -> "SingleValued":
         (n, d), (qn, qd) = self.value.as_integer_ratio(), q.as_integer_ratio()
         return SingleValued._of(_ratio(n * qn, d * qd))
 
@@ -107,7 +110,7 @@ class IntervalValued(Component):
     shape = "interval"
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        lo, hi = as_fraction(lo), as_fraction(hi)
+        lo, hi = _number("lo", lo), _number("hi", hi)
         if lo > hi:
             raise InvalidInterval(f"[{_plain(lo)}, {_plain(hi)}] is reversed")
         self.__setstate__((lo, hi))
@@ -118,12 +121,10 @@ class IntervalValued(Component):
     def value_range(self):
         return (self.lo, self.hi), self.lo, self.hi
 
-    def scaled(self, q: Fraction) -> "IntervalValued":
+    def _scaled(self, q: Fraction) -> "IntervalValued":
         qn, qd = q.as_integer_ratio()
         (ln, ld), (hn, hd) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
-        lo, hi = _ratio(ln * qn, ld * qd), _ratio(hn * qn, hd * qd)
-        # A negative q reverses the endpoints, which the public constructor refuses.
-        return IntervalValued._of(lo, hi) if qn >= 0 else IntervalValued(lo, hi)
+        return IntervalValued._of(_ratio(ln * qn, ld * qd), _ratio(hn * qn, hd * qd))
 
     def _apply(self, other: "IntervalValued", op) -> "IntervalValued":
         return IntervalValued._of(op(self.lo, other.lo), op(self.hi, other.hi))
@@ -161,11 +162,8 @@ class Hesitant(Component):
     shape = "hesitant"
 
     def __init__(self, values: Iterable):
-        if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-            raise TypeError(
-                f"hesitant values must be an iterable of numbers, not {type(values).__name__}"
-            )
-        canonical = _canonical(as_fraction(v) for v in values)
+        values = _items("values", values, None, "numbers")
+        canonical = _canonical(_number(f"values[{k}]", v) for k, v in enumerate(values))
         if not canonical:
             raise EmptyComponent("hesitant component needs at least one value")
         self.__setstate__((canonical,))
@@ -176,7 +174,7 @@ class Hesitant(Component):
     def value_range(self):
         return self.values, self.values[0], self.values[-1]
 
-    def scaled(self, q: Fraction) -> "Hesitant":
+    def _scaled(self, q: Fraction) -> "Hesitant":
         return Hesitant._of(_canonical(v * q for v in self.values))
 
     def _apply(self, other: "Hesitant", form) -> "Hesitant":
@@ -186,6 +184,9 @@ class Hesitant(Component):
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "values": [float(v) for v in self.values]}
+
+
+_MEMBERS = frozenset({NsNumber, NsInterval})
 
 
 class Nonstandard(Component):
@@ -200,14 +201,9 @@ class Nonstandard(Component):
     def __init__(self, members: Iterable):
         if isinstance(members, (NsNumber, NsInterval)):
             members = (members,)
-        elif not isinstance(members, Iterable):
-            raise TypeError(f"nonstandard members must be iterable, not {type(members).__name__}")
-        members = tuple(members)
+        members = _items("members", members, _MEMBERS, "NsNumber or NsInterval")
         if not members:
             raise EmptyComponent("nonstandard component needs at least one member")
-        for m in members:
-            if not isinstance(m, (NsNumber, NsInterval)):
-                raise TypeError("nonstandard members must be NsNumber or NsInterval")
         self.__setstate__((members,))
 
     def __str__(self) -> str:
@@ -229,14 +225,13 @@ class Nonstandard(Component):
                 values.extend([m.lo.value, m.hi.value])
         return values, min(values), max(values)
 
-    def scaled(self, q: Fraction) -> "Nonstandard":
+    def _scaled(self, q: Fraction) -> "Nonstandard":
         def scale(x: NsNumber) -> NsNumber:
             return NsNumber._of(x.value * q, x.kind)
 
-        # A negative q reverses an interval's endpoints, which NsInterval refuses.
         return Nonstandard._of(
             tuple(
-                scale(m) if isinstance(m, NsNumber) else NsInterval(scale(m.lo), scale(m.hi))
+                scale(m) if isinstance(m, NsNumber) else NsInterval._of(scale(m.lo), scale(m.hi))
                 for m in self.members
             )
         )
@@ -264,14 +259,14 @@ class NeutroTriple(_Frozen):
     __slots__ = __match_args__ = ("t", "i", "f")
 
     def __init__(self, t: Component, i: Component, f: Component):
+        _check_type("t", t, Component)
+        _check_type("i", i, Component)
+        _check_type("f", f, Component)
         if not (type(t) is type(i) is type(f)):
             raise ShapeMismatch(
                 "triple components must share one shape, got "
                 f"{type(t).__name__}/{type(i).__name__}/{type(f).__name__}"
             )
-        for c in (t, i, f):
-            if not isinstance(c, Component):
-                raise TypeError("triple fields must be components")
         self.__setstate__((t, i, f))
 
     @property
@@ -294,7 +289,7 @@ class OffsetBounds(_Frozen):
     __slots__ = __match_args__ = ("psi", "omega")
 
     def __init__(self, psi: Fraction, omega: Fraction):
-        psi, omega = as_fraction(psi), as_fraction(omega)
+        psi, omega = _number("psi", psi), _number("omega", omega)
         if not (psi <= 0 < 1 <= omega):
             raise InvalidBounds("bounds must satisfy psi <= 0 < 1 <= omega")
         self.__setstate__((psi, omega))
@@ -411,13 +406,8 @@ def classify_logic(t, i, f, scale: str = "unit") -> frozenset[str]:
     degrees quoted out of 100.  Equality is tested at tolerance 1e-9.
     """
     _check_scale(scale)
-    degrees = []
-    for name, v in (("t", t), ("i", i), ("f", f)):
-        try:
-            degrees.append(as_fraction(v) * _SCALES[scale])
-        except TypeError:
-            raise TypeError(f"{name} must be a number, got {v!r}") from None
-    t, i, f = degrees
+    q = _SCALES[scale]
+    t, i, f = _number("t", t) * q, _number("i", i) * q, _number("f", f) * q
     n = t + i + f
     labels = set()
     if _gt(n, 0) and _lt(n, 1):
@@ -491,8 +481,8 @@ def scale_triple(x: NeutroTriple, factor) -> NeutroTriple:
     Used to canonicalize percent-scale input onto the unit scale.
     """
     _check_type("x", x, NeutroTriple)
-    q = as_fraction(factor)
+    q = _number("factor", factor)
     if q <= 0:
         raise ValueError("scale factor must be positive")
     # Each component keeps its class, so the shapes still agree.
-    return NeutroTriple._of(x.t.scaled(q), x.i.scaled(q), x.f.scaled(q))
+    return NeutroTriple._of(x.t._scaled(q), x.i._scaled(q), x.f._scaled(q))

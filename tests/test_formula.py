@@ -822,8 +822,8 @@ class TestEvaluate:
             ),
             (lambda: EvalRequest("x", config="if"), "config must be a OperatorConfig, got 'if'"),
             (lambda: EvalRequest("x", bounds=(0, 1)), "bounds must be a OffsetBounds, got (0, 1)"),
-            (lambda: Hesitant("05"), "hesitant values must be an iterable of numbers, not str"),
-            (lambda: Hesitant(b"05"), "hesitant values must be an iterable of numbers, not bytes"),
+            (lambda: Hesitant("05"), "values must be an iterable of numbers, not str"),
+            (lambda: Hesitant(b"05"), "values must be an iterable of numbers, not bytes"),
             (lambda: EvalRequest(123), "formula must be a str, got 123"),
             (lambda: EvalRequest(b"<0,0,0>"), "formula must be a str, got b'<0,0,0>'"),
             (
@@ -849,8 +849,11 @@ class TestEvaluate:
             (lambda: sup_ns_set([std(1), 0.5]), "values[1] must be a NsNumber, got 0.5"),
             (lambda: inf_ns_set(object()), "values must be an iterable of NsNumber, not object"),
             (lambda: sup_ns_set(1), "values must be an iterable of NsNumber, not int"),
-            (lambda: Hesitant(1), "hesitant values must be an iterable of numbers, not int"),
-            (lambda: Nonstandard(None), "nonstandard members must be iterable, not NoneType"),
+            (lambda: Hesitant(1), "values must be an iterable of numbers, not int"),
+            (
+                lambda: Nonstandard(None),
+                "members must be an iterable of NsNumber or NsInterval, not NoneType",
+            ),
             (lambda: NsInterval(std(0), 1), "hi must be a NsNumber, got 1"),
             (lambda: contains(NsInterval(std(0), std(1)), 1), "x must be a NsNumber, got 1"),
             (lambda: contains((0, 1), std(0)), "interval must be a NsInterval, got (0, 1)"),
@@ -884,8 +887,13 @@ class TestEvaluate:
             (lambda: And(1, Var("x")), "left must be a Formula, got 1"),
             (lambda: And(Var("x"), 1), "right must be a Formula, got 1"),
             (lambda: NsNumber(0, "left"), "kind must be a MonadKind"),
-            (lambda: Nonstandard([0.5]), "nonstandard members must be NsNumber or NsInterval"),
-            (lambda: NeutroTriple(1, 1, 1), "triple fields must be components"),
+            (lambda: Nonstandard([0.5]), "members[0] must be a NsNumber or NsInterval, got 0.5"),
+            (lambda: NeutroTriple(1, 1, 1), "t must be a Component, got 1"),
+            (lambda: Hesitant([0.5, None]), "values[1] must be a number, got None"),
+            (
+                lambda: Nonstandard([left(0), 0.5]),
+                "members[1] must be a NsNumber or NsInterval, got 0.5",
+            ),
         ],
         ids=[
             "bindings-list",
@@ -948,6 +956,8 @@ class TestEvaluate:
             "NsNumber-kind-str",
             "Nonstandard-member-float",
             "NeutroTriple-ints",
+            "Hesitant-member-none",
+            "Nonstandard-second-member-float",
         ],
     )
     def test_malformed_fields_raise_type_error(self, build, message):

@@ -251,6 +251,32 @@ def test_eval_request_bindings_default_to_a_fresh_dict():
         EvalRequest("x", bindings=None)
 
 
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_unpickled_values_pass_the_checked_constructor(duplicate):
+    with pytest.raises(TypeError, match=r"^operand must be a Formula, got 5$"):
+        duplicate(Not._of(5))
+
+
+def test_pickles_of_the_field_tuple_state_still_load():
+    # pickle.dumps(..., 4) of the classes as built on _Frozen with a tuple state.
+    bounds = (
+        b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
+        b"OffsetBounds\x94\x93\x94)\x81\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff"
+        b"\xff\xff\xffK\x02\x86\x94R\x94h\x06K\x02K\x01\x86\x94R\x94\x86\x94b."
+    )
+    tree = (
+        b"\x80\x04\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
+        b"\x94\x93\x94)\x81\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94\x8c\x01x\x94\x85\x94bh\x00"
+        b"\x8c\x03Not\x94\x93\x94)\x81\x94h\x05)\x81\x94\x8c\x01y\x94\x85\x94b\x85\x94b\x86\x94b."
+    )
+    assert pickle.loads(bounds) == OffsetBounds(Fraction(-1, 2), 2)
+    assert pickle.loads(tree) == And(Var("x"), Not(Var("y")))
+
+
 def test_pickles_of_the_dataclass_forms_still_load():
     # pickle.dumps(..., 4) of the frozen dataclasses, whose state was a dict.
     bounds = (
