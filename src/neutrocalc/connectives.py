@@ -90,7 +90,7 @@ class OperatorConfig(_Frozen):
     def __init__(self, family=OperatorFamily.F_ALIGNED, tnorm=TNormFamily.MIN_MAX):
         _check_type("family", family, OperatorFamily)
         _check_type("tnorm", tnorm, TNormFamily)
-        self.__setstate__((family, tnorm))
+        self._store(family, tnorm)
 
 
 class ClampWarning(UserWarning):
@@ -386,10 +386,16 @@ def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tu
 _MAX_PAIRS = 2**16
 
 
-def _check_pairs(x: Hesitant, y: Hesitant) -> None:
-    """Refuse an operation on the values of x and y past _MAX_PAIRS pairs."""
+def _check_pairs(x: Hesitant, y: Hesitant, form) -> None:
+    """Refuse form on the values of x and y past _MAX_PAIRS: m + n values
+    for `_meet_set` and `_join_set`, m * n pairs for every other form."""
     m, n = len(x.values), len(y.values)
-    if m * n > _MAX_PAIRS:
+    if form is _meet_set or form is _join_set:
+        if m + n > _MAX_PAIRS:
+            raise NeutroCalcError(
+                f"hesitant min/max of {m} and {n} values exceeds the limit of {_MAX_PAIRS} values"
+            )
+    elif m * n > _MAX_PAIRS:
         raise NeutroCalcError(
             f"hesitant product of {m} by {n} values exceeds the limit of {_MAX_PAIRS} pairs"
         )
@@ -401,8 +407,8 @@ def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
     any pair of any component is computed."""
     t_op, i_op, f_op = row
     if type(x.t) is Hesitant:
-        for c, d in ((x.t, y.t), (x.i, y.i), (x.f, y.f)):
-            _check_pairs(c, d)
+        for c, d, op in ((x.t, y.t, t_op), (x.i, y.i, i_op), (x.f, y.f, f_op)):
+            _check_pairs(c, d, op)
     # Spelled out rather than looped, for speed; each _apply returns its
     # operands' class, so the shapes still agree.
     return NeutroTriple._of(

@@ -12,18 +12,21 @@ A value class names its fields once, ``__slots__ = __match_args__ =
 (...)``.  From those names `_Frozen` builds, once per class, the reader of
 the field tuple and the writers of the fields, the slots' own descriptors,
 and from the writers the two ways to store them.  A public ``__init__``
-checks and coerces its arguments, then stores them with
-``self.__setstate__``.  The generated ``cls._of(*fields)`` builds a value
-from fields that the library built itself, and checks nothing.
-`_Frozen` reads the fields in that order for ``==`` (same class only),
-``hash`` (of the field tuple) and ``repr``, and refuses to assign or
-delete a field.  Its ``__reduce__`` pickles and copies a value as its
-class and fields, so unpickling and ``copy`` rebuild it through the
-checked public constructor.  ``__setstate__`` still loads older
-pickles: a dict state, from the dataclass forms of these classes,
-through the public ``__init__``, and the field tuple that `_Frozen`
-pickled before ``__reduce__``, unchecked.  Instances have no
-``__dict__`` and take no weak references.
+checks and coerces its arguments, then stores them with the generated
+``self._store(*fields)``.  The generated ``cls._of(*fields)`` builds a
+value from fields that the library built itself, and checks nothing; it
+has one body for one field, one for two and one for three, the counts
+of the hot classes, and a loop past three.  `_Frozen` reads the fields
+in that order for ``==`` (same class only), ``hash`` (of the field
+tuple) and ``repr``, and refuses to assign or delete a field.  Its
+``__reduce__`` pickles and copies a value as its class and fields, so
+unpickling and ``copy`` rebuild it through the checked public
+constructor.  ``__setstate__`` still loads older pickles through that
+constructor too: a dict state, from the dataclass forms of these
+classes, as keywords, and the field tuple that `_Frozen` pickled before
+``__reduce__`` as positional arguments, so a malformed older pickle is
+refused as the constructor refuses it.  Instances have no ``__dict__``
+and take no weak references.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ def _items(field: str, values, kinds: frozenset | None, name: str) -> tuple:
 
 def _trusted(puts: list):
     """cls._of(*fields), which stores the fields of a new cls instance
-    through puts, the writers in field order, unchecked.  One body for
-    one field and one for two, the most common counts, and a loop past
-    two."""
+    through puts, the writers in field order, unchecked.  One body each
+    for one, two and three fields, the most common counts, and a loop
+    past three."""
     new = object.__new__
     if len(puts) == 1:
         (put,) = puts
@@ -96,6 +99,16 @@ def _trusted(puts: list):
             self = new(cls)
             put_1(self, value_1)
             put_2(self, value_2)
+            return self
+
+    elif len(puts) == 3:
+        put_1, put_2, put_3 = puts
+
+        def _of(cls, value_1, value_2, value_3):
+            self = new(cls)
+            put_1(self, value_1)
+            put_2(self, value_2)
+            put_3(self, value_3)
             return self
 
     else:
@@ -125,14 +138,11 @@ class _Frozen:
         puts = [cls.__dict__[name].__set__ for name in names]
         cls._of = _trusted(puts)
 
-        def __setstate__(self, state):
-            if isinstance(state, dict):  # pickled by the dataclass forms of these classes
-                type(self).__init__(self, **state)
-            else:
-                for put, value in zip(puts, state):
-                    put(self, value)
+        def _store(self, *values):
+            for put, value in zip(puts, values):
+                put(self, value)
 
-        cls.__setstate__ = __setstate__
+        cls._store = _store
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -154,6 +164,12 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), self._values(self)
+
+    def __setstate__(self, state):
+        if isinstance(state, dict):  # pickled by the dataclass forms of these classes
+            type(self).__init__(self, **state)
+        else:  # the field tuple, pickled before __reduce__
+            type(self).__init__(self, *state)
 
 
 class NeutroCalcError(Exception):

@@ -40,7 +40,11 @@ goes wrong, as `parse_nsnumber` reads a decorated number.
 The parser walks the token list by index, climbing precedence on
 explicit stacks, and shares the lexer with `parse_nsnumber`.  Numbers
 are read by `monads._read_decimal`, whose bounded memo reads
-each distinct short numeral once per process.
+each distinct short numeral once per process.  Decorated degrees sit at
+a few boundary points, so the same spellings, L(0) or R(1), recur from
+formula to formula: `_COMPONENTS` keeps the one-number component of each
+(monad letter, numeral) spelling, bounded as that memo is, and literals
+share it, which is safe because components are immutable.
 
 The public node constructors check their fields: a Literal holds a
 NeutroTriple, a Var a str, and Not and the binary nodes Formula
@@ -76,7 +80,7 @@ from .errors import (
     _check_type,
     _Frozen,
 )
-from .monads import _NOTATION, _NUMERAL, MonadKind, NsNumber, _read_decimal
+from .monads import _MEMO_CAP, _MEMO_WIDTH, _NOTATION, _NUMERAL, MonadKind, NsNumber, _read_decimal
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -115,7 +119,7 @@ class Literal(_Frozen):
 
     def __init__(self, value: NeutroTriple):
         _check_type("value", value, NeutroTriple)
-        self.__setstate__((value,))
+        self._store(value)
 
 
 class Var(_Frozen):
@@ -123,7 +127,7 @@ class Var(_Frozen):
 
     def __init__(self, name: str):
         _check_type("name", name, str)
-        self.__setstate__((name,))
+        self._store(name)
 
 
 class _Compound(_Frozen):
@@ -163,7 +167,7 @@ class Not(_Compound):
 
     def __init__(self, operand: "Formula"):
         _check_type("operand", operand, Formula, "Formula")
-        self.__setstate__((operand,))
+        self._store(operand)
 
 
 class _Binary(_Compound):
@@ -173,7 +177,7 @@ class _Binary(_Compound):
     def __init__(self, left: "Formula", right: "Formula"):
         _check_type("left", left, Formula, "Formula")
         _check_type("right", right, Formula, "Formula")
-        self.__setstate__((left, right))
+        self._store(left, right)
 
 
 class And(_Binary):
@@ -221,10 +225,27 @@ _SPELLINGS = {
 }
 
 
-def _nsnum(letter: str | None, inner: str | None, plain: str | None) -> Nonstandard:
-    """The one-number nonstandard component L(x), R(x), B(x) or plain x."""
-    kind = _MONAD_LETTER.get(letter, MonadKind.STD)
-    return Nonstandard._of((NsNumber._of(_read_decimal(inner or plain), kind),))
+# (monad letter, numeral, plain numeral) texts -> their one-number component,
+# bounded as monads._MEMO is.
+_COMPONENTS: dict[tuple, Nonstandard] = {}
+
+
+def _nsnum(texts: tuple) -> Nonstandard:
+    """The one-number nonstandard component L(x), R(x), B(x) or plain x of
+    the scanner's texts: a monad letter and its numeral, or None, None and
+    a plain numeral.  Each spelling is read once and kept in `_COMPONENTS`
+    as `_read_decimal` keeps numerals: one of at most `_MEMO_WIDTH`
+    characters is stored until the memo holds `_MEMO_CAP` entries, and
+    threads share it without a lock, as they share that memo."""
+    c = _COMPONENTS.get(texts)
+    if c is None:
+        letter, inner, plain = texts
+        numeral = inner or plain
+        kind = _MONAD_LETTER.get(letter, MonadKind.STD)
+        c = Nonstandard._of((NsNumber._of(_read_decimal(numeral), kind),))
+        if len(numeral) <= _MEMO_WIDTH and len(_COMPONENTS) < _MEMO_CAP:
+            _COMPONENTS[texts] = c
+    return c
 
 
 def _hesitant(text: str) -> Hesitant:
@@ -263,7 +284,7 @@ _SHAPES = {
     ),
     "decorated": (
         f"(?:{_SPELLINGS['monad'][1]}|{_SPELLINGS['number'][1]})",
-        lambda t: NeutroTriple._of(_nsnum(*t[0:3]), _nsnum(*t[3:6]), _nsnum(*t[6:9])),
+        lambda t: NeutroTriple._of(_nsnum(t[0:3]), _nsnum(t[3:6]), _nsnum(t[6:9])),
     ),
 }
 # One match per token, whitespace before it included; a well-formed triple
@@ -553,7 +574,7 @@ class EvalRequest(_Frozen):
         bindings = dict(bindings)
         for name, value in bindings.items():
             _check_type(f"binding {name!r}", value, NeutroTriple)
-        self.__setstate__((formula, config, scale, bounds, bindings))
+        self._store(formula, config, scale, bounds, bindings)
 
 
 def evaluate(req: EvalRequest) -> NeutroTriple:

@@ -38,7 +38,7 @@ class NsInterval(_Frozen):
         _check_type("hi", hi, NsNumber)
         if compare_ns(lo, hi) not in _AT_MOST:
             raise InvalidInterval(f"]{lo}, {hi}[ has endpoints out of order")
-        self.__setstate__((lo, hi))
+        self._store(lo, hi)
 
     def __str__(self) -> str:
         return f"]{self.lo}, {self.hi}["
@@ -152,8 +152,8 @@ class AnomalyReport(_Frozen):
 
     def __init__(self, lower, upper, outer_notation, inner_notation, probes,
                  outer_membership, inner_membership):
-        self.__setstate__((lower, upper, outer_notation, inner_notation, probes,
-                           outer_membership, inner_membership))
+        self._store(lower, upper, outer_notation, inner_notation, probes,
+                    outer_membership, inner_membership)
 
     @property
     def discrepancies(self) -> tuple[int, ...]:

@@ -233,7 +233,7 @@ class NsNumber(_Frozen):
     def __init__(self, value: Fraction, kind: MonadKind = MonadKind.STD):
         value = _number("value", value)
         _check_type("kind", kind, MonadKind)
-        self.__setstate__((value, kind))
+        self._store(value, kind)
 
     def __str__(self) -> str:
         text = _plain(self.value)

@@ -65,7 +65,10 @@ class Component(_Frozen):
     degrees of two same-shape components: the degrees are exact
     Fractions, and op maps them to Fractions, monotone in both arguments
     as the kernels are, so an interval's image is the op of its
-    endpoints.  For ``Hesitant`` op is one of `connectives`' set forms
+    endpoints.  When op returns an operand's own degree, both endpoints
+    for an interval, as min/max, min_ns/max_ns and a clamp that passes a
+    degree through do, ``_apply`` returns that operand itself, not a
+    copy.  For ``Hesitant`` op is one of `connectives`' set forms
     instead.  ``Nonstandard._apply`` refuses unions, intervals and
     bimonads itself.  ``_scaled(q)``, `scale_triple`'s step, multiplies
     every degree by an exact q > 0, which keeps every interval ordered;
@@ -86,7 +89,7 @@ class SingleValued(Component):
     shape = "single"
 
     def __init__(self, value: Fraction):
-        self.__setstate__((_number("value", value),))
+        self._store(_number("value", value))
 
     def __str__(self) -> str:
         return _plain(self.value)
@@ -99,7 +102,10 @@ class SingleValued(Component):
         return SingleValued._of(_ratio(n * qn, d * qd))
 
     def _apply(self, other: "SingleValued", op) -> "SingleValued":
-        return SingleValued._of(op(self.value, other.value))
+        v = op(self.value, other.value)
+        if v is self.value:
+            return self
+        return other if v is other.value else SingleValued._of(v)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "kind": "std", "value": float(self.value)}
@@ -113,7 +119,7 @@ class IntervalValued(Component):
         lo, hi = _number("lo", lo), _number("hi", hi)
         if lo > hi:
             raise InvalidInterval(f"[{_plain(lo)}, {_plain(hi)}] is reversed")
-        self.__setstate__((lo, hi))
+        self._store(lo, hi)
 
     def __str__(self) -> str:
         return f"[{_plain(self.lo)}, {_plain(self.hi)}]"
@@ -127,7 +133,12 @@ class IntervalValued(Component):
         return IntervalValued._of(_ratio(ln * qn, ld * qd), _ratio(hn * qn, hd * qd))
 
     def _apply(self, other: "IntervalValued", op) -> "IntervalValued":
-        return IntervalValued._of(op(self.lo, other.lo), op(self.hi, other.hi))
+        lo, hi = op(self.lo, other.lo), op(self.hi, other.hi)
+        if lo is self.lo and hi is self.hi:
+            return self
+        if lo is other.lo and hi is other.hi:
+            return other
+        return IntervalValued._of(lo, hi)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
@@ -166,7 +177,7 @@ class Hesitant(Component):
         canonical = _canonical(_number(f"values[{k}]", v) for k, v in enumerate(values))
         if not canonical:
             raise EmptyComponent("hesitant component needs at least one value")
-        self.__setstate__((canonical,))
+        self._store(canonical)
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
@@ -204,7 +215,7 @@ class Nonstandard(Component):
         members = _items("members", members, _MEMBERS, "NsNumber or NsInterval")
         if not members:
             raise EmptyComponent("nonstandard component needs at least one member")
-        self.__setstate__((members,))
+        self._store(members)
 
     def __str__(self) -> str:
         return " ∪ ".join(str(m) for m in self.members)
@@ -245,7 +256,10 @@ class Nonstandard(Component):
                 )
             if c.members[0].kind is MonadKind.BIMONAD:
                 raise UnsupportedNonstandardConfig("bimonad operands cannot be ranked by min/max")
-        return Nonstandard._of((op(self.members[0], other.members[0]),))
+        x = op(self.members[0], other.members[0])
+        if x is self.members[0]:
+            return self
+        return other if x is other.members[0] else Nonstandard._of((x,))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "members": [m.to_json() for m in self.members]}
@@ -267,7 +281,7 @@ class NeutroTriple(_Frozen):
                 "triple components must share one shape, got "
                 f"{type(t).__name__}/{type(i).__name__}/{type(f).__name__}"
             )
-        self.__setstate__((t, i, f))
+        self._store(t, i, f)
 
     @property
     def shape(self) -> str:
@@ -292,7 +306,7 @@ class OffsetBounds(_Frozen):
         psi, omega = _number("psi", psi), _number("omega", omega)
         if not (psi <= 0 < 1 <= omega):
             raise InvalidBounds("bounds must satisfy psi <= 0 < 1 <= omega")
-        self.__setstate__((psi, omega))
+        self._store(psi, omega)
 
 
 UNIT_BOUNDS = OffsetBounds(Fraction(0), Fraction(1))
@@ -302,7 +316,7 @@ class ComponentBounds(_Frozen):
     __slots__ = __match_args__ = ("inf", "sup")
 
     def __init__(self, inf: NsNumber, sup: NsNumber):
-        self.__setstate__((inf, sup))
+        self._store(inf, sup)
 
 
 def component_bounds(c: Component) -> ComponentBounds:
@@ -324,14 +338,14 @@ class Violation(_Frozen):
     __slots__ = __match_args__ = ("where", "message")
 
     def __init__(self, where: str, message: str):  # where: "t" | "i" | "f" | "sum"
-        self.__setstate__((where, message))
+        self._store(where, message)
 
 
 class ValidationReport(_Frozen):
     __slots__ = __match_args__ = ("ok", "violations")
 
     def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        self.__setstate__((ok, violations))
+        self._store(ok, violations)
 
 
 _PASSED = ValidationReport(ok=True)

@@ -33,6 +33,7 @@ from neutrocalc import (
     impl,
     left,
     neg,
+    parse,
     right,
     std,
     tconorm,
@@ -306,6 +307,47 @@ class TestHesitantPairLimit:
         x, y = _hesitant_t(256, 1), _hesitant_t(256, 300)
         out = conj(x, y, OperatorConfig(IF, PRODUCT))
         assert set(out.t.values) == {u * v for u in x.t.values for v in y.t.values}
+
+    def test_linear_min_max_counts_m_plus_n_values(self):
+        # 300 by 300 is 90,000 pairs, past the limit, but the linear meet and
+        # join read 600 values; the unit row takes them under evaluate.
+        x, y = _hesitant_t(300, 1), _hesitant_t(300, 150)
+        out = evaluate(EvalRequest("x & y", bindings={"x": x, "y": y}))
+        assert out == NeutroTriple(
+            Hesitant(_pairwise_map(min, x.t.values, y.t.values)),
+            Hesitant(_pairwise_map(max, x.i.values, y.i.values)),
+            Hesitant(_pairwise_map(max, x.f.values, y.f.values)),
+        )
+
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda x, y: evaluate(
+                EvalRequest("x & y", OperatorConfig(IF, PRODUCT), bindings={"x": x, "y": y})
+            ),
+            lambda x, y: conj(x, y),  # the offset row's clamping min/max, pair by pair
+            lambda x, y: evaluate(  # the Cartesian blend in I
+                EvalRequest("x & y", OperatorConfig(PLITH), bindings={"x": x, "y": y})
+            ),
+        ],
+        ids=["product", "public-conj", "plith-blend"],
+    )
+    def test_other_forms_of_the_same_pair_count_m_by_n(self, combine):
+        x, y = (NeutroTriple(c.t, c.t, c.f) for c in (_hesitant_t(300, 1), _hesitant_t(300, 150)))
+        with pytest.raises(NeutroCalcError) as info:
+            combine(x, y)
+        assert str(info.value) == (
+            "hesitant product of 300 by 300 values exceeds the limit of 65536 pairs"
+        )
+
+    def test_linear_min_max_refused_past_the_limit_in_values(self):
+        values = Hesitant([Fraction(k, 2**16) for k in range(2**16)])
+        x, y = NeutroTriple(values, values, values), _hesitant_t(1, 0)
+        with pytest.raises(NeutroCalcError) as info:
+            evaluate(EvalRequest("x | y", bindings={"x": x, "y": y}))
+        assert str(info.value) == (
+            "hesitant min/max of 65536 and 1 values exceeds the limit of 65536 values"
+        )
 
 
 # Denominators of the set-form differential: decimal, non-decimal, one past
@@ -810,6 +852,63 @@ class TestTrustedConstruction:
                 values, lo, hi = c.value_range()
                 assert all(type(v) is Fraction for v in values)
                 assert lo <= hi
+
+
+class TestOperandReuse:
+    """A step whose op returns an operand's degree (min/max, the decorated
+    min_ns/max_ns, an offset clamp that passes a degree through) returns
+    that operand's component itself; any other op builds a fresh one."""
+
+    SINGLE = (NeutroTriple.single("0.8", "0.4", "0.3"), NeutroTriple.single("0.6", "0.2", "0.5"))
+    INTERVAL = tuple(
+        parse(text).value
+        for text in ("<[0.3,0.5],[0.1,0.2],[0.2,0.3]>", "<[0.1,0.4],[0,0.1],[0.1,0.6]>")
+    )
+
+    @pytest.mark.parametrize("via", ["evaluate", "conj"])  # the unit and the offset row
+    def test_min_max_returns_the_selected_single_component(self, via):
+        x, y = self.SINGLE
+        out = _conj_via(via, x, y, OperatorConfig(IF, MINMAX))
+        assert out.t is y.t and out.i is x.i and out.f is y.f
+
+    @pytest.mark.parametrize("via", ["evaluate", "conj"])
+    def test_min_max_returns_an_interval_whose_endpoints_it_selects(self, via):
+        x, y = self.INTERVAL
+        out = _conj_via(via, x, y, OperatorConfig(IF, MINMAX))
+        assert out.t is y.t and out.i is x.i
+        assert out.f == IntervalValued("0.2", "0.6") and out.f is not x.f and out.f is not y.f
+
+    def test_decorated_row_returns_the_selected_component(self):
+        x = parse("<L(0.5), 0.2, R(0.3)>").value
+        y = parse("<0.5, L(0.2), 0.6>").value
+        out = conj(x, y, OperatorConfig(IF, MINMAX))
+        assert out.t is x.t and out.i is x.i and out.f is y.f
+        blended = conj(x, y, OperatorConfig(PLITH, MINMAX))
+        assert blended.i == y.i and blended.i is not y.i  # (0.2 + L(0.2)) / 2
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            (OperatorConfig(IF, PRODUCT), ("0.48", "0.52", "0.65")),
+            (OperatorConfig(IF, LUK), ("0.4", "0.6", "0.8")),
+            (OperatorConfig(PLITH, MINMAX), ("0.6", "0.3", "0.5")),
+        ],
+        ids=["product", "luk", "plith"],
+    )
+    @pytest.mark.parametrize("via", ["evaluate", "conj"])
+    def test_other_ops_build_fresh_components(self, cfg, expected, via):
+        x, y = self.SINGLE
+        out = _conj_via(via, x, y, cfg)
+        assert out == NeutroTriple.single(*expected)
+        fresh = (out.t, out.i, out.f) if cfg.tnorm is not MINMAX else (out.i,)
+        operands = (x.t, x.i, x.f, y.t, y.i, y.f)
+        assert all(c is not d for c in fresh for d in operands)
+
+
+def _conj_via(via: str, x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig) -> NeutroTriple:
+    if via == "conj":
+        return conj(x, y, cfg)
+    return evaluate(EvalRequest("x & y", cfg, bindings={"x": x, "y": y}))
 
 
 class TestConfigTypes:

@@ -2,6 +2,8 @@
 
 import re
 import signal
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,7 @@ from neutrocalc import (
     Var,
     add_ns,
     anomaly_check,
+    bimonad,
     classify_logic,
     compare_ns,
     conj,
@@ -68,6 +71,7 @@ from neutrocalc import (
     unparse,
     validate,
 )
+from neutrocalc import formula, monads
 from neutrocalc.formula import _MONAD_LETTER, _SPELLINGS, _component, _lex, _postorder
 
 IF_MINMAX = OperatorConfig(OperatorFamily.F_ALIGNED, TNormFamily.MIN_MAX)
@@ -583,6 +587,75 @@ class TestParseNsNumber:
     def test_rejects_other_syntax(self):
         with pytest.raises(FormulaSyntaxError):
             parse_nsnumber("<1,0,0>")
+
+
+@pytest.fixture
+def empty_component_memo(monkeypatch):
+    """An empty decorated-component memo for the test, the process's own
+    restored after."""
+    memo = {}
+    monkeypatch.setattr(formula, "_COMPONENTS", memo)
+    return memo
+
+
+class TestComponentMemo:
+    """formula._nsnum reads each decorated spelling once and keeps its
+    component, bounded as monads._read_decimal's numeral memo is."""
+
+    def test_a_spelling_is_read_once_and_equals_a_fresh_component(self, empty_component_memo):
+        first = parse("<L(0.5), 0.25, R(1)>").value
+        again = parse("<R(1), L(0.5), 0.25>").value
+        assert (again.t, again.i, again.f) == (first.f, first.t, first.i)
+        assert again.t is first.f and again.i is first.t and again.f is first.i
+        assert first == NeutroTriple(
+            Nonstandard(left("0.5")), Nonstandard(std("0.25")), Nonstandard(right(1))
+        )
+        assert len(empty_component_memo) == 3
+
+    def test_memo_is_capped(self, empty_component_memo):
+        for k in range(5_000):  # 5,000 distinct spellings, and "0"
+            out = parse(f"<L(0.{k}), 0, 0>").value
+            assert out.t == Nonstandard(left(f"0.{k}"))
+            assert len(empty_component_memo) <= monads._MEMO_CAP
+        assert len(empty_component_memo) == monads._MEMO_CAP  # full, and no longer stored into
+
+    def test_wide_numerals_are_read_exactly_and_not_stored(self, empty_component_memo):
+        wide = "0." + "7" * (monads._MEMO_WIDTH - 1)
+        out = parse(f"<B({wide}), {wide}, 0>").value
+        assert out.t == Nonstandard(bimonad(Fraction(wide))) and out.i == Nonstandard(std(wide))
+        assert list(empty_component_memo) == [(None, None, "0")]
+
+    def test_threads_share_the_memo(self, empty_component_memo):
+        """8 threads, more than the cores, start together and parse the same
+        spellings, more than the cap, under a short switch interval."""
+        threads_n = 8
+        texts = [f"{'LR'[k % 2]}({k % 7}.{k:04d})" for k in range(monads._MEMO_CAP + 1000)]
+        expected = [Nonstandard(parse_nsnumber(t)) for t in texts]
+        start = threading.Barrier(threads_n, timeout=60)
+        wrong, sizes = [], []
+
+        def read():
+            start.wait()
+            largest = 0
+            for t, c in zip(texts, expected):
+                if parse(f"<{t}, 0, 0>").value.t != c:
+                    wrong.append(t)
+                largest = max(largest, len(empty_component_memo))
+            sizes.append(largest)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert wrong == [] and len(sizes) == threads_n
+        assert max(sizes) <= monads._MEMO_CAP + threads_n
 
 
 class TestUnparse:

@@ -277,6 +277,28 @@ def test_pickles_of_the_field_tuple_state_still_load():
     assert pickle.loads(tree) == And(Var("x"), Not(Var("y")))
 
 
+def test_field_tuple_pickles_load_through_the_checked_constructor():
+    # pickle.dumps(Not._of(5), 4) with the tuple state (5,) that _Frozen
+    # pickled before __reduce__, as object.__new__(Not).__setstate__((5,)).
+    malformed = (
+        b"\x80\x04\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03Not"
+        b"\x94\x93\x94)\x81\x94K\x05\x85\x94b."
+    )
+    with pytest.raises(TypeError, match=r"^operand must be a Formula, got 5$"):
+        pickle.loads(malformed)
+    with pytest.raises(TypeError, match=r"^operand must be a Formula, got 5$"):
+        object.__new__(Not).__setstate__((5,))
+
+
+def test_trusted_constructors_of_one_two_three_and_more_fields():
+    t, i, f = SingleValued(H), SingleValued(0), SingleValued(1)
+    assert NeutroTriple._of(t, i, f) == NeutroTriple(t, i, f)
+    assert OffsetBounds._of(Fraction(-1), Fraction(2)) == OffsetBounds(-1, 2)
+    assert Var._of("x") == Var("x")
+    request = EvalRequest._of("x", OperatorConfig(), "unit", OffsetBounds(0, 1), {})
+    assert request == EvalRequest("x")
+
+
 def test_pickles_of_the_dataclass_forms_still_load():
     # pickle.dumps(..., 4) of the frozen dataclasses, whose state was a dict.
     bounds = (
