@@ -87,10 +87,10 @@ class OperatorFamily(Enum):
 class OperatorConfig(_Frozen):
     __slots__ = __match_args__ = ("family", "tnorm")
 
-    def __init__(self, family=OperatorFamily.F_ALIGNED, tnorm=TNormFamily.MIN_MAX):
+    def __new__(cls, family=OperatorFamily.F_ALIGNED, tnorm=TNormFamily.MIN_MAX):
         _check_type("family", family, OperatorFamily)
         _check_type("tnorm", tnorm, TNormFamily)
-        self._store(family, tnorm)
+        return cls._of(family, tnorm)
 
 
 class ClampWarning(UserWarning):
@@ -160,7 +160,11 @@ def _clamped(v: Fraction) -> Fraction:
     offset kernels call it only for such a degree."""
     try:
         shown = float(v)
-    except OverflowError:  # beyond the float range: the exact decimal
+    except OverflowError:
+        shown = None
+    if shown is None or 0 <= shown <= 1:
+        # Beyond the float range, or rounded into [0, 1], where the float
+        # would name a degree that needs no clamp: the exact decimal.
         shown = _plain(v)
     frame, level = sys._getframe(1), 2
     while frame.f_code.co_filename.startswith(_PACKAGE):

@@ -10,23 +10,26 @@ parameter: ``value must be a number, got None``.
 
 A value class names its fields once, ``__slots__ = __match_args__ =
 (...)``.  From those names `_Frozen` builds, once per class, the reader of
-the field tuple and the writers of the fields, the slots' own descriptors,
-and from the writers the two ways to store them.  A public ``__init__``
-checks and coerces its arguments, then stores them with the generated
-``self._store(*fields)``.  The generated ``cls._of(*fields)`` builds a
-value from fields that the library built itself, and checks nothing; it
+the field tuple and ``cls._of(*fields)``, which stores the fields of a
+new instance through the slots' own descriptors and checks nothing; it
 has one body for one field, one for two and one for three, the counts
-of the hot classes, and a loop past three.  `_Frozen` reads the fields
-in that order for ``==`` (same class only), ``hash`` (of the field
-tuple) and ``repr``, and refuses to assign or delete a field.  Its
-``__reduce__`` pickles and copies a value as its class and fields, so
-unpickling and ``copy`` rebuild it through the checked public
-constructor.  ``__setstate__`` still loads older pickles through that
-constructor too: a dict state, from the dataclass forms of these
-classes, as keywords, and the field tuple that `_Frozen` pickled before
-``__reduce__`` as positional arguments, so a malformed older pickle is
-refused as the constructor refuses it.  Instances have no ``__dict__``
-and take no weak references.
+of the hot classes, and a loop past three.  ``_of`` on a fresh object is
+the one way to set a field.  A public constructor is a ``__new__`` that
+checks and coerces its arguments, then returns ``cls._of(...)``; the
+library builds the values it computed itself through ``_of`` directly.
+No value class defines ``__init__``, so ``x.__init__(...)`` is
+``object.__init__`` and changes nothing, as for ``tuple`` and
+``Fraction``.  `_Frozen` reads the fields in order for ``==`` (same
+class only), ``hash`` (of the field tuple) and ``repr``, and refuses to
+assign or delete a field.  Its ``__reduce__`` pickles and copies a value
+as its class and fields, so unpickling and ``copy`` rebuild it through
+the checked public constructor.  The two older pickle formats, the
+dataclass forms' dict state and the field tuple state that came before
+``__reduce__``, are refused and build nothing: they call
+``cls.__new__(cls)`` without arguments, which raises TypeError, and
+for `OperatorConfig`, whose arguments all have defaults, pickle finds no
+``__setstate__`` or ``__dict__`` to load the state into.  Instances have
+no ``__dict__`` and take no weak references.
 """
 
 from __future__ import annotations
@@ -138,12 +141,6 @@ class _Frozen:
         puts = [cls.__dict__[name].__set__ for name in names]
         cls._of = _trusted(puts)
 
-        def _store(self, *values):
-            for put, value in zip(puts, values):
-                put(self, value)
-
-        cls._store = _store
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -164,12 +161,6 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), self._values(self)
-
-    def __setstate__(self, state):
-        if isinstance(state, dict):  # pickled by the dataclass forms of these classes
-            type(self).__init__(self, **state)
-        else:  # the field tuple, pickled before __reduce__
-            type(self).__init__(self, *state)
 
 
 class NeutroCalcError(Exception):

@@ -117,17 +117,17 @@ __all__ = [
 class Literal(_Frozen):
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: NeutroTriple):
+    def __new__(cls, value: NeutroTriple):
         _check_type("value", value, NeutroTriple)
-        self._store(value)
+        return cls._of(value)
 
 
 class Var(_Frozen):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         _check_type("name", name, str)
-        self._store(name)
+        return cls._of(name)
 
 
 class _Compound(_Frozen):
@@ -165,19 +165,19 @@ class Not(_Compound):
     __slots__ = __match_args__ = ("operand",)
     prec = 4
 
-    def __init__(self, operand: "Formula"):
+    def __new__(cls, operand: "Formula"):
         _check_type("operand", operand, Formula, "Formula")
-        self._store(operand)
+        return cls._of(operand)
 
 
 class _Binary(_Compound):
     __slots__ = __match_args__ = ("left", "right")
     right_assoc = False
 
-    def __init__(self, left: "Formula", right: "Formula"):
+    def __new__(cls, left: "Formula", right: "Formula"):
         _check_type("left", left, Formula, "Formula")
         _check_type("right", right, Formula, "Formula")
-        self._store(left, right)
+        return cls._of(left, right)
 
 
 class And(_Binary):
@@ -557,8 +557,8 @@ class EvalRequest(_Frozen):
 
     __slots__ = __match_args__ = ("formula", "config", "scale", "bounds", "bindings")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         formula: str,
         config: OperatorConfig = OperatorConfig(),
         scale: str = "unit",
@@ -574,7 +574,7 @@ class EvalRequest(_Frozen):
         bindings = dict(bindings)
         for name, value in bindings.items():
             _check_type(f"binding {name!r}", value, NeutroTriple)
-        self._store(formula, config, scale, bounds, bindings)
+        return cls._of(formula, config, scale, bounds, bindings)
 
 
 def evaluate(req: EvalRequest) -> NeutroTriple:

@@ -33,12 +33,12 @@ __all__ = [
 class NsInterval(_Frozen):
     __slots__ = __match_args__ = ("lo", "hi")
 
-    def __init__(self, lo: NsNumber, hi: NsNumber):
+    def __new__(cls, lo: NsNumber, hi: NsNumber):
         _check_type("lo", lo, NsNumber)
         _check_type("hi", hi, NsNumber)
         if compare_ns(lo, hi) not in _AT_MOST:
             raise InvalidInterval(f"]{lo}, {hi}[ has endpoints out of order")
-        self._store(lo, hi)
+        return cls._of(lo, hi)
 
     def __str__(self) -> str:
         return f"]{self.lo}, {self.hi}["
@@ -150,10 +150,10 @@ class AnomalyReport(_Frozen):
         "probes", "outer_membership", "inner_membership",
     )
 
-    def __init__(self, lower, upper, outer_notation, inner_notation, probes,
-                 outer_membership, inner_membership):
-        self._store(lower, upper, outer_notation, inner_notation, probes,
-                    outer_membership, inner_membership)
+    def __new__(cls, lower, upper, outer_notation, inner_notation, probes,
+                outer_membership, inner_membership):
+        return cls._of(lower, upper, outer_notation, inner_notation, probes,
+                       outer_membership, inner_membership)
 
     @property
     def discrepancies(self) -> tuple[int, ...]:

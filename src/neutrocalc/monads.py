@@ -230,10 +230,10 @@ class NsNumber(_Frozen):
 
     __slots__ = __match_args__ = ("value", "kind")
 
-    def __init__(self, value: Fraction, kind: MonadKind = MonadKind.STD):
+    def __new__(cls, value: Fraction, kind: MonadKind = MonadKind.STD):
         value = _number("value", value)
         _check_type("kind", kind, MonadKind)
-        self._store(value, kind)
+        return cls._of(value, kind)
 
     def __str__(self) -> str:
         text = _plain(self.value)

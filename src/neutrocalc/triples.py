@@ -58,8 +58,9 @@ class Component(_Frozen):
     least and greatest, and ``to_json()`` the ``--json`` form.  ``str()``
     is the formula syntax.
 
-    Public constructors coerce and check; the library builds the values
-    it computed itself through the generated ``_of``, which skips that.
+    A public constructor is a ``__new__`` that coerces and checks, then
+    calls the generated ``_of``; the library builds the values it
+    computed itself through ``_of`` directly, which skips the checks.
     ``_of`` and the two per-shape steps trust their caller.
     ``_apply(other, op)``, the connectives' step, applies op to the
     degrees of two same-shape components: the degrees are exact
@@ -88,8 +89,8 @@ class SingleValued(Component):
     __slots__ = __match_args__ = ("value",)
     shape = "single"
 
-    def __init__(self, value: Fraction):
-        self._store(_number("value", value))
+    def __new__(cls, value: Fraction):
+        return cls._of(_number("value", value))
 
     def __str__(self) -> str:
         return _plain(self.value)
@@ -115,11 +116,11 @@ class IntervalValued(Component):
     __slots__ = __match_args__ = ("lo", "hi")
     shape = "interval"
 
-    def __init__(self, lo: Fraction, hi: Fraction):
+    def __new__(cls, lo: Fraction, hi: Fraction):
         lo, hi = _number("lo", lo), _number("hi", hi)
         if lo > hi:
             raise InvalidInterval(f"[{_plain(lo)}, {_plain(hi)}] is reversed")
-        self._store(lo, hi)
+        return cls._of(lo, hi)
 
     def __str__(self) -> str:
         return f"[{_plain(self.lo)}, {_plain(self.hi)}]"
@@ -172,12 +173,12 @@ class Hesitant(Component):
     __slots__ = __match_args__ = ("values",)
     shape = "hesitant"
 
-    def __init__(self, values: Iterable):
+    def __new__(cls, values: Iterable):
         values = _items("values", values, None, "numbers")
         canonical = _canonical(_number(f"values[{k}]", v) for k, v in enumerate(values))
         if not canonical:
             raise EmptyComponent("hesitant component needs at least one value")
-        self._store(canonical)
+        return cls._of(canonical)
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
@@ -209,13 +210,13 @@ class Nonstandard(Component):
     __slots__ = __match_args__ = ("members",)
     shape = "nonstandard"
 
-    def __init__(self, members: Iterable):
+    def __new__(cls, members: Iterable):
         if isinstance(members, (NsNumber, NsInterval)):
             members = (members,)
         members = _items("members", members, _MEMBERS, "NsNumber or NsInterval")
         if not members:
             raise EmptyComponent("nonstandard component needs at least one member")
-        self._store(members)
+        return cls._of(members)
 
     def __str__(self) -> str:
         return " ∪ ".join(str(m) for m in self.members)
@@ -272,7 +273,7 @@ class NeutroTriple(_Frozen):
 
     __slots__ = __match_args__ = ("t", "i", "f")
 
-    def __init__(self, t: Component, i: Component, f: Component):
+    def __new__(cls, t: Component, i: Component, f: Component):
         _check_type("t", t, Component)
         _check_type("i", i, Component)
         _check_type("f", f, Component)
@@ -281,7 +282,7 @@ class NeutroTriple(_Frozen):
                 "triple components must share one shape, got "
                 f"{type(t).__name__}/{type(i).__name__}/{type(f).__name__}"
             )
-        self._store(t, i, f)
+        return cls._of(t, i, f)
 
     @property
     def shape(self) -> str:
@@ -302,11 +303,11 @@ class OffsetBounds(_Frozen):
 
     __slots__ = __match_args__ = ("psi", "omega")
 
-    def __init__(self, psi: Fraction, omega: Fraction):
+    def __new__(cls, psi: Fraction, omega: Fraction):
         psi, omega = _number("psi", psi), _number("omega", omega)
         if not (psi <= 0 < 1 <= omega):
             raise InvalidBounds("bounds must satisfy psi <= 0 < 1 <= omega")
-        self._store(psi, omega)
+        return cls._of(psi, omega)
 
 
 UNIT_BOUNDS = OffsetBounds(Fraction(0), Fraction(1))
@@ -315,8 +316,8 @@ UNIT_BOUNDS = OffsetBounds(Fraction(0), Fraction(1))
 class ComponentBounds(_Frozen):
     __slots__ = __match_args__ = ("inf", "sup")
 
-    def __init__(self, inf: NsNumber, sup: NsNumber):
-        self._store(inf, sup)
+    def __new__(cls, inf: NsNumber, sup: NsNumber):
+        return cls._of(inf, sup)
 
 
 def component_bounds(c: Component) -> ComponentBounds:
@@ -337,15 +338,15 @@ def triple_sums(x: NeutroTriple) -> tuple[NsNumber, NsNumber]:
 class Violation(_Frozen):
     __slots__ = __match_args__ = ("where", "message")
 
-    def __init__(self, where: str, message: str):  # where: "t" | "i" | "f" | "sum"
-        self._store(where, message)
+    def __new__(cls, where: str, message: str):  # where: "t" | "i" | "f" | "sum"
+        return cls._of(where, message)
 
 
 class ValidationReport(_Frozen):
     __slots__ = __match_args__ = ("ok", "violations")
 
-    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
-        self._store(ok, violations)
+    def __new__(cls, ok: bool, violations: tuple[Violation, ...] = ()):
+        return cls._of(ok, violations)
 
 
 _PASSED = ValidationReport(ok=True)

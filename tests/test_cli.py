@@ -273,6 +273,20 @@ class TestEval:
         ]
 
 
+    @pytest.mark.parametrize(
+        "degree, t",
+        [("1.00000000000000000001", "0.5"), ("-0." + "0" * 399 + "1", "0"), ("1.2", "0.5")],
+        ids=["float-rounds-to-1", "float-rounds-to-minus-0", "float-outside"],
+    )
+    def test_clamp_warning_names_the_degree(self, capsys, degree, t):
+        argv = ["eval", f"<{degree},0,0> & <0.5,0.2,0.1>", "--psi", "-1", "--omega", "2"]
+        warning = f"degree {degree} clamped into [0, 1] for kernel application"
+        assert run(capsys, argv) == (0, f"<{t}, 0.2, 0.1>\n", f"warning: {warning}\n")
+        code, out, err = run(capsys, [*argv, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warnings"] == [warning]
+
+
 class TestCompare:
     @pytest.mark.parametrize(
         "x, y, rel",

@@ -740,6 +740,25 @@ class TestOffsetOperands:
             f"degree 1{'0' * 400} clamped into [0, 1] for kernel application"
         ]
 
+    @pytest.mark.parametrize(
+        "degree, shown",
+        [
+            (1 + Fraction(1, 10**20), "1.00000000000000000001"),
+            (-Fraction(1, 10**400), "-0." + "0" * 399 + "1"),
+            (Fraction(6, 5), "1.2"),
+        ],
+        ids=["float-rounds-to-1", "float-rounds-to-minus-0", "float-outside"],
+    )
+    def test_clamp_message_names_a_degree_outside_the_unit_range(self, degree, shown):
+        # A degree whose float lies in [0, 1] is shown as its exact decimal,
+        # any other as its float.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            conj(NeutroTriple.single(degree, 0, 0), NeutroTriple.single(0.5, 0.2, 0.1))
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ClampWarning, f"degree {shown} clamped into [0, 1] for kernel application")
+        ]
+
     @pytest.mark.parametrize("cfg", ALL_CONFIGS)
     def test_no_warning_at_exactly_zero_and_one(self, cfg):
         # The public connectives clamp every standard operand; at the unit

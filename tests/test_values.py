@@ -25,14 +25,17 @@ from neutrocalc import (
     Or,
     SingleValued,
     TNormFamily,
+    UNIT_BOUNDS,
     Var,
     anomaly_check,
+    format_triple,
     left,
     parse,
     right,
     std,
     validate,
 )
+from neutrocalc.errors import _Frozen
 
 H = Fraction(1, 2)
 _T = "NeutroTriple(t=SingleValued(value=Fraction(1, 1)), i=SingleValued(value=Fraction(1, 2)), "
@@ -261,33 +264,39 @@ def test_copies_and_unpickled_values_pass_the_checked_constructor(duplicate):
         duplicate(Not._of(5))
 
 
-def test_pickles_of_the_field_tuple_state_still_load():
-    # pickle.dumps(..., 4) of the classes as built on _Frozen with a tuple state.
-    bounds = (
+def test_pickles_of_the_older_formats_are_refused():
+    # pickle.dumps(..., 4) of the frozen dataclasses, whose state was a
+    # dict, and of the classes as built on _Frozen with a field tuple state
+    # before __reduce__: each calls cls.__new__(cls) without arguments.
+    dataclass_bounds = (
+        b"\x80\x04\x95k\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
+        b"OffsetBounds\x94\x93\x94)\x81\x94}\x94(\x8c\x03psi\x94\x8c\tfractions\x94\x8c\x08"
+        b"Fraction\x94\x93\x94J\xff\xff\xff\xffK\x02\x86\x94R\x94\x8c\x05omega\x94h\x08K\x02"
+        b"K\x01\x86\x94R\x94ub."
+    )
+    dataclass_tree = (
+        b"\x80\x04\x95{\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
+        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04left\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94}"
+        b"\x94\x8c\x04name\x94\x8c\x01x\x94sb\x8c\x05right\x94h\x00\x8c\x03Not\x94\x93\x94)"
+        b"\x81\x94}\x94\x8c\x07operand\x94h\x07)\x81\x94}\x94h\n\x8c\x01y\x94sbsbub."
+    )
+    tuple_bounds = (
         b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
         b"OffsetBounds\x94\x93\x94)\x81\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff"
         b"\xff\xff\xffK\x02\x86\x94R\x94h\x06K\x02K\x01\x86\x94R\x94\x86\x94b."
     )
-    tree = (
+    tuple_tree = (
         b"\x80\x04\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
         b"\x94\x93\x94)\x81\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94\x8c\x01x\x94\x85\x94bh\x00"
         b"\x8c\x03Not\x94\x93\x94)\x81\x94h\x05)\x81\x94\x8c\x01y\x94\x85\x94b\x85\x94b\x86\x94b."
     )
-    assert pickle.loads(bounds) == OffsetBounds(Fraction(-1, 2), 2)
-    assert pickle.loads(tree) == And(Var("x"), Not(Var("y")))
-
-
-def test_field_tuple_pickles_load_through_the_checked_constructor():
-    # pickle.dumps(Not._of(5), 4) with the tuple state (5,) that _Frozen
-    # pickled before __reduce__, as object.__new__(Not).__setstate__((5,)).
-    malformed = (
+    tuple_malformed = (  # Not._of(5)
         b"\x80\x04\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03Not"
         b"\x94\x93\x94)\x81\x94K\x05\x85\x94b."
     )
-    with pytest.raises(TypeError, match=r"^operand must be a Formula, got 5$"):
-        pickle.loads(malformed)
-    with pytest.raises(TypeError, match=r"^operand must be a Formula, got 5$"):
-        object.__new__(Not).__setstate__((5,))
+    for data in (dataclass_bounds, dataclass_tree, tuple_bounds, tuple_tree, tuple_malformed):
+        with pytest.raises(TypeError, match=r"__new__\(\) missing \d required positional argument"):
+            pickle.loads(data)
 
 
 def test_trusted_constructors_of_one_two_three_and_more_fields():
@@ -299,19 +308,81 @@ def test_trusted_constructors_of_one_two_three_and_more_fields():
     assert request == EvalRequest("x")
 
 
-def test_pickles_of_the_dataclass_forms_still_load():
-    # pickle.dumps(..., 4) of the frozen dataclasses, whose state was a dict.
-    bounds = (
-        b"\x80\x04\x95k\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
-        b"OffsetBounds\x94\x93\x94)\x81\x94}\x94(\x8c\x03psi\x94\x8c\tfractions\x94\x8c\x08"
-        b"Fraction\x94\x93\x94J\xff\xff\xff\xffK\x02\x86\x94R\x94\x8c\x05omega\x94h\x08K\x02"
-        b"K\x01\x86\x94R\x94ub."
-    )
-    tree = (
-        b"\x80\x04\x95{\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
-        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04left\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94}"
-        b"\x94\x8c\x04name\x94\x8c\x01x\x94sb\x8c\x05right\x94h\x00\x8c\x03Not\x94\x93\x94)"
-        b"\x81\x94}\x94\x8c\x07operand\x94h\x07)\x81\x94}\x94h\n\x8c\x01y\x94sbsbub."
-    )
-    assert pickle.loads(bounds) == OffsetBounds(Fraction(-1, 2), 2)
-    assert pickle.loads(tree) == And(Var("x"), Not(Var("y")))
+# name -> constructor arguments of another value of the class than VALUES builds.
+OTHER_ARGS = {
+    "NsNumber": (Fraction(1, 3),),
+    "NsInterval": (std(0), std(1)),
+    "AnomalyReport": (0, 2, "a", "b", (), (), ()),
+    "SingleValued": (0,),
+    "IntervalValued": (0, 1),
+    "Hesitant": ([0, 1],),
+    "Nonstandard": ([right(0)],),
+    "NeutroTriple": (SingleValued(0), SingleValued(0), SingleValued(0)),
+    "OffsetBounds": (-1, 2),
+    "ComponentBounds": (std(0), std(1)),
+    "Violation": ("sum", "another message"),
+    "ValidationReport": (True,),
+    "Literal": (NeutroTriple.single(0, 0, 0),),
+    "Var": ("y",),
+    "Not": (Var("y"),),
+    "And": (Var("y"), Var("x")),
+    "Or": (Var("y"), Var("x")),
+    "Implies": (Var("y"), Var("x")),
+    "EvalRequest": ("y",),
+    "OperatorConfig": (),
+}
+
+
+def _value_classes() -> list[type]:
+    """Every subclass of _Frozen in neutrocalc that has fields."""
+    found, todo = [], [_Frozen]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("neutrocalc.") and getattr(cls, "__match_args__", ()):
+            found.append(cls)
+    return found
+
+
+def test_value_classes_define_no_init_or_setstate():
+    classes = _value_classes()
+    assert {c.__name__ for c in classes if not c.__name__.startswith("_")} == set(VALUES)
+    for cls in classes:
+        assert cls.__init__ is object.__init__, cls
+        assert not hasattr(cls, "__setstate__"), cls
+
+
+def test_init_on_a_value_changes_nothing(case):
+    x, _, _, printed, _ = case
+    args = OTHER_ARGS[type(x).__name__]
+    assert type(x)(*args) != x
+    hashed = None if isinstance(x, EvalRequest) else hash(x)
+    x.__init__(*args)
+    assert x == case[1]() and repr(x) == printed
+    if hashed is not None:
+        assert hash(x) == hashed
+
+
+# Values the package keeps and hands out again, each rewritten through
+# __init__ and then handed out: a memoised decorated component, the unit
+# bounds, validate's passing report and EvalRequest's default configuration.
+def test_init_on_a_memoised_component_changes_nothing():
+    parse("<L(0.5),0,0>").value.t.__init__([right(0.9)])
+    assert format_triple(parse("<L(0.5),0,0>").value) == "<L(0.5), 0, 0>"
+
+
+def test_init_on_the_unit_bounds_changes_nothing():
+    UNIT_BOUNDS.__init__(-1, 2)
+    assert UNIT_BOUNDS == OffsetBounds(0, 1)
+    assert not validate(NeutroTriple.single(-1, 0, 0)).ok
+
+
+def test_init_on_the_passing_report_changes_nothing():
+    passing = NeutroTriple.single(H, 0, 0)
+    validate(passing).__init__(False, ())
+    assert validate(passing).ok and validate(passing).violations == ()
+
+
+def test_init_on_the_default_config_changes_nothing():
+    EvalRequest("x").config.__init__(OperatorFamily.PLITHOGENIC, TNormFamily.PRODUCT)
+    assert EvalRequest("x").config == OperatorConfig()
