@@ -264,39 +264,55 @@ def test_copies_and_unpickled_values_pass_the_checked_constructor(duplicate):
         duplicate(Not._of(5))
 
 
-def test_pickles_of_the_older_formats_are_refused():
-    # pickle.dumps(..., 4) of the frozen dataclasses, whose state was a
-    # dict, and of the classes as built on _Frozen with a field tuple state
-    # before __reduce__: each calls cls.__new__(cls) without arguments.
-    dataclass_bounds = (
+def _refused(*pickles: bytes) -> None:
+    """Each pickle calls cls.__new__(cls) without arguments, which builds nothing."""
+    for data in pickles:
+        with pytest.raises(TypeError, match=r"__new__\(\) missing \d required positional argument"):
+            pickle.loads(data)
+
+
+def test_pickles_of_the_field_tuple_state_are_refused():
+    # pickle.dumps(..., 4) of the classes as built on _Frozen with a field
+    # tuple state, before __reduce__.
+    bounds = (
+        b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
+        b"OffsetBounds\x94\x93\x94)\x81\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff"
+        b"\xff\xff\xffK\x02\x86\x94R\x94h\x06K\x02K\x01\x86\x94R\x94\x86\x94b."
+    )
+    tree = (
+        b"\x80\x04\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
+        b"\x94\x93\x94)\x81\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94\x8c\x01x\x94\x85\x94bh\x00"
+        b"\x8c\x03Not\x94\x93\x94)\x81\x94h\x05)\x81\x94\x8c\x01y\x94\x85\x94b\x85\x94b\x86\x94b."
+    )
+    _refused(bounds, tree)
+
+
+def test_field_tuple_pickles_are_refused_before_the_checked_constructor():
+    # pickle.dumps(Not._of(5), 4) with the tuple state (5,) that _Frozen
+    # pickled before __reduce__: refused before any field is read.
+    malformed = (
+        b"\x80\x04\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03Not"
+        b"\x94\x93\x94)\x81\x94K\x05\x85\x94b."
+    )
+    _refused(malformed)
+    assert not hasattr(Not, "__setstate__")
+
+
+def test_pickles_of_the_dataclass_forms_are_refused():
+    # pickle.dumps(..., 4) of the frozen dataclasses, whose state was a dict.
+    bounds = (
         b"\x80\x04\x95k\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
         b"OffsetBounds\x94\x93\x94)\x81\x94}\x94(\x8c\x03psi\x94\x8c\tfractions\x94\x8c\x08"
         b"Fraction\x94\x93\x94J\xff\xff\xff\xffK\x02\x86\x94R\x94\x8c\x05omega\x94h\x08K\x02"
         b"K\x01\x86\x94R\x94ub."
     )
-    dataclass_tree = (
+    tree = (
         b"\x80\x04\x95{\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
         b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04left\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94}"
         b"\x94\x8c\x04name\x94\x8c\x01x\x94sb\x8c\x05right\x94h\x00\x8c\x03Not\x94\x93\x94)"
         b"\x81\x94}\x94\x8c\x07operand\x94h\x07)\x81\x94}\x94h\n\x8c\x01y\x94sbsbub."
     )
-    tuple_bounds = (
-        b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.triples\x94\x8c\x0c"
-        b"OffsetBounds\x94\x93\x94)\x81\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff"
-        b"\xff\xff\xffK\x02\x86\x94R\x94h\x06K\x02K\x01\x86\x94R\x94\x86\x94b."
-    )
-    tuple_tree = (
-        b"\x80\x04\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
-        b"\x94\x93\x94)\x81\x94h\x00\x8c\x03Var\x94\x93\x94)\x81\x94\x8c\x01x\x94\x85\x94bh\x00"
-        b"\x8c\x03Not\x94\x93\x94)\x81\x94h\x05)\x81\x94\x8c\x01y\x94\x85\x94b\x85\x94b\x86\x94b."
-    )
-    tuple_malformed = (  # Not._of(5)
-        b"\x80\x04\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03Not"
-        b"\x94\x93\x94)\x81\x94K\x05\x85\x94b."
-    )
-    for data in (dataclass_bounds, dataclass_tree, tuple_bounds, tuple_tree, tuple_malformed):
-        with pytest.raises(TypeError, match=r"__new__\(\) missing \d required positional argument"):
-            pickle.loads(data)
+    _refused(bounds, tree)
 
 
 def test_trusted_constructors_of_one_two_three_and_more_fields():
