@@ -6,25 +6,24 @@ follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
 The blend is the midpoint of meet and join; `_rows` states the identity
 that lets the unit and decorated rows take it in one call per value
-pair, and why the offset row does not.
+pair, and why the offset rows do not.
 
-Each connective reads its operators from one table keyed by (kernel,
-number domain): "unit" (the bare kernels), "offset" (every operand
-clamped into [0, 1] first, with a ClampWarning per clamp), and
-"decorated" for nonstandard operands (min_ns/max_ns, under the min/max
-kernel only).  Degrees leave [0, 1] only under widened bounds [psi,
-omega], and clamping a degree in [0, 1] changes and warns nothing, so
-the domain follows from the bounds, never from the values.  `_row` is
-the one place that chooses the row: decorated for nonstandard operands,
-else unit under psi = 0, omega = 1, where admission keeps every degree
-in [0, 1], and offset under widened bounds or none.  `formula.evaluate`
-passes the request's bounds, and the public `conj`, `disj` and `impl`
-none.  Both apply the row through `_step`.
-
-For hesitant operands `_row` returns the row under the same key in
-`_SET_FORMS` instead, built once at import from the scalar row: each
-set form maps the two sorted value tuples of a component to the sorted,
-distinct values of its op over every pair (`_set_form`).
+Each connective reads its operators from one table, `_TABLE`, built at
+import and keyed by (component class, kernel, number domain).  The
+domain is "unit" (the bare kernels) or "offset" (every operand clamped
+into [0, 1] first, with a ClampWarning per clamp).  Degrees leave
+[0, 1] only under widened bounds [psi, omega], and clamping a degree in
+[0, 1] changes and warns nothing, so the domain follows from the bounds,
+never from the values: unit under psi = 0, omega = 1, where admission
+keeps every degree in [0, 1], and offset under widened bounds or none.
+The component class picks the ops' shape: SingleValued and
+IntervalValued take the scalar ops, Hesitant their set forms, each
+mapping the two sorted value tuples of a component to the sorted,
+distinct values of its op over every pair (`_set_form`), and
+Nonstandard the min_ns/max_ns rows, under the min/max kernel only and
+in both domains.  `_row` is the one place that chooses the row, by one
+lookup.  `formula.evaluate` passes the request's bounds, and the public
+`conj`, `disj` and `impl` none.  Both apply the row through `_step`.
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -48,7 +47,7 @@ from .errors import (
     _Frozen,
 )
 from .monads import NsNumber, _number, _plain, _ratio, _ratios, add_ns, max_ns, min_ns
-from .triples import UNIT_BOUNDS, Hesitant, NeutroTriple, Nonstandard, _canonical
+from .triples import Hesitant, IntervalValued, NeutroTriple, Nonstandard, SingleValued, _canonical
 
 __all__ = [
     "TNormFamily",
@@ -234,48 +233,29 @@ _FAMILY_RULES = {
 }
 
 
-def _rows(meet, join, blend) -> dict:
+def _rows(meet, join, blend=None) -> dict:
     """(t_op, i_op, f_op) per (family, is_conj); blend is the plithogenic I op.
 
-    The blend is the midpoint of meet and join.  T(a, b) + S(a, b) = a + b
-    under every kernel (min + max; ab + (a + b - ab); max(0, a + b - 1) +
-    min(1, a + b)), so the unit rows blend with `_midpoint`.  The decorated
-    row blends with `_ns_midpoint`: `Nonstandard._apply` admits only single
-    L, S or R numbers, which min_ns and max_ns always rank, so {min, max} =
-    {a, b}, and the decorated sum is symmetric.  The offset row's blend is
-    the midpoint of its clamped operands too, but it applies both clamping
-    kernels: each clamps, and warns about, an out-of-range degree, and the
-    benchmark's reference expects those two ClampWarnings per degree
-    (ROADMAP item 15 moves it to one).
+    The blend is the midpoint of meet and join, and by default it applies
+    both.  T(a, b) + S(a, b) = a + b under every kernel (min + max; ab +
+    (a + b - ab); max(0, a + b - 1) + min(1, a + b)), so the unit rows
+    blend with `_midpoint`.  The decorated rows blend with `_ns_midpoint`:
+    `Nonstandard._apply` admits only single L, S or R numbers, which min_ns
+    and max_ns always rank, so {min, max} = {a, b}, and the decorated sum
+    is symmetric.  The offset rows keep the default: each clamping kernel
+    clamps, and warns about, an out-of-range degree, and the benchmark's
+    reference expects those two ClampWarnings per degree (ROADMAP item 15
+    moves it to one).
     """
+    if blend is None:
+        def blend(a: Fraction, b: Fraction) -> Fraction:
+            return _midpoint(meet(a, b), join(a, b))
+
     return {
         (family, is_conj): tuple({"meet": m, "join": j, "blend": blend}[r] for r in rules)
         for family, rules in _FAMILY_RULES.items()
         for is_conj, (m, j) in ((True, (meet, join)), (False, (join, meet)))
     }
-
-
-def _offset_rows(tn, tc) -> dict:
-    """The rows of kernel (tn, tc) on operands clamped into [0, 1] first."""
-    meet, join = _offset(tn), _offset(tc)
-
-    def blend(a: Fraction, b: Fraction) -> Fraction:
-        return _midpoint(meet(a, b), join(a, b))
-
-    return _rows(meet, join, blend)
-
-
-#: The one operator table: (kernel, domain) -> rows.  Only min/max ranks decorated numbers.
-_OPERATORS = {
-    (kernel, domain): rows
-    for kernel, (tn, tc) in _KERNELS.items()
-    for domain, rows in (("unit", _rows(tn, tc, _midpoint)), ("offset", _offset_rows(tn, tc)))
-}
-# Looked up at call time, as _offset's kernels look up _clamped, so that wrappers
-# set on this module after import (a tracer's spans) see every call.
-_OPERATORS[TNormFamily.MIN_MAX, "decorated"] = _rows(
-    lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint
-)
 
 
 #: Bit length of the values' common denominator past which a Cartesian set
@@ -338,28 +318,38 @@ def _join_set(xs: tuple, ys: tuple) -> tuple:
     return _canonical(xs[bisect_left(xs, ys[0]) :] + ys[bisect_left(ys, xs[0]) :])
 
 
-def _set_form(op):
-    """op's set form on two hesitant components' sorted values: the sorted,
-    distinct values of op over every pair.  The min/max kernels take the
-    linear forms and the other unit kernels the Cartesian ones.  The offset
-    row's clamping ops keep the pairwise map: each clamp warns once per
-    pair, in pair order, which the benchmark's reference counts (ROADMAP
-    items 15 and 21)."""
-    if op is _min:
-        return _meet_set
-    if op is _max:
-        return _join_set
-    if op in _NUMERATORS:
-        return _cartesian(op, _NUMERATORS[op])
-    return _pairwise(op)
-
-
-#: The rows of set forms that hesitant operands take, keyed as _OPERATORS.
-_SET_FORMS = {
-    key: {k: tuple(map(_set_form, row)) for k, row in rows.items()}
-    for key, rows in _OPERATORS.items()
-    if key[1] != "decorated"
+#: Each op's set form on two hesitant components' sorted values: the
+#: sorted, distinct values of op over every pair.  The min/max kernels take
+#: the linear forms and the other unit kernels the Cartesian ones.  Any
+#: other op, the offset rows' clamping ones, maps the pairs with
+#: `_pairwise`: each clamp warns once per pair, in pair order, which the
+#: benchmark's reference counts (ROADMAP items 15 and 21).
+_set_form = {_min: _meet_set, _max: _join_set} | {
+    op: _cartesian(op, numerators) for op, numerators in _NUMERATORS.items()
 }
+
+
+def _set_rows(rows: dict) -> dict:
+    """rows with each op replaced by its set form."""
+    return {k: tuple(_set_form.get(op) or _pairwise(op) for op in row) for k, row in rows.items()}
+
+
+#: The one operator table: (component class, kernel, domain) -> rows.
+_TABLE = {
+    (shape, kernel, domain): shaped
+    for kernel, (tn, tc) in _KERNELS.items()
+    for domain, rows in (
+        ("unit", _rows(tn, tc, _midpoint)),
+        ("offset", _rows(_offset(tn), _offset(tc))),
+    )
+    for shape, shaped in ((SingleValued, rows), (IntervalValued, rows), (Hesitant, _set_rows(rows)))
+}
+# Only min/max ranks decorated numbers, and it never clamps them.  min_ns
+# and max_ns are looked up at call time, as _offset's kernels look up
+# _clamped, so that wrappers set on this module after import (a tracer's
+# spans) see every call.
+_DECORATED = _rows(lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint)
+_TABLE.update({(Nonstandard, TNormFamily.MIN_MAX, d): _DECORATED for d in ("unit", "offset")})
 
 
 def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
@@ -369,16 +359,13 @@ def _check_shapes(x: NeutroTriple, y: NeutroTriple) -> None:
 
 def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tuple:
     """The (t_op, i_op, f_op) of one connective on operands of x's shape:
-    "decorated" for nonstandard operands, else "unit" under the bounds
-    psi = 0, omega = 1, and "offset" under widened bounds or none; set
-    forms for hesitant operands, scalar ops for the other shapes."""
-    if isinstance(x.t, Nonstandard):
-        domain = "decorated"
-    elif bounds is not None and bounds == UNIT_BOUNDS:
-        domain = "unit"
-    else:
-        domain = "offset"
-    rows = (_SET_FORMS if type(x.t) is Hesitant else _OPERATORS).get((cfg.tnorm, domain))
+    "unit" under the bounds psi = 0, omega = 1, and "offset" under widened
+    bounds or none.  `OffsetBounds` keeps psi <= 0 < 1 <= omega, so the
+    numerators decide unit bounds: psi's is 0 and omega's is 1.  They are
+    read off Fraction's slots, as monads._ratio writes them, because `==`
+    and Fraction's own operators each make Python-level calls."""
+    unit = bounds is not None and not bounds.psi._numerator and bounds.omega._numerator == 1
+    rows = _TABLE.get((type(x.t), cfg.tnorm, "unit" if unit else "offset"))
     if rows is None:
         raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
     return rows[cfg.family, is_conj]

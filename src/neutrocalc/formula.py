@@ -80,7 +80,7 @@ from .errors import (
     _check_type,
     _Frozen,
 )
-from .monads import _MEMO_CAP, _MEMO_WIDTH, _NOTATION, _NUMERAL, MonadKind, NsNumber, _read_decimal
+from .monads import _NOTATION, _NUMERAL, MonadKind, NsNumber, _read_decimal, _remember
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -226,7 +226,7 @@ _SPELLINGS = {
 
 
 # (monad letter, numeral, plain numeral) texts -> their one-number component,
-# bounded as monads._MEMO is.
+# bounded by monads._remember, as monads._MEMO is.
 _COMPONENTS: dict[tuple, Nonstandard] = {}
 
 
@@ -234,17 +234,14 @@ def _nsnum(texts: tuple) -> Nonstandard:
     """The one-number nonstandard component L(x), R(x), B(x) or plain x of
     the scanner's texts: a monad letter and its numeral, or None, None and
     a plain numeral.  Each spelling is read once and kept in `_COMPONENTS`
-    as `_read_decimal` keeps numerals: one of at most `_MEMO_WIDTH`
-    characters is stored until the memo holds `_MEMO_CAP` entries, and
-    threads share it without a lock, as they share that memo."""
+    as `_read_decimal` keeps numerals, through `_remember`."""
     c = _COMPONENTS.get(texts)
     if c is None:
         letter, inner, plain = texts
         numeral = inner or plain
         kind = _MONAD_LETTER.get(letter, MonadKind.STD)
         c = Nonstandard._of((NsNumber._of(_read_decimal(numeral), kind),))
-        if len(numeral) <= _MEMO_WIDTH and len(_COMPONENTS) < _MEMO_CAP:
-            _COMPONENTS[texts] = c
+        _remember(_COMPONENTS, numeral, texts, c)
     return c
 
 

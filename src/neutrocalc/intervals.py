@@ -177,8 +177,8 @@ def _report(probes: tuple, a: Fraction, b: Fraction) -> AnomalyReport:
     return AnomalyReport(
         lower=a,
         upper=b,
-        outer_notation=f"]{std(a)}, {right(b)}[",
-        inner_notation=f"]{right(a)}, {left(b)}[",
+        outer_notation=str(NsInterval._of(std(a), right(b))),
+        inner_notation=str(NsInterval._of(right(a), left(b))),
         probes=probes,
         outer_membership=membership,
         inner_membership=membership,

@@ -109,20 +109,27 @@ _MEMO_CAP = 4096  # entries; the memo stores nothing more once it is full
 _MEMO_WIDTH = 20  # characters; a longer numeral is read, never stored
 
 
+def _remember(memo: dict, numeral: str, key, value) -> None:
+    """Store value, read from the text numeral, under key in memo while
+    numeral has at most `_MEMO_WIDTH` characters and memo holds fewer than
+    `_MEMO_CAP` entries: a full memo stores nothing more, so hostile input
+    cannot pin memory.  Callers share the stored values, which is
+    safe because each is immutable and no code relies on its identity.
+    Threads share a memo without a lock: each dict operation is atomic,
+    and a lost or doubled insert stores the same value, so racing inserts
+    can overshoot the cap by at most one entry per thread."""
+    if len(numeral) <= _MEMO_WIDTH and len(memo) < _MEMO_CAP:
+        memo[key] = value
+
+
 def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
     """numeral * 10**exponent, exactly; numeral is an optional sign, digits
     and an optional point, as _DECIMAL's numeral group spells it.  The one
     reader of decimal text: the formula lexer's numbers and as_fraction's
     strings, Decimals and float reprs.
 
-    A read without an exponent goes through `_MEMO`, which stores
-    numerals of at most `_MEMO_WIDTH` characters until it holds
-    `_MEMO_CAP` entries and then stops, so hostile input cannot pin
-    memory.  Callers share the stored values, which is safe because a
-    Fraction is immutable and no code relies on its identity.  Threads
-    share the memo without a lock: each dict operation is atomic, and a
-    lost or doubled insert stores the same value, so racing inserts can
-    overshoot the cap by at most one entry per thread.
+    A read without an exponent goes through `_MEMO`, which `_remember`
+    bounds.
     """
     q = None if exponent else _MEMO.get(numeral)
     if q is None:
@@ -133,8 +140,8 @@ def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
         except ValueError:  # more digits than int() reads at once
             n = _long_int(whole + frac)
         q = _ratio(n * 10**-shift, 1) if shift < 0 else _ratio(n, 10**shift)
-        if not exponent and len(numeral) <= _MEMO_WIDTH and len(_MEMO) < _MEMO_CAP:
-            _MEMO[numeral] = q
+        if not exponent:
+            _remember(_MEMO, numeral, numeral, q)
     return q
 
 

@@ -20,8 +20,6 @@ import threading
 import types
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "neutrocalc"
 
@@ -54,6 +52,8 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def main(argv: list[str]) -> int:
+    import pytest  # here, so that `src_lines.py` reads this module with the stdlib alone
+
     if "neutrocalc" in sys.modules:
         sys.exit("neutrocalc was imported before the tracer was set")
     sys.settrace(_calls)

@@ -349,6 +349,12 @@ class TestHesitantPairLimit:
             "hesitant min/max of 65536 and 1 values exceeds the limit of 65536 values"
         )
 
+    def test_linear_min_max_computed_at_the_limit_in_values(self):
+        # 65,535 + 1 values, exactly the limit; the join with 0 keeps them all.
+        values = Hesitant([Fraction(k, 2**16) for k in range(2**16 - 1)])
+        x, y = NeutroTriple(values, values, values), _hesitant_t(1, 0)
+        assert evaluate(EvalRequest("x | y", bindings={"x": x, "y": y})).t == values
+
 
 # Denominators of the set-form differential: decimal, non-decimal, one past
 # the float range, and a 61-bit prime, which lifts alone or with 3 or 7 and
@@ -399,7 +405,7 @@ class TestSetForms:
         y = NeutroTriple(*[Hesitant(ys) for _, ys in parts])
         req = EvalRequest(f"x {op} y", cfg, bounds=UNIT_BOUNDS, bindings={"x": x, "y": y})
         out = evaluate(req)
-        row = connectives._OPERATORS[cfg.tnorm, "unit"][cfg.family, op == "&"]
+        row = connectives._TABLE[SingleValued, cfg.tnorm, "unit"][cfg.family, op == "&"]
         for part, scalar in zip("tif", row):
             xs, ys = getattr(x, part).values, getattr(y, part).values
             values = getattr(out, part).values
@@ -412,10 +418,16 @@ class TestSetForms:
     def test_hesitant_operands_take_set_forms(self):
         x = NeutroTriple(Hesitant([0.5]), Hesitant([0.5]), Hesitant([0.5]))
         for k in ALL_KERNELS:
-            for domain, bounds in (("unit", UNIT_BOUNDS), ("offset", None)):
+            for domain, bounds in (
+                ("unit", UNIT_BOUNDS),
+                ("unit", OffsetBounds(0, 1)),
+                ("offset", OffsetBounds(0, 2)),
+                ("offset", OffsetBounds(-1, 1)),
+                ("offset", None),
+            ):
                 row = connectives._row(OperatorConfig(PLITH, k), x, True, bounds)
-                assert row is connectives._SET_FORMS[k, domain][PLITH, True]
-        unit = connectives._SET_FORMS[MINMAX, "unit"][IF, True]
+                assert row is connectives._TABLE[Hesitant, k, domain][PLITH, True]
+        unit = connectives._TABLE[Hesitant, MINMAX, "unit"][IF, True]
         assert unit == (connectives._meet_set, connectives._join_set, connectives._join_set)
 
 
@@ -825,11 +837,13 @@ class TestUnitBlend:
         assert all(type(v) is Fraction for v in degrees)
 
     def test_unit_and_decorated_rows_blend_the_operands(self):
-        ops = connectives._OPERATORS
+        ops = connectives._TABLE
         for is_conj in (True, False):
             for k in ALL_KERNELS:
-                assert ops[k, "unit"][PLITH, is_conj][1] is connectives._midpoint
-            assert ops[MINMAX, "decorated"][PLITH, is_conj][1] is connectives._ns_midpoint
+                assert ops[SingleValued, k, "unit"][PLITH, is_conj][1] is connectives._midpoint
+            for domain in ("unit", "offset"):
+                decorated = ops[Nonstandard, MINMAX, domain][PLITH, is_conj]
+                assert decorated[1] is connectives._ns_midpoint
 
 
 def _rebuilt(x: NeutroTriple) -> NeutroTriple:

@@ -291,6 +291,7 @@ class TestClassify:
             (0.9, 0.4, 0.8, {"paraconsistent", "multi-valued"}),
             (1, 0, 1, {"dialetheism", "multi-valued"}),
             (1.2, 0, 0.1, {"overtrue"}),
+            (1.2, 0, 1, {"overtrue"}),
         ],
     )
     def test_canonical_rows(self, t, i, f, expected):
