@@ -1,7 +1,12 @@
 """Command line surface: one-shot subcommands over the library.
 
 `_COMMANDS` is the one declaration of the CLI: each subcommand's help,
-handler and arguments, from which `build_parser` builds the parser.
+handler and arguments.  `_add_arguments` reads one entry into a parser,
+for both builders: `build_parser`, the full parser with every subcommand,
+and `_command_parser`, one subcommand's parser alone.  `main` routes an
+argv whose first word names a subcommand straight to that subcommand's
+parser; the full parser reads every other argv, and prints the top-level
+help and usage errors.
 
 Exit codes: 0 on success, 1 on evaluation or validation failure,
 2 on syntax or usage errors.
@@ -269,6 +274,15 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser, given the arguments and the handler of subcommand `name`."""
+    _, handler, arguments = _COMMANDS[name]
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for every subcommand, built from _COMMANDS.
@@ -281,16 +295,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonstandard neutrosophic calculus evaluator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for names, options in arguments:
-            command.add_argument(*names, **options)
-        command.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s parser, built alone as `build_parser`'s
+    `add_parser` builds it: with the same prog and no other setting."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"neutrocalc {name}"), name)
+
+
+def _arguments(argv) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` reads, but `command`.
+
+    The full parser's one step for a first word that names a subcommand
+    is to give the rest of argv to that subcommand's parser, and then to
+    refuse what it left over; this does that step without building the
+    full parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _arguments(argv)
     try:
         out = args.func(args)
     except NeutroCalcError as e:

@@ -367,7 +367,11 @@ def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tu
     unit = bounds is not None and not bounds.psi._numerator and bounds.omega._numerator == 1
     rows = _TABLE.get((type(x.t), cfg.tnorm, "unit" if unit else "offset"))
     if rows is None:
-        raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
+        if type(x.t) is Nonstandard:
+            raise UnsupportedNonstandardConfig("nonstandard operands support only the min/max kernel")
+        # No fallback to a base class: `_step` tests `type(x.t) is Hesitant`
+        # before it admits a hesitant step.
+        raise TypeError(f"connectives take no components of class {type(x.t).__name__}")
     return rows[cfg.family, is_conj]
 
 

@@ -1,5 +1,6 @@
 """Command line surface: output formats, golden tables, exit codes."""
 
+import io
 import json
 import os
 import re
@@ -7,13 +8,17 @@ import runpy
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate as check_schema
 
 import neutrocalc
-from neutrocalc.cli import build_parser, main
+from neutrocalc.cli import _COMMANDS, _arguments, _command_parser, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -864,6 +869,55 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert run(capsys, ["compare", "L(0.5)", "0.5"]) == (0, "<N\n", "")
+
+
+# Words an argv is drawn from: the subcommands and prefixes of them, every
+# option of every subcommand, prefixes and misspellings of options, and
+# values of each kind the subcommands read.
+_OPTIONS = sorted({n for _, _, arguments in _COMMANDS.values() for names, _ in arguments
+                   for n in names if n.startswith("-")})
+_TOKENS = [
+    *_COMMANDS, "comp", "rough", "eva", "val",
+    *_OPTIONS, "--fam", "--js", "--p", "--b", "-h", "--", "--json=1", "--bogus",
+    "0.5", "-0.5", "-1e5", "L(0.5)", "l:0.2", "x=<1,0,0>", "<1,0,0> & x",
+    "inf", "inequalities", "ti", "product", "percent", "3",
+]
+_ARGVS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=6),
+    st.builds(lambda name, rest: [name, *rest],
+              st.sampled_from(list(_COMMANDS)), st.lists(st.sampled_from(_TOKENS), max_size=5)),
+)
+
+
+def _read(parse, argv) -> tuple:
+    """(arguments but `command`, or the exit code; stdout; stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            read = vars(parse(argv))
+            read.pop("command", None)
+        except SystemExit as exc:
+            read = exc.code
+    return read, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(_ARGVS)
+def test_routing_reads_argv_as_the_full_parser_does(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _read(_arguments, argv) == _read(build_parser().parse_args, argv)
+
+
+def test_a_routed_call_builds_one_subcommand_parser(capsys):
+    build_parser.cache_clear()
+    _command_parser.cache_clear()
+    assert main(("compare", "0.5", "L(0.5)")) == 0  # any sequence of words is an argv
+    assert capsys.readouterr().out == ">N\n"
+    assert (build_parser.cache_info().currsize, _command_parser.cache_info().currsize) == (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_module_entry_point(capsys, monkeypatch):

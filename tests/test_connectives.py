@@ -524,8 +524,9 @@ class TestNonstandard:
         assert sorted(calls) == ["max_ns", "min_ns", "min_ns"]
 
     def test_non_minmax_kernel_rejected(self):
-        with pytest.raises(UnsupportedNonstandardConfig):
+        with pytest.raises(UnsupportedNonstandardConfig) as info:
             conj(self.X, self.Y, OperatorConfig(IF, PRODUCT))
+        assert str(info.value) == "nonstandard operands support only the min/max kernel"
 
     def test_bimonad_operand_rejected(self):
         z = NeutroTriple.nonstandard(bimonad(0.5), std(0), std(0))
@@ -551,6 +552,17 @@ class TestNonstandard:
 
 
 class TestShapeAndClamp:
+    @pytest.mark.parametrize(
+        "shape, args",
+        [(SingleValued, (0.5,)), (IntervalValued, (0.2, 0.5)), (Hesitant, ([0.2, 0.5],))],
+    )
+    def test_a_subclass_of_a_shape_is_refused_by_name(self, shape, args):
+        sub = type("Sub", (shape,), {"__slots__": ()})
+        x = NeutroTriple(sub(*args), sub(*args), sub(*args))
+        with pytest.raises(TypeError) as info:
+            conj(x, x)
+        assert str(info.value) == "connectives take no components of class Sub"
+
     @pytest.mark.parametrize("op", [conj, disj, impl])
     def test_config_must_be_an_operator_config(self, op):
         x = NeutroTriple.single(1, 0, 0)
