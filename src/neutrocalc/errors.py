@@ -23,9 +23,11 @@ No value class defines ``__init__``, so ``x.__init__(...)`` is
 class only), ``hash`` (of the field tuple) and ``repr``, and refuses to
 assign or delete a field.  Its ``__reduce__`` pickles and copies a value
 as its class and fields, so unpickling and ``copy`` rebuild it through
-the checked public constructor.  The two older pickle formats, the
-dataclass forms' dict state and the field tuple state that came before
-``__reduce__``, are refused and build nothing: they call
+the checked public constructor.  A formula tree instead pickles as its
+flat form, which `formula._rebuild` reads back through the same
+constructors.  The two older pickle formats, the dataclass forms' dict
+state and the field tuple state that came before ``__reduce__``, are
+refused and build nothing: they call
 ``cls.__new__(cls)`` without arguments, which raises TypeError, and
 for `OperatorConfig`, whose arguments all have defaults, pickle finds no
 ``__setstate__`` or ``__dict__`` to load the state into.  Instances have

@@ -53,11 +53,18 @@ hesitant, decorated and well-ordered interval triples, through the
 trusted ``_of``, which skips the checks and the coercion.  So no public
 path builds a malformed tree, and the walkers check only the root.
 
-Parser, printer, evaluator and the trees' ==, hash and repr walk on
-explicit stacks, so formulas nest to any depth.  `evaluate` names the
-first input that fails, in source order: the first unbound identifier,
-else the first literal outside the bounds, else the first binding
-outside them.
+Every walk is on an explicit stack, so formulas nest to any depth.  The
+parser builds trees on its own stacks, and two walkers read them.
+`_postorder` gives a tree's flat form: its nodes children first, leaves
+in source order, and each Not and binary node as its class.  `evaluate`
+folds it, `free_identifiers` reads its leaves, the trees' == and hash
+compare it, and pickling and copying store it, which `_rebuild` reads
+back through the checked public constructors.  `_text` prints a tree as
+a spelling function spells each node, in text pieces and the children
+to print in between: `repr`'s spelling, or `unparse`'s, which adds the
+parentheses that precedence needs.  `evaluate` names the first input
+that fails, in source order: the first unbound identifier, else the
+first literal outside the bounds, else the first binding outside them.
 
 `evaluate`'s fold takes each connective's operator row from
 `connectives._row`, which alone chooses it, once per operand shape and
@@ -131,32 +138,26 @@ class Var(_Frozen):
 
 
 class _Compound(_Frozen):
-    """Not and the binary operators.  Equality, hashing and repr walk the
-    tree on explicit stacks, where the base's would recurse."""
+    """Not and the binary operators.  Equality and hashing compare the
+    trees' flat forms (`_postorder`), repr is the text walker's (`_text`),
+    and a tree pickles and copies as its flat form, which `_rebuild` reads:
+    where the base's would recurse."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return _signature(self) == _signature(other)
+        return _postorder(self) == _postorder(other)
 
     def __hash__(self):
-        return hash(_signature(self))
+        return hash(tuple(_postorder(self)))
 
     def __repr__(self) -> str:
-        pieces, todo = [], [self]  # nodes, and the text pieces of this walk
-        while todo:
-            node = todo.pop()
-            if isinstance(node, str):
-                pieces.append(node)
-            elif isinstance(node, Not):
-                todo += (")", node.operand, "Not(operand=")
-            elif isinstance(node, _Binary):
-                todo += (")", node.right, ", right=", node.left, f"{type(node).__name__}(left=")
-            else:
-                pieces.append(repr(node))
-        return "".join(pieces)
+        return _text(self, _repr_spelling)
+
+    def __reduce__(self):
+        return _rebuild, (tuple(_postorder(self)),)
 
 
 # The operator table, which parser and printer both read: `prec` is the
@@ -491,53 +492,85 @@ def format_triple(tr: NeutroTriple) -> str:
     return f"<{tr.t}, {tr.i}, {tr.f}>"
 
 
-def unparse(f: Formula) -> str:
-    """Canonical ASCII rendering; parse(unparse(f)) == f for parser output."""
-    _check_type("f", f, Formula, "Formula")
-    pieces: list[str] = []
-    # Pairs of a node or text to emit and the least binding strength it
-    # prints bare at, None for a text; the next one is last.
-    todo: list = [(f, 0)]
+def _text(f: Formula, spelling) -> str:
+    """f's text as `spelling` spells it.  spelling(node, least) gives the
+    node's text in order: text pieces, and (child, least) pairs that the
+    walk spells in turn, least being the binding strength that the child
+    prints bare at."""
+    pieces, todo = [], [(f, 0)]  # todo: texts and pairs, the next one last
     while todo:
-        node, least = todo.pop()
-        if least is None:
-            pieces.append(node)
-        elif isinstance(node, Literal):
-            pieces.append(format_triple(node.value))
-        elif isinstance(node, Var):
-            pieces.append(node.name)
-        elif isinstance(node, Not):
-            pieces.append("!")
-            todo.append((node.operand, node.prec))
-        elif node.prec < least:
-            todo += ((")", None), (node, 0), ("(", None))
+        item = todo.pop()
+        if type(item) is str:
+            pieces.append(item)
         else:
-            todo += (
-                (node.right, node.prec + (not node.right_assoc)),
-                (f" {node.symbol} ", None),
-                (node.left, node.prec + node.right_assoc),
-            )
+            todo += reversed(spelling(*item))
     return "".join(pieces)
 
 
-def _postorder(f: Formula) -> list[Formula]:
-    """Every node of f, children before parents and leaves in source order:
-    the root-first, right-first preorder, reversed."""
+def _repr_spelling(node, least: int) -> tuple:
+    if isinstance(node, Not):
+        return "Not(operand=", (node.operand, 0), ")"
+    if isinstance(node, _Binary):
+        return f"{type(node).__name__}(left=", (node.left, 0), ", right=", (node.right, 0), ")"
+    return (repr(node),)
+
+
+def _formula_spelling(node: Formula, least: int) -> tuple:
+    if isinstance(node, Literal):
+        return (format_triple(node.value),)
+    if isinstance(node, Var):
+        return (node.name,)
+    if isinstance(node, Not):
+        return "!", (node.operand, node.prec)
+    if node.prec < least:
+        return "(", (node, 0), ")"
+    return (
+        (node.left, node.prec + node.right_assoc),
+        f" {node.symbol} ",
+        (node.right, node.prec + (not node.right_assoc)),
+    )
+
+
+def unparse(f: Formula) -> str:
+    """Canonical ASCII rendering; parse(unparse(f)) == f for parser output."""
+    _check_type("f", f, Formula, "Formula")
+    return _text(f, _formula_spelling)
+
+
+def _postorder(f: Formula) -> list:
+    """f's flat form: its nodes children first, leaves in source order, and
+    each Not and binary node as its class, which is equal exactly when the
+    trees are.  The root-first, right-first preorder, reversed."""
     order, todo = [], [f]
     while todo:
         node = todo.pop()
-        order.append(node)
-        if isinstance(node, Not):
-            todo.append(node.operand)
-        elif isinstance(node, _Binary):
-            todo += (node.left, node.right)
+        if isinstance(node, _Compound):
+            order.append(type(node))
+            todo += node._values(node)
+        else:
+            order.append(node)
     return order[::-1]
 
 
-def _signature(f: Formula) -> tuple:
-    """f's nodes in post-order, each Not or binary node as its class: equal
-    exactly when the trees are, and flat."""
-    return tuple(type(n) if isinstance(n, _Compound) else n for n in _postorder(f))
+# The node class -> its number of children, for `_rebuild`.
+_ARITY = {Not: 1, And: 2, Or: 2, Implies: 2}
+
+
+def _rebuild(flat: tuple) -> Formula:
+    """The tree whose flat form is flat, each node built through its checked
+    public constructor; unpickling and copying a tree call it.  A flat form
+    that describes anything but one Formula raises TypeError."""
+    values = []
+    for item in flat:
+        arity = _ARITY.get(item, 0) if type(item) is type else 0
+        if arity:  # a node class, whose constructor refuses too few operands
+            values[-arity:] = [item(*values[-arity:])]
+        else:
+            values.append(item)
+    if len(values) != 1:
+        raise TypeError(f"flat form describes {len(values)} formulas, expected 1")
+    _check_type("flat form", values[0], Formula, "Formula")
+    return values[0]
 
 
 def free_identifiers(f: Formula) -> frozenset[str]:
@@ -610,14 +643,14 @@ def evaluate(req: EvalRequest) -> NeutroTriple:
             values.append(next(literals))
         elif isinstance(node, Var):
             values.append(leaves[node.name])
-        elif isinstance(node, Not):
+        elif node is Not:
             values[-1] = neg(values[-1])
         else:
             y, x = values.pop(), values[-1]
-            if isinstance(node, Implies):
+            if node is Implies:
                 x = neg(x)
             _check_shapes(x, y)
-            key = (type(x.t), isinstance(node, And))
+            key = (type(x.t), node is And)
             row = rows.get(key)
             if row is None:
                 row = rows[key] = _row(req.config, x, key[1], req.bounds)

@@ -18,6 +18,7 @@ import os
 import sys
 import threading
 import types
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,21 +52,28 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    import pytest  # here, so that `src_lines.py` reads this module with the stdlib alone
-
+@contextmanager
+def tracing():
+    """Record the SRC lines that run in the block, in this thread and in
+    threads started in it; neutrocalc must not be imported yet, and the
+    block must import it from SRC."""
     if "neutrocalc" in sys.modules:
         sys.exit("neutrocalc was imported before the tracer was set")
     sys.settrace(_calls)
     threading.settrace(_calls)
     try:
-        status = pytest.main(argv)
+        yield
     finally:
         sys.settrace(None)
         threading.settrace(None)
     package = sys.modules.get("neutrocalc")
     if package is None or Path(package.__file__).resolve().parent != SRC:
-        sys.exit(f"the tests did not import neutrocalc from {SRC}")
+        sys.exit(f"the run did not import neutrocalc from {SRC}")
+
+
+def report(outcome: str) -> int:
+    """Print `file:line` for each executable SRC line that never ran, and
+    the total with outcome; return the number that never ran."""
     ran = {(os.path.realpath(name), line) for name, line in _ran}
     lines = {path: executable_lines(path) for path in sorted(SRC.rglob("*.py"))}
     unrun = [
@@ -75,8 +83,16 @@ def main(argv: list[str]) -> int:
     for path, line in unrun:
         print(f"{path.relative_to(ROOT)}:{line}: never ran")
     total = sum(map(len, lines.values()))
-    print(f"{total - len(unrun)} of {total} executable lines ran; pytest exit status {status}")
-    return 1 if unrun else 0
+    print(f"{total - len(unrun)} of {total} executable lines ran; {outcome}")
+    return len(unrun)
+
+
+def main(argv: list[str]) -> int:
+    import pytest  # here, so that `src_lines.py` reads this module with the stdlib alone
+
+    with tracing():
+        status = pytest.main(argv)
+    return 1 if report(f"pytest exit status {status}") else 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from neutrocalc import (
     ClampWarning,
     EvalRequest,
     Hesitant,
+    Implies,
     IntervalValued,
     Literal,
     MonadKind,
@@ -52,15 +53,30 @@ from neutrocalc import (
     scale_triple,
     validate,
 )
-from neutrocalc.formula import _postorder
 
 ALL_CONFIGS = [OperatorConfig(f, k) for f in OperatorFamily for k in TNormFamily]
 PERCENT = Fraction(1, 100)
 
 
+def postorder(f):
+    """Every node of f, children before parents and leaves in source order,
+    read from the public fields: the root-first, right-first preorder,
+    reversed.  Its own walk, so that the oracle shares no walker with the
+    fold it checks."""
+    order, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Not):
+            todo.append(node.operand)
+        elif isinstance(node, (And, Or, Implies)):
+            todo += (node.left, node.right)
+    return order[::-1]
+
+
 def reference_evaluate(req: EvalRequest) -> NeutroTriple:
     """The per-node fold over the public connectives."""
-    nodes = _postorder(parse(req.formula))
+    nodes = postorder(parse(req.formula))
 
     def canon(tr):
         return scale_triple(tr, PERCENT) if req.scale == "percent" else tr

@@ -1,5 +1,7 @@
 """Grammar, printing, and formula evaluation."""
 
+import copy
+import pickle
 import re
 import signal
 import sys
@@ -1082,6 +1084,9 @@ def test_deep_trees_compare_hash_and_print(grow):
     assert printed.startswith(type(tree).__name__ + "(")
     # Every node, Var leaves included, prints one pair of parentheses.
     assert printed.count("(") == printed.count(")") == len(_postorder(tree))
+    for duplicate in (lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy):
+        rebuilt = duplicate(tree)
+        assert rebuilt is not tree and rebuilt == tree and hash(rebuilt) == hash(tree)
 
 
 def test_tree_equality_and_repr_follow_the_dataclass_forms():

@@ -4,6 +4,7 @@ of the frozen dataclasses they replaced."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from neutrocalc import (
     validate,
 )
 from neutrocalc.errors import _Frozen
+from neutrocalc.formula import _rebuild
 
 H = Fraction(1, 2)
 _T = "NeutroTriple(t=SingleValued(value=Fraction(1, 1)), i=SingleValued(value=Fraction(1, 2)), "
@@ -202,7 +204,7 @@ def test_repr_equality_and_hash_follow_the_fields(case):
             hash(x)
         return
     assert hash(x) == hash(build())
-    if not isinstance(x, (Not, And, Or, Implies)):  # trees hash their flat signature
+    if not isinstance(x, (Not, And, Or, Implies)):  # trees hash their flat form
         assert hash(x) == hash(_fields(x, fields))
     if hashed is not None:
         assert hash(x) == hashed
@@ -262,6 +264,49 @@ def test_eval_request_bindings_default_to_a_fresh_dict():
 def test_copies_and_unpickled_values_pass_the_checked_constructor(duplicate):
     with pytest.raises(TypeError, match=r"^operand must be a Formula, got 5$"):
         duplicate(Not._of(5))
+
+
+def test_tree_pickles_of_class_and_fields_still_load():
+    # pickle.dumps(tree, 4) and pickle.dumps(tree, 0) as each node pickled
+    # its class and fields, before trees pickled their flat form.
+    x, y, z = Var("x"), Var("y"), Var("z")
+    tree = And(x, Not(Implies(y, Or(x, z))))
+    binary = (
+        b"\x80\x04\x95}\x00\x00\x00\x00\x00\x00\x00\x8c\x12neutrocalc.formula\x94\x8c\x03And"
+        b"\x94\x93\x94h\x00\x8c\x03Var\x94\x93\x94\x8c\x01x\x94\x85\x94R\x94h\x00\x8c\x03Not"
+        b"\x94\x93\x94h\x00\x8c\x07Implies\x94\x93\x94h\x04\x8c\x01y\x94\x85\x94R\x94h\x00"
+        b"\x8c\x02Or\x94\x93\x94h\x04h\x05\x85\x94R\x94h\x04\x8c\x01z\x94\x85\x94R\x94\x86"
+        b"\x94R\x94\x86\x94R\x94\x85\x94R\x94\x86\x94R\x94."
+    )
+    text = (
+        b"cneutrocalc.formula\nAnd\np0\n(cneutrocalc.formula\nVar\np1\n(Vx\np2\ntp3\nRp4\n"
+        b"cneutrocalc.formula\nNot\np5\n(cneutrocalc.formula\nImplies\np6\n(g1\n(Vy\np7\n"
+        b"tp8\nRp9\ncneutrocalc.formula\nOr\np10\n(g1\n(g2\ntp11\nRp12\ng1\n(Vz\np13\n"
+        b"tp14\nRp15\ntp16\nRp17\ntp18\nRp19\ntp20\nRp21\ntp22\nRp23\n."
+    )
+    assert pickle.loads(binary) == pickle.loads(text) == tree
+
+
+@pytest.mark.parametrize(
+    "flat, message",
+    [
+        ((), "flat form describes 0 formulas, expected 1"),
+        ((Var("x"), Var("y")), "flat form describes 2 formulas, expected 1"),
+        ((Var("x"), Var("y"), And, Var("z")), "flat form describes 2 formulas, expected 1"),
+        ((5,), "flat form must be a Formula, got 5"),
+        ((Not,), "Not.__new__() missing 1 required positional argument: 'operand'"),
+        ((Var("x"), Or), "__new__() missing 1 required positional argument: 'right'"),
+        ((Var("x"), 5, Implies), "right must be a Formula, got 5"),
+        ((Var("x"), "x", Or), "right must be a Formula, got 'x'"),
+    ],
+)
+def test_malformed_flat_forms_are_refused(flat, message):
+    # A tree pickles and copies as its flat form, which _rebuild reads; a
+    # flat form that describes anything but one Formula builds nothing.
+    x = Var("x")
+    assert And(x, Not(x)).__reduce__() == (_rebuild, ((x, x, Not, And),))
+    with pytest.raises(TypeError, match=re.escape(message)):
+        _rebuild(flat)
 
 
 def _refused(*pickles: bytes) -> None:
