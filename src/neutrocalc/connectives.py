@@ -17,13 +17,19 @@ into [0, 1] first, with a ClampWarning per clamp).  Degrees leave
 never from the values: unit under psi = 0, omega = 1, where admission
 keeps every degree in [0, 1], and offset under widened bounds or none.
 The component class picks the ops' shape: SingleValued and
-IntervalValued take the scalar ops, Hesitant their set forms, each
-mapping the two sorted value tuples of a component to the sorted,
-distinct values of its op over every pair (`_set_form`), and
-Nonstandard the min_ns/max_ns rows, under the min/max kernel only and
-in both domains.  `_row` is the one place that chooses the row, by one
-lookup.  `formula.evaluate` passes the request's bounds, and the public
-`conj`, `disj` and `impl` none.  Both apply the row through `_step`.
+IntervalValued take the scalar ops, Hesitant their set forms
+(`_set_form`), and Nonstandard the min_ns/max_ns rows, under the min/max
+kernel only and in both domains.  A set form takes two hesitant
+components and gives the set of its op's values over every pair.  The
+unit kernels' forms compute on the components' integer forms, sorted
+numerators over one denominator each: the Cartesian ones (product,
+Łukasiewicz, midpoint) take every pair's numerator over the product of
+the two denominators, with no common denominator, and the min/max meet
+and join bisect the numerators over their lcm, reading no pair.  The
+offset rows' forms map the pairs' Fractions with the clamping kernels.
+`_row` is the one place that chooses the row, by one lookup.
+`formula.evaluate` passes the request's bounds, and the public `conj`,
+`disj` and `impl` none.  Both apply the row through `_step`.
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -46,8 +52,8 @@ from .errors import (
     _check_type,
     _Frozen,
 )
-from .monads import NsNumber, _number, _plain, _ratio, _ratios, add_ns, max_ns, min_ns
-from .triples import Hesitant, IntervalValued, NeutroTriple, Nonstandard, SingleValued, _canonical
+from .monads import NsNumber, _number, _plain, _ratio, add_ns, max_ns, min_ns
+from .triples import Hesitant, IntervalValued, NeutroTriple, Nonstandard, SingleValued, _reduced
 
 __all__ = [
     "TNormFamily",
@@ -258,74 +264,113 @@ def _rows(meet, join, blend=None) -> dict:
     }
 
 
-#: Bit length of the values' common denominator past which a Cartesian set
-#: form maps the pairs with its scalar kernel.  The bench corpora peak at
-#: 20 bits; values with many distinct large denominators would lift to
-#: numerators far longer than the pairwise kernels' cross-products.
-_MAX_LIFT_BITS = 64
-
-
 def _pairwise(op):
-    """The set form that maps every pair with op, in pair order."""
+    """The set form that maps every pair of values with op, in pair order."""
 
-    def form(xs: tuple, ys: tuple) -> tuple:
-        return _canonical([op(u, v) for u in xs for v in ys])
-
-    return form
-
-
-def _cartesian(kernel, numerators):
-    """kernel's set form on integers.  Each value's numerator is lifted to
-    the values' least common denominator D, and numerators(a, b, D) gives
-    the set of result numerators over their one denominator: equal values
-    share a numerator, and the integer order is the value order.  Past
-    _MAX_LIFT_BITS the pairs go through kernel instead."""
-    pairwise = _pairwise(kernel)
-
-    def form(xs: tuple, ys: tuple) -> tuple:
-        xp = [v.as_integer_ratio() for v in xs]
-        yp = [v.as_integer_ratio() for v in ys]
-        d = math.lcm(*[e for _, e in xp], *[e for _, e in yp])
-        if d.bit_length() > _MAX_LIFT_BITS:
-            return pairwise(xs, ys)
-        out, den = numerators([n * (d // e) for n, e in xp], [n * (d // e) for n, e in yp], d)
-        return _ratios(sorted(out), den)
+    def form(x: Hesitant, y: Hesitant) -> Hesitant:
+        return Hesitant._of([op(u, v) for u in x.values for v in y.values])
 
     return form
 
 
-# For each unit kernel, the result numerators of every pair of lifted
-# numerators p and q over D, and their denominator.
-_NUMERATORS = {
-    _product_tnorm: lambda a, b, d: ({p * q for p in a for q in b}, d * d),
-    _product_tconorm: lambda a, b, d: ({(p + q) * d - p * q for p in a for q in b}, d * d),
-    _luk_tnorm: lambda a, b, d: ({p + q - d if p + q > d else 0 for p in a for q in b}, d),
-    _luk_tconorm: lambda a, b, d: ({p + q if p + q < d else d for p in a for q in b}, d),
-    _midpoint: lambda a, b, d: ({p + q for p in a for q in b}, 2 * d),
-}
+def _sums(x: Hesitant, y: Hesitant) -> set:
+    """{p·e + q·d}: the numerators of p/d + q/e over d·e, for each value
+    p/d of x and q/e of y."""
+    d, e = x._den, y._den
+    qd = [q * d for q in y._nums]
+    return {s + t for s in [p * e for p in x._nums] for t in qd}
 
 
-def _meet_set(xs: tuple, ys: tuple) -> tuple:
+#: Bit length past which a denominator is long: `_products` then reads the
+#: values over their own denominators, if those are short.
+_LONG = 64
+
+
+def _products(a, d: int, b, e: int) -> set:
+    """{p·q}: the numerators over d·e of the products p/d · q/e, for each
+    numerator p of a and q of b.
+
+    A set over many distinct denominators keeps their lcm, so its
+    numerators are as long as that lcm, and p·q multiplies two long
+    integers.  Where d and e are both long but each q/e reduces to a
+    short k/c, p·q = (p·e // c)·k: one long product per p, then one short
+    division and one short product per pair, about 5 times faster on 256
+    values over distinct 17-bit primes."""
+    if d.bit_length() > _LONG and e.bit_length() > _LONG:
+        ratios = [(q // g, e // g) for q in b for g in (math.gcd(q, e),)]
+        if max([c for _, c in ratios]).bit_length() <= _LONG:
+            return {(s // c) * k for s in [p * e for p in a] for k, c in ratios}
+    return {p * q for p in a for q in b}
+
+
+# The Cartesian set forms: the numerators of a unit kernel's result over
+# d·e (2·d·e for the midpoint), from each value p/d of x and q/e of y.  No
+# common denominator is needed, and equal values share a numerator.
+def _product_set(x: Hesitant, y: Hesitant) -> Hesitant:
+    d, e = x._den, y._den
+    return _reduced(_products(x._nums, d, y._nums, e), d * e)
+
+
+def _coproduct_set(x: Hesitant, y: Hesitant) -> Hesitant:
+    """p/d + q/e - pq/de = 1 - (d - p)(e - q)/de: one product per pair."""
+    d, e = x._den, y._den
+    de, ce = d * e, [e - q for q in y._nums]
+    return _reduced({de - n for n in _products([d - p for p in x._nums], d, ce, e)}, de)
+
+
+def _luk_set(x: Hesitant, y: Hesitant) -> Hesitant:
+    de = x._den * y._den
+    return _reduced({n - de if n > de else 0 for n in _sums(x, y)}, de)
+
+
+def _luk_coset(x: Hesitant, y: Hesitant) -> Hesitant:
+    de = x._den * y._den
+    return _reduced({n if n < de else de for n in _sums(x, y)}, de)
+
+
+def _midpoint_set(x: Hesitant, y: Hesitant) -> Hesitant:
+    return _reduced(_sums(x, y), 2 * x._den * y._den)
+
+
+def _common(x: Hesitant, y: Hesitant) -> tuple:
+    """The numerators of x and of y over the lcm of their denominators,
+    and that lcm."""
+    a, d, b, e = x._nums, x._den, y._nums, y._den
+    if d == e:
+        return a, b, d
+    m = math.lcm(d, e)
+    return [p * (m // d) for p in a], [q * (m // e) for q in b], m
+
+
+def _meet_set(x: Hesitant, y: Hesitant) -> Hesitant:
     """{min(a, b)} = {a in A : a <= max B} | {b in B : b <= max A}: if
     a <= max B, then min(a, max B) = a, and each min(a, b) is such an a
-    or such a b.  Two bisections, and no pair: the two prefixes are sorted
-    runs, which the sort in _canonical merges in one pass."""
-    return _canonical(xs[: bisect_right(xs, ys[-1])] + ys[: bisect_right(ys, xs[-1])])
+    or such a b.  Two bisections on the numerators over a common
+    denominator, and no pair."""
+    a, b, m = _common(x, y)
+    return _reduced({*a[: bisect_right(a, b[-1])], *b[: bisect_right(b, a[-1])]}, m)
 
 
-def _join_set(xs: tuple, ys: tuple) -> tuple:
+def _join_set(x: Hesitant, y: Hesitant) -> Hesitant:
     """{max(a, b)}, dually: the values of each set from the other's least on."""
-    return _canonical(xs[bisect_left(xs, ys[0]) :] + ys[bisect_left(ys, xs[0]) :])
+    a, b, m = _common(x, y)
+    return _reduced({*a[bisect_left(a, b[0]) :], *b[bisect_left(b, a[0]) :]}, m)
 
 
-#: Each op's set form on two hesitant components' sorted values: the
-#: sorted, distinct values of op over every pair.  The min/max kernels take
-#: the linear forms and the other unit kernels the Cartesian ones.  Any
-#: other op, the offset rows' clamping ones, maps the pairs with
-#: `_pairwise`: each clamp warns once per pair, in pair order, which the
-#: benchmark's reference counts (ROADMAP items 15 and 21).
-_set_form = {_min: _meet_set, _max: _join_set} | {
-    op: _cartesian(op, numerators) for op, numerators in _NUMERATORS.items()
+#: Each op's set form on two hesitant components: the sorted, distinct
+#: values of op over every pair.  The min/max kernels take the linear forms
+#: and the other unit kernels the Cartesian ones.  Any other op, the offset
+#: rows' clamping ones, maps the pairs with `_pairwise`: each clamp warns
+#: once per pair, in pair order, which the benchmark's reference counts
+#: (ROADMAP items 15 and 21).
+_set_form = {
+    _min: _meet_set,
+    _max: _join_set,
+    _product_tnorm: _product_set,
+    _product_tconorm: _coproduct_set,
+    _luk_tnorm: _luk_set,
+    _luk_tconorm: _luk_coset,
+    _midpoint: _midpoint_set,
 }
 
 
@@ -384,7 +429,7 @@ _MAX_PAIRS = 2**16
 def _check_pairs(x: Hesitant, y: Hesitant, form) -> None:
     """Refuse form on the values of x and y past _MAX_PAIRS: m + n values
     for `_meet_set` and `_join_set`, m * n pairs for every other form."""
-    m, n = len(x.values), len(y.values)
+    m, n = len(x._nums), len(y._nums)
     if form is _meet_set or form is _join_set:
         if m + n > _MAX_PAIRS:
             raise NeutroCalcError(

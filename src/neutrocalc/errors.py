@@ -13,10 +13,12 @@ A value class names its fields once, ``__slots__ = __match_args__ =
 the field tuple and ``cls._of(*fields)``, which stores the fields of a
 new instance through the slots' own descriptors and checks nothing; it
 has one body for one field, one for two and one for three, the counts
-of the hot classes, and a loop past three.  ``_of`` on a fresh object is
-the one way to set a field.  A public constructor is a ``__new__`` that
-checks and coerces its arguments, then returns ``cls._of(...)``; the
-library builds the values it computed itself through ``_of`` directly.
+of the hot classes, and a loop past three.  A class whose fields are not
+its slots writes its own ``_of``: `triples.Hesitant`, which stores its
+``values`` as integers.  ``_of`` on a fresh object is the one way to set
+a field.  A public constructor is a ``__new__`` that checks and coerces
+its arguments, then returns ``cls._of(...)``; the library builds the
+values it computed itself through ``_of`` directly.
 No value class defines ``__init__``, so ``x.__init__(...)`` is
 ``object.__init__`` and changes nothing, as for ``tuple`` and
 ``Fraction``.  `_Frozen` reads the fields in order for ``==`` (same
@@ -139,9 +141,9 @@ class _Frozen:
             return
         get = attrgetter(*names)
         cls._values = staticmethod(get if len(names) > 1 else lambda x: (get(x),))
-        # A slot's own descriptor stores past the refusing __setattr__.
-        puts = [cls.__dict__[name].__set__ for name in names]
-        cls._of = _trusted(puts)
+        if "_of" not in cls.__dict__:  # a class whose fields are not its slots writes its own
+            # A slot's own descriptor stores past the refusing __setattr__.
+            cls._of = _trusted([cls.__dict__[name].__set__ for name in names])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -40,11 +40,13 @@ goes wrong, as `parse_nsnumber` reads a decorated number.
 The parser walks the token list by index, climbing precedence on
 explicit stacks, and shares the lexer with `parse_nsnumber`.  Numbers
 are read by `monads._read_decimal`, whose bounded memo reads
-each distinct short numeral once per process.  Decorated degrees sit at
-a few boundary points, so the same spellings, L(0) or R(1), recur from
-formula to formula: `_COMPONENTS` keeps the one-number component of each
-(monad letter, numeral) spelling, bounded as that memo is, and literals
-share it, which is safe because components are immutable.
+each distinct short numeral once per process, except a hesitant set's,
+which `_hesitant` reads straight to the set's integer form.  Decorated
+degrees sit at a few boundary points, so the same spellings, L(0) or
+R(1), recur from formula to formula: `_COMPONENTS` keeps the one-number
+component of each (monad letter, numeral) spelling, bounded as that memo
+is, and literals share it, which is safe because components are
+immutable.
 
 The public node constructors check their fields: a Literal holds a
 NeutroTriple, a Var a str, and Not and the binary nodes Formula
@@ -77,17 +79,18 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 
-from .connectives import OperatorConfig, _check_shapes, _row, _step, neg
+from .connectives import _MAX_PAIRS, OperatorConfig, _check_shapes, _row, _step, neg
 from .errors import (
     ArityError,
     BoundsViolation,
     FormulaSyntaxError,
+    NeutroCalcError,
     ShapeMismatch,
     UnboundIdentifier,
     _check_type,
     _Frozen,
 )
-from .monads import _NOTATION, _NUMERAL, MonadKind, NsNumber, _read_decimal, _remember
+from .monads import _NOTATION, _NUMERAL, MonadKind, NsNumber, _long_int, _read_decimal, _remember
 from .triples import (
     Hesitant,
     IntervalValued,
@@ -97,8 +100,8 @@ from .triples import (
     SingleValued,
     UNIT_BOUNDS,
     _SCALES,
-    _canonical,
     _check_scale,
+    _reduced,
     scale_triple,
     validate,
 )
@@ -209,7 +212,6 @@ _MONAD_LETTER = {letter: kind for kind, letter in _NOTATION.items()}
 # fails in linear time; \d+\.?\d* splits a run in many ways, and a hesitant
 # literal that fails would try each split of each value in turn.
 _NUMBER = rf"-?{_NUMERAL}"
-_NUMBERS = re.compile(_NUMBER)
 
 # Component spelling, keyed by the kind of the token that opens it ("monad"
 # for a monad letter that "(" follows) -> the kinds of its tokens, where a
@@ -247,7 +249,31 @@ def _nsnum(texts: tuple) -> Nonstandard:
 
 
 def _hesitant(text: str) -> Hesitant:
-    return Hesitant._of(_canonical([_read_decimal(v) for v in _NUMBERS.findall(text)]))
+    """The set whose numerals text lists, read straight to integers over
+    10 to the most decimal places among them: each numeral's digits,
+    padded with zeros to that many places.  The scanner has matched text
+    already: numerals apart by commas and whitespace, which str.strip
+    removes as the scanner's whitespace class matches it.  int() reads
+    the runs, and `_long_int` all of them only when one is past
+    sys.get_int_max_str_digits(): a call and a limit lookup per value
+    cost `hesitant_product` about 3% of its operations per second.
+
+    Every value is held to that many places, so a set of n values to p
+    places takes n·p digits however short its text: n·p past
+    `_MAX_PAIRS` is refused before any value is padded."""
+    parts = [v.strip().partition(".") for v in text.split(",")]
+    places = max([len(frac) for _, _, frac in parts])
+    if len(parts) * places > _MAX_PAIRS:
+        raise NeutroCalcError(
+            f"hesitant set of {len(parts)} values to {places} decimal places"
+            f" exceeds the limit of {_MAX_PAIRS} digits"
+        )
+    runs = [whole + frac.ljust(places, "0") for whole, _, frac in parts]
+    try:
+        nums = set(map(int, runs))
+    except ValueError:
+        nums = set(map(_long_int, runs))
+    return _reduced(nums, 10**places)
 
 
 def _interval(lo_text: str, hi_text: str) -> IntervalValued:

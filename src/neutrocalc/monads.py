@@ -89,9 +89,9 @@ def _ratio(n: int, d: int) -> Fraction:
 
 def _ratios(numerators, d: int) -> tuple[Fraction, ...]:
     """The Fraction n/d for each n of numerators, in order, each built as
-    _ratio builds it.  One loop, not a call per value: a hesitant set form
-    builds every distinct value of its result over one denominator, and
-    the call was half of that cost."""
+    _ratio builds it.  One loop, not a call per value: `Hesitant.values`
+    builds every value of a set over its one denominator, and the call
+    was half of that cost."""
     gcd, out = math.gcd, []
     for n in numerators:
         g = gcd(n, d)

@@ -10,6 +10,7 @@ to the active bounds.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     _items,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
-from .monads import MonadKind, NsNumber, _number, _plain, _ratio, add_ns, std
+from .monads import MonadKind, NsNumber, _number, _plain, _ratio, _ratios, add_ns, std
 
 __all__ = [
     "Component",
@@ -59,8 +60,9 @@ class Component(_Frozen):
     is the formula syntax.
 
     A public constructor is a ``__new__`` that coerces and checks, then
-    calls the generated ``_of``; the library builds the values it
-    computed itself through ``_of`` directly, which skips the checks.
+    calls ``_of``, generated for every shape but ``Hesitant``; the
+    library builds the values it computed itself through ``_of``
+    directly, which skips the checks.
     ``_of`` and the two per-shape steps trust their caller.
     ``_apply(other, op)``, the connectives' step, applies op to the
     degrees of two same-shape components: the degrees are exact
@@ -70,11 +72,16 @@ class Component(_Frozen):
     for an interval, as min/max, min_ns/max_ns and a clamp that passes a
     degree through do, ``_apply`` returns that operand itself, not a
     copy.  For ``Hesitant`` op is one of `connectives`' set forms
-    instead.  ``Nonstandard._apply`` refuses unions, intervals and
-    bimonads itself.  ``_scaled(q)``, `scale_triple`'s step, multiplies
-    every degree by an exact q > 0, which keeps every interval ordered;
-    the single and interval ones, which percent-scale formulas run, build
-    degrees from integer cross-products by ``monads._ratio``.
+    instead, which takes the two components and builds the result from
+    their integer forms.  ``Nonstandard._apply`` refuses unions,
+    intervals and bimonads itself.  ``_scaled(q)``, `scale_triple`'s
+    step, multiplies every degree by an exact q > 0, which keeps every
+    interval ordered and every set's values distinct; the single and
+    interval ones, which percent-scale formulas run, build degrees from
+    integer cross-products by ``monads._ratio``, and the hesitant one
+    scales its numerators and denominator.  ``_extremes()`` gives the
+    integer pairs of the least and greatest value, which `validate`'s
+    pass test reads.
     """
 
     __slots__ = ()
@@ -83,6 +90,16 @@ class Component(_Frozen):
     def bounds(self) -> "ComponentBounds":
         _, lo, hi = self.value_range()
         return ComponentBounds(std(lo), std(hi))
+
+    def _extremes(self) -> tuple:
+        """The (numerator, denominator) pairs of the least and the greatest
+        value: the integers of `validate`'s pass test.  The single and
+        interval shapes, which every literal of `formula_mixed` admits,
+        read their Fractions' pairs themselves: through value_range() here
+        the extra call cost that workload about 3% of its operations per
+        second."""
+        _, lo, hi = self.value_range()
+        return lo.as_integer_ratio(), hi.as_integer_ratio()
 
 
 class SingleValued(Component):
@@ -97,6 +114,10 @@ class SingleValued(Component):
 
     def value_range(self):
         return (self.value,), self.value, self.value
+
+    def _extremes(self) -> tuple:
+        pair = self.value.as_integer_ratio()
+        return pair, pair
 
     def _scaled(self, q: Fraction) -> "SingleValued":
         (n, d), (qn, qd) = self.value.as_integer_ratio(), q.as_integer_ratio()
@@ -128,6 +149,9 @@ class IntervalValued(Component):
     def value_range(self):
         return (self.lo, self.hi), self.lo, self.hi
 
+    def _extremes(self) -> tuple:
+        return self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+
     def _scaled(self, q: Fraction) -> "IntervalValued":
         qn, qd = q.as_integer_ratio()
         (ln, ld), (hn, hd) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
@@ -145,40 +169,46 @@ class IntervalValued(Component):
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
 
 
-def _canonical(values) -> tuple[Fraction, ...]:
-    """Exact Fractions, deduplicated and sorted as Hesitant keeps them.
-
-    Deduplicate on the normalised (numerator, denominator) pair, which
-    skips Fraction.__hash__, and sort on (float, Fraction) pairs: int / int
-    is correctly rounded, hence monotone, so the floats order every two
-    values they tell apart, and the exact Fraction comparison runs only on
-    their ties.
-    """
-    unique = {}
-    for v in values:
-        unique[v.as_integer_ratio()] = v
-    try:
-        keyed = sorted([(n / d, f) for (n, d), f in unique.items()])
-    except OverflowError:  # a magnitude beyond the float range
-        return tuple(sorted(unique.values()))
-    return tuple([f for _, f in keyed])
-
-
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted.
 
-    ``_of`` trusts that values is a non-empty, increasing tuple of
-    distinct Fractions, as `_canonical` gives."""
+    Stored as integers: ``_nums``, the strictly increasing numerators,
+    over one denominator ``_den`` > 0, with gcd(_den, *_nums) == 1, so a
+    set has one integer form.  The set forms of `connectives`, the
+    parser and ``_scaled`` compute on the integers and build the result
+    through `_reduced`.  ``values``, the Fractions, is built on first read
+    and kept; ``==``, ``hash()``, ``repr()``, pickling and copying read
+    it, as they read the other shapes' fields, and ``str()`` and
+    ``value_range()`` read it too.  ``to_json()`` and `validate`'s pass
+    test read the integers.
 
-    __slots__ = __match_args__ = ("values",)
+    ``_of(values)`` trusts only that values are exact Fractions: it lifts
+    them to the lcm of their denominators, then dedups and sorts the
+    numerators."""
+
+    __slots__ = ("_nums", "_den", "_fractions")
+    __match_args__ = ("values",)
     shape = "hesitant"
 
     def __new__(cls, values: Iterable):
         values = _items("values", values, None, "numbers")
-        canonical = _canonical(_number(f"values[{k}]", v) for k, v in enumerate(values))
-        if not canonical:
+        if not values:
             raise EmptyComponent("hesitant component needs at least one value")
-        return cls._of(canonical)
+        return cls._of([_number(f"values[{k}]", v) for k, v in enumerate(values)])
+
+    @classmethod
+    def _of(cls, values) -> "Hesitant":
+        pairs = [v.as_integer_ratio() for v in values]
+        den = math.lcm(*[d for _, d in pairs])
+        return _reduced({n * (den // d) for n, d in pairs}, den, cls)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        values = self._fractions
+        if values is None:
+            values = _ratios(self._nums, self._den)
+            _put_fractions(self, values)
+        return values
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
@@ -186,16 +216,46 @@ class Hesitant(Component):
     def value_range(self):
         return self.values, self.values[0], self.values[-1]
 
+    def _extremes(self) -> tuple:
+        d = self._den
+        return (self._nums[0], d), (self._nums[-1], d)
+
     def _scaled(self, q: Fraction) -> "Hesitant":
-        return Hesitant._of(_canonical(v * q for v in self.values))
+        qn, qd = q.as_integer_ratio()  # q > 0 keeps the numerators distinct
+        return _reduced([n * qn for n in self._nums], self._den * qd)
 
     def _apply(self, other: "Hesitant", form) -> "Hesitant":
-        """form, a set form of `connectives._set_form`, on the two sorted
-        value tuples; its result is sorted and distinct already."""
-        return Hesitant._of(form(self.values, other.values))
+        """form, a set form of `connectives._set_form`, on the two
+        components."""
+        return form(self, other)
 
     def to_json(self) -> dict:
-        return {"shape": self.shape, "values": [float(v) for v in self.values]}
+        # n / d is correctly rounded, as float(Fraction) is, reduced or not.
+        d = self._den
+        return {"shape": self.shape, "values": [n / d for n in self._nums]}
+
+
+_new = object.__new__
+_put_nums, _put_den, _put_fractions = (Hesitant.__dict__[n].__set__ for n in Hesitant.__slots__)
+
+
+def _reduced(nums, den: int, cls=Hesitant) -> Hesitant:
+    """The cls, a Hesitant, of the distinct integers nums over den > 0,
+    sorted and divided by their gcd with den.  That gcd divides
+    gcd(den, sum(nums)), which is most often 1 already; only when it is
+    not is each numerator read.  Reading them one by one from den on
+    would run many gcds of long integers where each value has its own
+    prime denominator: the running gcd loses one prime per value."""
+    nums = sorted(nums)
+    g = math.gcd(den, sum(nums))
+    if g != 1:
+        g = math.gcd(g, *nums)
+        nums, den = [n // g for n in nums], den // g
+    self = _new(cls)
+    _put_nums(self, tuple(nums))
+    _put_den(self, den)
+    _put_fractions(self, None)
+    return self
 
 
 _MEMBERS = frozenset({NsNumber, NsInterval})
@@ -360,9 +420,10 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
 
     A triple whose components' extremes all lie in [psi, omega] passes:
     its least sum is then at least 3 psi, and its greatest at most 3
-    omega.  That test runs on integer cross-products (denominators are
-    positive) and stops at the first extreme outside.  Only a failing
-    triple is reported, value by value, then its sums from `triple_sums`.
+    omega.  That test runs on integer cross-products of each component's
+    `_extremes` (denominators are positive), and stops at the first
+    extreme outside.  Only a failing triple is reported, value by value,
+    then its sums from `triple_sums`.
     """
     _check_type("x", x, NeutroTriple)
     _check_type("bounds", bounds, OffsetBounds)
@@ -370,8 +431,7 @@ def validate(x: NeutroTriple, bounds: OffsetBounds = UNIT_BOUNDS) -> ValidationR
     pn, pd = psi.as_integer_ratio()
     on, od = omega.as_integer_ratio()
     for c in (x.t, x.i, x.f):
-        _, lo, hi = c.value_range()
-        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        (ln, ld), (hn, hd) = c._extremes()
         if ln * pd < pn * ld or hn * od > on * hd:
             break
     else:

@@ -9,7 +9,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from neutrocalc import (
@@ -485,6 +485,42 @@ def test_well_formed_literals_lex_to_one_token(literal, lead):
 
 
 @st.composite
+def _hesitant_numerals(draw):
+    """The numerals of one hesitant set, as _spelled_number spells them
+    (signs, "-0", ".5", "5.", digits of four families, zero to four
+    places), and at times one of them again with trailing zeros, which
+    spells the same value: 0.5 and 0.50."""
+    texts = [draw(_spelled_number())[0] for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(texts))
+        texts.append(text + ("" if "." in text else ".") + "0" * draw(st.integers(0, 3)))
+    return draw(st.permutations(texts))
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@given(_hesitant_numerals(), _SPACE, _SPACE)
+@example(["-0", "0", ".5", "5.", "0.5", "0.50", "-.25", "٠.٥"], " ", "\u00a0")
+@example(["1" * (_LIMIT + 1), "0." + "3" * (_LIMIT + 1), "-" + "٩" * (2 * _LIMIT), "0.5"], "", "")
+def test_hesitant_literals_read_to_integers(texts, before, after):
+    """A hesitant literal's numerals, spaced at random, read straight to
+    integers over a power of 10, give the set that Fraction reads them to
+    one by one, in the same integer form; runs past the int() digit limit
+    included."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # Fraction reads each run through int()
+    try:
+        expected = Hesitant([Fraction(t) for t in texts])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    spaced = f"{before},{after}".join(before + t + after for t in texts)
+    read = parse("<{" + spaced + "}, {0}, {0}>").value.t
+    assert read == expected
+    assert (read._nums, read._den) == (expected._nums, expected._den)
+
+
+@st.composite
 def _spelling_tokens(draw, kinds):
     """Token texts of a component spelled by `kinds`, as _SPELLINGS writes
     them: a number in any accepted spelling, a monad letter for "ident",
@@ -572,6 +608,30 @@ def test_hostile_literals_scan_in_linear_time(name):
     assert (str(exc.value), exc.value.offset) == (
         f"unexpected character '@' (at position {offset})", offset,
     )
+
+
+def test_hesitant_literal_past_the_digit_limit_is_refused_at_once():
+    """A set holds every value to its most decimal places.  10,000 values
+    of 0 and one to 40,000 places, 50 kB of text, would pad to 400
+    million digits and read each back as a 40,000-digit integer; it is
+    refused within 1 s.  16 values to 4,096 places, 65,536 digits, are
+    read."""
+    text = "<{" + "0," * 10_000 + "0." + "1" * 40_000 + "}, {0}, {0}>"
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(NeutroCalcError) as exc:
+            parse(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == (
+        "hesitant set of 10001 values to 40000 decimal places exceeds the limit of 65536 digits"
+    )
+    values = [f"0.{k:04096d}" for k in range(16)]
+    assert len(parse("<{" + ",".join(values) + "}, {0}, {0}>").value.t.values) == 16
+    with pytest.raises(NeutroCalcError, match="17 values to 4096 decimal places"):
+        parse("<{" + ",".join([*values, "1"]) + "}, {0}, {0}>")
 
 
 class TestParseNsNumber:

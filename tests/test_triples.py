@@ -1,5 +1,8 @@
 """Triple shapes, bounds, validation, classification, and grading."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,7 +31,9 @@ from neutrocalc import (
     as_fraction,
     bimonad,
     classify_logic,
+    connectives,
     left,
+    parse,
     right,
     scale_triple,
     std,
@@ -36,7 +41,7 @@ from neutrocalc import (
     truth_grade,
     validate,
 )
-from neutrocalc.triples import _PASSED, _canonical
+from neutrocalc.triples import _PASSED
 from strategies import grid_fractions, ns_numbers, single_triples, triples, unit_fractions
 
 
@@ -69,11 +74,16 @@ class TestShapes:
         expected = tuple(sorted(set(map(as_fraction, vs))))
         assert Hesitant(vs).values == expected
         # The trusted path, on exact Fractions, shares the dedup and the sort.
-        assert Hesitant._of(_canonical([as_fraction(v) for v in vs])).values == expected
+        assert Hesitant._of([as_fraction(v) for v in vs]).values == expected
 
     def test_hesitant_must_be_nonempty(self):
         with pytest.raises(EmptyComponent):
             Hesitant([])
+
+    def test_hesitant_integer_form(self):
+        h = Hesitant([0.5, 0.25, Fraction(2, 4)])
+        assert (h._nums, h._den) == ((1, 2), 4)
+        assert h.to_json()["values"] == [0.25, 0.5]
 
     def test_interval_component_ordering(self):
         with pytest.raises(InvalidInterval):
@@ -91,6 +101,62 @@ class TestShapes:
     def test_shape_name(self):
         assert NeutroTriple.single(1, 0, 0).shape == "single"
         assert NeutroTriple.nonstandard(right(1), std(0), std(0)).shape == "nonstandard"
+
+
+# Degrees in [0, 1] over decimal, non-decimal, float-range-breaking and
+# 61-bit prime denominators.
+_unit_degrees = st.sampled_from((10, 1000, 3, 7, 2**20, 10**400, 2**61 - 1)).flatmap(
+    lambda den: st.integers(0, den).map(lambda k: Fraction(k, den))
+)
+
+
+def _assert_integer_form(c: Hesitant) -> None:
+    """Strictly increasing int numerators over a denominator above 0, with
+    no common factor, and Fraction values."""
+    nums, den = c._nums, c._den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert all(a < b for a, b in zip(nums, nums[1:]))
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+    assert all(type(v) is Fraction for v in c.values)
+
+
+class TestHesitantIntegerForm:
+    """Every producer of a hesitant set builds the one integer form of it."""
+
+    @given(st.lists(_unit_degrees, min_size=1, max_size=6))
+    def test_every_producer_builds_the_same_form(self, values):
+        h, one, zero = Hesitant(values), Hesitant([1]), Hesitant([0])
+        doubled = Hesitant([2 * v for v in values])
+        form = connectives._set_form
+        built = {
+            "constructor": h,
+            "trusted": Hesitant._of(values),
+            # 1 and 0 are the identities of the kernels; the midpoint of 2v and 0 is v.
+            "product": form[connectives._product_tnorm](h, one),
+            "product-swapped": form[connectives._product_tnorm](one, h),
+            "coproduct": form[connectives._product_tconorm](h, zero),
+            "coproduct-swapped": form[connectives._product_tconorm](zero, h),
+            "luk": form[connectives._luk_tnorm](h, one),
+            "luk-swapped": form[connectives._luk_tnorm](one, h),
+            "luk-co": form[connectives._luk_tconorm](h, zero),
+            "luk-co-swapped": form[connectives._luk_tconorm](zero, h),
+            "midpoint": form[connectives._midpoint](doubled, zero),
+            "midpoint-swapped": form[connectives._midpoint](zero, doubled),
+            "meet": form[connectives._min](h, one),
+            "join": form[connectives._max](zero, h),
+            "percent": Hesitant([100 * v for v in values])._scaled(Fraction(1, 100)),
+            "unpickled": pickle.loads(pickle.dumps(h)),
+            "deepcopy": copy.deepcopy(h),
+            "copy": copy.copy(h),
+        }
+        if "/" not in str(h):  # decimals the parser reads
+            built["parser"] = parse(f"<{h}, {{0}}, {{0}}>").value.t
+        for name, c in built.items():
+            assert type(c) is Hesitant, name
+            _assert_integer_form(c)
+            assert (c._nums, c._den) == (h._nums, h._den), name
+            assert c == h and hash(c) == hash(h), name
+        assert h.values == tuple(sorted(set(values)))
 
 
 class TestBoundsAndSums:
