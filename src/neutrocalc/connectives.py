@@ -6,7 +6,7 @@ follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
 The blend is the midpoint of meet and join; `_rows` states the identity
 that lets the unit and decorated rows take it in one call per value
-pair, and why the offset rows do not.
+pair, and `_offset_rows` why the offset rows do not.
 
 Each connective reads its operators from one table, `_TABLE`, built at
 import and keyed by (component class, kernel, number domain).  The
@@ -17,17 +17,19 @@ into [0, 1] first, with a ClampWarning per clamp).  Degrees leave
 never from the values: unit under psi = 0, omega = 1, where admission
 keeps every degree in [0, 1], and offset under widened bounds or none.
 The component class picks the ops' shape: SingleValued and
-IntervalValued take the scalar ops, Hesitant their set forms
-(`_set_form`), and Nonstandard the min_ns/max_ns rows, under the min/max
-kernel only and in both domains.  A set form takes two hesitant
-components and gives the set of its op's values over every pair.  The
-unit kernels' forms compute on the components' integer forms, sorted
-numerators over one denominator each: the Cartesian ones (product,
-Łukasiewicz, midpoint) take every pair's numerator over the product of
-the two denominators, with no common denominator, and the min/max meet
-and join bisect the numerators over their lcm, reading no pair.  The
-offset rows' forms map the pairs' Fractions with the clamping kernels.
-`_row` is the one place that chooses the row, by one lookup.
+IntervalValued take the scalar ops, Hesitant their set forms, and
+Nonstandard the min_ns/max_ns rows, under the min/max kernel only and in
+both domains.  `_KERNELS` declares each kernel's t-norm and t-conorm
+once, each with its set form, which takes two hesitant components and
+gives the set of its op's values over every pair.  The unit kernels'
+forms compute on the components' integer forms, sorted numerators over
+one denominator each: the Cartesian ones (product, Łukasiewicz,
+midpoint) take every pair's numerator over the product of the two
+denominators, with no common denominator, and the min/max meet and join
+bisect the numerators over their lcm, reading no pair.  `_offset_rows`
+builds every offset row: the clamping kernels, and the set forms that
+map the pairs' Fractions with them.  `_row` is the one place that
+chooses the row, by one lookup.
 `formula.evaluate` passes the request's bounds, and the public `conj`,
 `disj` and `impl` none.  Both apply the row through `_step`.
 
@@ -140,23 +142,16 @@ def _luk_tconorm(a: Fraction, b: Fraction) -> Fraction:
     return _ratio(n, d) if n < d else _ONE
 
 
-_KERNELS = {
-    TNormFamily.MIN_MAX: (_min, _max),
-    TNormFamily.PRODUCT: (_product_tnorm, _product_tconorm),
-    TNormFamily.LUKASIEWICZ: (_luk_tnorm, _luk_tconorm),
-}
-
-
 def tnorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """min(a, b) / ab / max(0, a + b - 1) on degrees in [0, 1]."""
     _check_type("family", family, TNormFamily)
-    return _KERNELS[family][0](_number("a", a), _number("b", b))
+    return _KERNELS[family][0][0](_number("a", a), _number("b", b))
 
 
 def tconorm(a, b, family: TNormFamily = TNormFamily.MIN_MAX) -> Fraction:
     """max(a, b) / a + b - ab / min(1, a + b) on degrees in [0, 1]."""
     _check_type("family", family, TNormFamily)
-    return _KERNELS[family][1](_number("a", a), _number("b", b))
+    return _KERNELS[family][1][0](_number("a", a), _number("b", b))
 
 
 def _clamped(v: Fraction) -> Fraction:
@@ -213,24 +208,6 @@ def _ns_midpoint(a: NsNumber, b: NsNumber) -> NsNumber:
     return NsNumber._of(total.value / 2, total.kind)
 
 
-def _offset(kernel):
-    """kernel on operands clamped into [0, 1] first.  The clamp tests each
-    operand on its integer pair, and calls `_clamped`, looked up at call
-    time, only for a degree outside [0, 1].  kernel keeps the one copy of
-    its formula and reads the pairs again: passing them in would cost the
-    unit row, which needs no clamp, a call per kernel."""
-
-    def clamping(a: Fraction, b: Fraction) -> Fraction:
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        if not 0 <= an <= ad:
-            a = _clamped(a)
-        if not 0 <= bn <= bd:
-            b = _clamped(b)
-        return kernel(a, b)
-
-    return clamping
-
-
 #: Each family's (T, I, F) rules for conjunction; disjunction swaps meet and join.
 _FAMILY_RULES = {
     OperatorFamily.T_ALIGNED: ("meet", "meet", "join"),
@@ -239,38 +216,22 @@ _FAMILY_RULES = {
 }
 
 
-def _rows(meet, join, blend=None) -> dict:
+def _rows(meet, join, blend) -> dict:
     """(t_op, i_op, f_op) per (family, is_conj); blend is the plithogenic I op.
 
-    The blend is the midpoint of meet and join, and by default it applies
-    both.  T(a, b) + S(a, b) = a + b under every kernel (min + max; ab +
-    (a + b - ab); max(0, a + b - 1) + min(1, a + b)), so the unit rows
-    blend with `_midpoint`.  The decorated rows blend with `_ns_midpoint`:
-    `Nonstandard._apply` admits only single L, S or R numbers, which min_ns
-    and max_ns always rank, so {min, max} = {a, b}, and the decorated sum
-    is symmetric.  The offset rows keep the default: each clamping kernel
-    clamps, and warns about, an out-of-range degree, and the benchmark's
-    reference expects those two ClampWarnings per degree (ROADMAP item 15
-    moves it to one).
+    The blend is the midpoint of meet and join.  T(a, b) + S(a, b) = a + b
+    under every kernel (min + max; ab + (a + b - ab); max(0, a + b - 1) +
+    min(1, a + b)), so the unit rows blend with `_midpoint`.  The decorated
+    rows blend with `_ns_midpoint`: `Nonstandard._apply` admits only single
+    L, S or R numbers, which min_ns and max_ns always rank, so {min, max} =
+    {a, b}, and the decorated sum is symmetric.  The offset rows blend with
+    both clamping kernels (`_offset_rows`).
     """
-    if blend is None:
-        def blend(a: Fraction, b: Fraction) -> Fraction:
-            return _midpoint(meet(a, b), join(a, b))
-
     return {
         (family, is_conj): tuple({"meet": m, "join": j, "blend": blend}[r] for r in rules)
         for family, rules in _FAMILY_RULES.items()
         for is_conj, (m, j) in ((True, (meet, join)), (False, (join, meet)))
     }
-
-
-def _pairwise(op):
-    """The set form that maps every pair of values with op, in pair order."""
-
-    def form(x: Hesitant, y: Hesitant) -> Hesitant:
-        return Hesitant._of([op(u, v) for u in x.values for v in y.values])
-
-    return form
 
 
 def _sums(x: Hesitant, y: Hesitant) -> set:
@@ -357,42 +318,72 @@ def _join_set(x: Hesitant, y: Hesitant) -> Hesitant:
     return _reduced({*a[bisect_left(a, b[0]) :], *b[bisect_left(b, a[0]) :]}, m)
 
 
-#: Each op's set form on two hesitant components: the sorted, distinct
-#: values of op over every pair.  The min/max kernels take the linear forms
-#: and the other unit kernels the Cartesian ones.  Any other op, the offset
-#: rows' clamping ones, maps the pairs with `_pairwise`: each clamp warns
-#: once per pair, in pair order, which the benchmark's reference counts
-#: (ROADMAP items 15 and 21).
-_set_form = {
-    _min: _meet_set,
-    _max: _join_set,
-    _product_tnorm: _product_set,
-    _product_tconorm: _coproduct_set,
-    _luk_tnorm: _luk_set,
-    _luk_tconorm: _luk_coset,
-    _midpoint: _midpoint_set,
+#: Each kernel's t-norm and t-conorm, each declared once as a pair: the op
+#: on two degrees, and its set form on two hesitant components, which gives
+#: the sorted, distinct values of the op over every pair.  The min/max
+#: kernel takes the linear forms and the others the Cartesian ones.
+_KERNELS = {
+    TNormFamily.MIN_MAX: ((_min, _meet_set), (_max, _join_set)),
+    TNormFamily.PRODUCT: ((_product_tnorm, _product_set), (_product_tconorm, _coproduct_set)),
+    TNormFamily.LUKASIEWICZ: ((_luk_tnorm, _luk_set), (_luk_tconorm, _luk_coset)),
 }
 
 
-def _set_rows(rows: dict) -> dict:
-    """rows with each op replaced by its set form."""
-    return {k: tuple(_set_form.get(op) or _pairwise(op) for op in row) for k, row in rows.items()}
+def _offset_rows(tn, tc) -> tuple:
+    """The offset domain's rows of one kernel: on degrees, and on hesitant
+    components, where each op maps every pair of values in pair order.
+
+    Each op clamps its operands into [0, 1] first.  The clamp tests each
+    operand on its integer pair, and calls `_clamped`, looked up at call
+    time, only for a degree outside [0, 1].  The kernel keeps the one copy
+    of its formula and reads the pairs again: passing them in would cost
+    the unit row, which needs no clamp, a call per kernel.  The blend
+    applies both clamping kernels, so each clamps, and warns about, an
+    out-of-range degree, and a set form warns once per pair, in pair
+    order: the benchmark's reference expects those warnings (ROADMAP
+    items 15 and 21)."""
+
+    def clamping(kernel):
+        def op(a: Fraction, b: Fraction) -> Fraction:
+            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+            if not 0 <= an <= ad:
+                a = _clamped(a)
+            if not 0 <= bn <= bd:
+                b = _clamped(b)
+            return kernel(a, b)
+
+        return op
+
+    def pairwise(op):
+        def form(x: Hesitant, y: Hesitant) -> Hesitant:
+            return Hesitant._of([op(u, v) for u in x.values for v in y.values])
+
+        return form
+
+    meet, join = clamping(tn), clamping(tc)
+
+    def blend(a: Fraction, b: Fraction) -> Fraction:
+        return _midpoint(meet(a, b), join(a, b))
+
+    return _rows(meet, join, blend), _rows(pairwise(meet), pairwise(join), pairwise(blend))
 
 
-#: The one operator table: (component class, kernel, domain) -> rows.
+#: The one operator table: (component class, kernel, domain) -> rows.  The
+#: unit rows take each kernel's declared ops, the scalar ones or the set
+#: forms, and blend with `_midpoint` or `_midpoint_set`.
 _TABLE = {
     (shape, kernel, domain): shaped
-    for kernel, (tn, tc) in _KERNELS.items()
-    for domain, rows in (
-        ("unit", _rows(tn, tc, _midpoint)),
-        ("offset", _rows(_offset(tn), _offset(tc))),
+    for kernel, ((tn, tn_set), (tc, tc_set)) in _KERNELS.items()
+    for domain, (rows, set_rows) in (
+        ("unit", (_rows(tn, tc, _midpoint), _rows(tn_set, tc_set, _midpoint_set))),
+        ("offset", _offset_rows(tn, tc)),
     )
-    for shape, shaped in ((SingleValued, rows), (IntervalValued, rows), (Hesitant, _set_rows(rows)))
+    for shape, shaped in ((SingleValued, rows), (IntervalValued, rows), (Hesitant, set_rows))
 }
 # Only min/max ranks decorated numbers, and it never clamps them.  min_ns
-# and max_ns are looked up at call time, as _offset's kernels look up
-# _clamped, so that wrappers set on this module after import (a tracer's
-# spans) see every call.
+# and max_ns are looked up at call time, as the clamping ops of
+# `_offset_rows` look up _clamped, so that wrappers set on this module
+# after import (a tracer's spans) see every call.
 _DECORATED = _rows(lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint)
 _TABLE.update({(Nonstandard, TNormFamily.MIN_MAX, d): _DECORATED for d in ("unit", "offset")})
 

@@ -124,9 +124,13 @@ def _remember(memo: dict, numeral: str, key, value) -> None:
 
 def _read_decimal(numeral: str, exponent: int = 0) -> Fraction:
     """numeral * 10**exponent, exactly; numeral is an optional sign, digits
-    and an optional point, as _DECIMAL's numeral group spells it.  The one
-    reader of decimal text: the formula lexer's numbers and as_fraction's
-    strings, Decimals and float reprs.
+    and an optional point, as _DECIMAL's numeral group spells it.  The
+    reader of decimal text to a Fraction: the formula lexer's numbers and
+    as_fraction's strings, Decimals and float reprs.  A hesitant set's
+    numerals have a second reader, `formula._hesitant`, which reads them
+    straight to integers over one power of 10: a Fraction per value here,
+    lifted back to integers by `Hesitant._of`, took about 8% longer on
+    sets of 2-4 values (4.38 against 4.05 µs per set, best of 5).
 
     A read without an exponent goes through `_MEMO`, which `_remember`
     bounds.

@@ -72,8 +72,11 @@ class Component(_Frozen):
     for an interval, as min/max, min_ns/max_ns and a clamp that passes a
     degree through do, ``_apply`` returns that operand itself, not a
     copy.  For ``Hesitant`` op is one of `connectives`' set forms
-    instead, which takes the two components and builds the result from
-    their integer forms.  ``Nonstandard._apply`` refuses unions,
+    instead, which takes the two components and builds the result: a
+    unit kernel's form, declared beside its op in `connectives._KERNELS`,
+    from their integer forms, and an offset form, built by
+    `connectives._offset_rows`, from their values pair by pair.
+    ``Nonstandard._apply`` refuses unions,
     intervals and bimonads itself.  ``_scaled(q)``, `scale_triple`'s
     step, multiplies every degree by an exact q > 0, which keeps every
     interval ordered and every set's values distinct; the single and
@@ -172,21 +175,23 @@ class IntervalValued(Component):
 class Hesitant(Component):
     """A finite, deduplicated set of candidate degrees, kept sorted.
 
-    Stored as integers: ``_nums``, the strictly increasing numerators,
-    over one denominator ``_den`` > 0, with gcd(_den, *_nums) == 1, so a
-    set has one integer form.  The set forms of `connectives`, the
-    parser and ``_scaled`` compute on the integers and build the result
-    through `_reduced`.  ``values``, the Fractions, is built on first read
-    and kept; ``==``, ``hash()``, ``repr()``, pickling and copying read
-    it, as they read the other shapes' fields, and ``str()`` and
-    ``value_range()`` read it too.  ``to_json()`` and `validate`'s pass
-    test read the integers.
+    Stored as integers only: ``_nums``, the strictly increasing
+    numerators, over one denominator ``_den`` > 0, with
+    gcd(_den, *_nums) == 1, so a set has one integer form.  The set forms
+    of `connectives`, the parser and ``_scaled`` compute on the integers
+    and build the result through `_reduced`.  ``values``, the Fractions,
+    is built on each read and never stored, so a built set is never
+    written again; ``==``, ``hash()``, ``repr()``, pickling and copying
+    read it, as they read the other shapes' fields, and ``str()`` and
+    ``value_range()`` read it once each.  ``to_json()`` and `validate`'s
+    pass test read the integers, and no traffic path reads a set's
+    ``values`` twice.
 
     ``_of(values)`` trusts only that values are exact Fractions: it lifts
     them to the lcm of their denominators, then dedups and sorts the
     numerators."""
 
-    __slots__ = ("_nums", "_den", "_fractions")
+    __slots__ = ("_nums", "_den")
     __match_args__ = ("values",)
     shape = "hesitant"
 
@@ -204,17 +209,14 @@ class Hesitant(Component):
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        values = self._fractions
-        if values is None:
-            values = _ratios(self._nums, self._den)
-            _put_fractions(self, values)
-        return values
+        return _ratios(self._nums, self._den)
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
 
     def value_range(self):
-        return self.values, self.values[0], self.values[-1]
+        values = self.values
+        return values, values[0], values[-1]
 
     def _extremes(self) -> tuple:
         d = self._den
@@ -225,8 +227,8 @@ class Hesitant(Component):
         return _reduced([n * qn for n in self._nums], self._den * qd)
 
     def _apply(self, other: "Hesitant", form) -> "Hesitant":
-        """form, a set form of `connectives._set_form`, on the two
-        components."""
+        """form, a set form declared in `connectives._KERNELS` or built by
+        `connectives._offset_rows`, on the two components."""
         return form(self, other)
 
     def to_json(self) -> dict:
@@ -236,7 +238,7 @@ class Hesitant(Component):
 
 
 _new = object.__new__
-_put_nums, _put_den, _put_fractions = (Hesitant.__dict__[n].__set__ for n in Hesitant.__slots__)
+_put_nums, _put_den = (Hesitant.__dict__[n].__set__ for n in Hesitant.__slots__)
 
 
 def _reduced(nums, den: int, cls=Hesitant) -> Hesitant:
@@ -254,7 +256,6 @@ def _reduced(nums, den: int, cls=Hesitant) -> Hesitant:
     self = _new(cls)
     _put_nums(self, tuple(nums))
     _put_den(self, den)
-    _put_fractions(self, None)
     return self
 
 

@@ -6,6 +6,7 @@ import re
 import signal
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -755,8 +756,15 @@ class TestUnparse:
         )
 
 
+#: Degrees from -2 to 3, offset ones included, to 0 to 6 decimal places:
+#: a set form's products of such literals reach 12.
+_DEGREES = st.integers(0, 6).flatmap(
+    lambda p: st.integers(-2 * 10**p, 3 * 10**p).map(lambda k: Fraction(k, 10**p))
+)
+
+
 def _literal_strategy():
-    nums = st.integers(0, 1000).map(lambda k: Fraction(k, 1000))
+    nums = _DEGREES
     singles = st.builds(NeutroTriple.single, nums, nums, nums)
 
     def iv(pair):
@@ -775,6 +783,9 @@ def _literal_strategy():
         NsNumber, nums, st.sampled_from([MonadKind.LEFT, MonadKind.RIGHT, MonadKind.BIMONAD])
     )
     any_ns = st.one_of(decorated, st.builds(NsNumber, nums))
+    # The first member is always decorated: a nonstandard triple of three
+    # std members prints exactly as a single-valued literal, which parses
+    # back as one (ROADMAP items 0 and 9).
     nonstandard = st.builds(
         lambda a, b, c: NeutroTriple(Nonstandard(a), Nonstandard(b), Nonstandard(c)),
         decorated,
@@ -799,9 +810,28 @@ def _formula_strategy():
     )
 
 
-@given(_formula_strategy())
-def test_round_trip_property(tree):
+_HESITANT_TRIPLES = st.builds(
+    NeutroTriple, *[st.builds(Hesitant, st.lists(_DEGREES, min_size=1, max_size=3))] * 3
+)
+_CONFIGS = [OperatorConfig(f, k) for f in OperatorFamily for k in TNormFamily]
+
+
+@given(
+    _formula_strategy(),
+    _HESITANT_TRIPLES,
+    _HESITANT_TRIPLES,
+    st.sampled_from(["&", "|", "->"]),
+    st.sampled_from(_CONFIGS),
+)
+def test_round_trip_property(tree, x, y, op, cfg):
     assert parse(unparse(tree)) == tree
+    # A hesitant result, its values to as many places as the set forms
+    # reach, prints as text that parses back to it.
+    req = EvalRequest(f"x {op} y", cfg, bounds=OffsetBounds(-2, 3), bindings={"x": x, "y": y})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampWarning)
+        r = evaluate(req)
+    assert parse(format_triple(r)).value == r
 
 
 # The tokens of unparse() output; a sign stays on its number.

@@ -127,23 +127,22 @@ class TestHesitantIntegerForm:
     def test_every_producer_builds_the_same_form(self, values):
         h, one, zero = Hesitant(values), Hesitant([1]), Hesitant([0])
         doubled = Hesitant([2 * v for v in values])
-        form = connectives._set_form
         built = {
             "constructor": h,
             "trusted": Hesitant._of(values),
             # 1 and 0 are the identities of the kernels; the midpoint of 2v and 0 is v.
-            "product": form[connectives._product_tnorm](h, one),
-            "product-swapped": form[connectives._product_tnorm](one, h),
-            "coproduct": form[connectives._product_tconorm](h, zero),
-            "coproduct-swapped": form[connectives._product_tconorm](zero, h),
-            "luk": form[connectives._luk_tnorm](h, one),
-            "luk-swapped": form[connectives._luk_tnorm](one, h),
-            "luk-co": form[connectives._luk_tconorm](h, zero),
-            "luk-co-swapped": form[connectives._luk_tconorm](zero, h),
-            "midpoint": form[connectives._midpoint](doubled, zero),
-            "midpoint-swapped": form[connectives._midpoint](zero, doubled),
-            "meet": form[connectives._min](h, one),
-            "join": form[connectives._max](zero, h),
+            "product": connectives._product_set(h, one),
+            "product-swapped": connectives._product_set(one, h),
+            "coproduct": connectives._coproduct_set(h, zero),
+            "coproduct-swapped": connectives._coproduct_set(zero, h),
+            "luk": connectives._luk_set(h, one),
+            "luk-swapped": connectives._luk_set(one, h),
+            "luk-co": connectives._luk_coset(h, zero),
+            "luk-co-swapped": connectives._luk_coset(zero, h),
+            "midpoint": connectives._midpoint_set(doubled, zero),
+            "midpoint-swapped": connectives._midpoint_set(zero, doubled),
+            "meet": connectives._meet_set(h, one),
+            "join": connectives._join_set(zero, h),
             "percent": Hesitant([100 * v for v in values])._scaled(Fraction(1, 100)),
             "unpickled": pickle.loads(pickle.dumps(h)),
             "deepcopy": copy.deepcopy(h),
