@@ -6,7 +6,7 @@ follows T (t-aligned), follows F (f-aligned), or blends both (plithogenic).
 
 The blend is the midpoint of meet and join; `_rows` states the identity
 that lets the unit and decorated rows take it in one call per value
-pair, and `_offset_rows` why the offset rows do not.
+pair, and `_offset_ops` why the offset rows do not.
 
 Each connective reads its operators from one table, `_TABLE`, built at
 import and keyed by (component class, kernel, number domain).  The
@@ -16,22 +16,24 @@ into [0, 1] first, with a ClampWarning per clamp).  Degrees leave
 [0, 1] changes and warns nothing, so the domain follows from the bounds,
 never from the values: unit under psi = 0, omega = 1, where admission
 keeps every degree in [0, 1], and offset under widened bounds or none.
-The component class picks the ops' shape: SingleValued and
-IntervalValued take the scalar ops, Hesitant their set forms, and
-Nonstandard the min_ns/max_ns rows, under the min/max kernel only and in
-both domains.  `_KERNELS` declares each kernel's t-norm and t-conorm
-once, each with its set form, which takes two hesitant components and
-gives the set of its op's values over every pair.  The unit kernels'
-forms compute on the components' integer forms, sorted numerators over
-one denominator each: the Cartesian ones (product, Łukasiewicz,
-midpoint) take every pair's numerator over the product of the two
-denominators, with no common denominator, and the min/max meet and join
-bisect the numerators over their lcm, reading no pair.  `_offset_rows`
-builds every offset row: the clamping kernels, and the set forms that
-map the pairs' Fractions with them.  `_row` is the one place that
-chooses the row, by one lookup.
-`formula.evaluate` passes the request's bounds, and the public `conj`,
-`disj` and `impl` none.  Both apply the row through `_step`.
+Every op of every row takes two components of one class and gives one of
+that class.  `_KERNELS` declares each kernel's t-norm and t-conorm once,
+each with its set form, which takes two hesitant components and gives
+the set of its op's values over every pair.  The unit kernels' forms
+compute on the components' integer forms, sorted numerators over one
+denominator each: the Cartesian ones (product, Łukasiewicz, midpoint)
+take every pair's numerator over the product of the two denominators,
+with no common denominator, and the min/max meet and join bisect the
+numerators over their lcm, reading no pair.  `_offset_ops` makes every
+offset op: the clamping kernels, and the set forms that map the pairs'
+Fractions with them.  The hesitant rows take the set forms as they are,
+and three adapters lift the other ops: `_single` to single values,
+`_interval` to interval endpoints, and `_decorated`, under the min/max
+kernel only, to the one decorated number of a Nonstandard component,
+refusing unions, interval members and bimonads.  `_row` is the one
+place that chooses the row, by one lookup.  `formula.evaluate` passes
+the request's bounds, and the public `conj`, `disj` and `impl` none.
+Both apply the row through `_step`.
 
 Negation swaps T and F and implication is definitionally
 disj(neg(x), y), in the same family.
@@ -54,7 +56,7 @@ from .errors import (
     _check_type,
     _Frozen,
 )
-from .monads import NsNumber, _number, _plain, _ratio, add_ns, max_ns, min_ns
+from .monads import MonadKind, NsNumber, _number, _plain, _ratio, add_ns, max_ns, min_ns
 from .triples import Hesitant, IntervalValued, NeutroTriple, Nonstandard, SingleValued, _reduced
 
 __all__ = [
@@ -216,16 +218,58 @@ _FAMILY_RULES = {
 }
 
 
+# The adapters lift an op on degrees, or on decorated numbers, to two
+# components of one class.  op is monotone in both arguments, as the
+# kernels are, so an interval's image is the op of its endpoints.  Where
+# op returns an operand's own degree (both endpoints for an interval), as
+# min/max, min_ns/max_ns and a passing clamp do, the lifted op returns
+# that operand itself, not a copy.
+def _single(op):
+    def apply(x: SingleValued, y: SingleValued) -> SingleValued:
+        v = op(x.value, y.value)
+        return x if v is x.value else y if v is y.value else SingleValued._of(v)
+
+    return apply
+
+
+def _interval(op):
+    def apply(x: IntervalValued, y: IntervalValued) -> IntervalValued:
+        lo, hi = op(x.lo, y.lo), op(x.hi, y.hi)
+        if lo is x.lo and hi is x.hi:
+            return x
+        return y if lo is y.lo and hi is y.hi else IntervalValued._of(lo, hi)
+
+    return apply
+
+
+def _decorated(op):
+    """op on the one rankable number each operand holds; the left one is
+    checked first, and a union or an interval member before a bimonad."""
+
+    def apply(x: Nonstandard, y: Nonstandard) -> Nonstandard:
+        for c in (x, y):
+            if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):
+                raise UnsupportedNonstandardConfig(
+                    "connectives accept nonstandard components holding exactly one number"
+                )
+            if c.members[0].kind is MonadKind.BIMONAD:
+                raise UnsupportedNonstandardConfig("bimonad operands cannot be ranked by min/max")
+        v = op(x.members[0], y.members[0])
+        return x if v is x.members[0] else y if v is y.members[0] else Nonstandard._of((v,))
+
+    return apply
+
+
 def _rows(meet, join, blend) -> dict:
     """(t_op, i_op, f_op) per (family, is_conj); blend is the plithogenic I op.
 
     The blend is the midpoint of meet and join.  T(a, b) + S(a, b) = a + b
     under every kernel (min + max; ab + (a + b - ab); max(0, a + b - 1) +
     min(1, a + b)), so the unit rows blend with `_midpoint`.  The decorated
-    rows blend with `_ns_midpoint`: `Nonstandard._apply` admits only single
-    L, S or R numbers, which min_ns and max_ns always rank, so {min, max} =
+    rows blend with `_ns_midpoint`: `_decorated` admits only single L, S
+    or R numbers, which min_ns and max_ns always rank, so {min, max} =
     {a, b}, and the decorated sum is symmetric.  The offset rows blend with
-    both clamping kernels (`_offset_rows`).
+    both clamping kernels (`_offset_ops`).
     """
     return {
         (family, is_conj): tuple({"meet": m, "join": j, "blend": blend}[r] for r in rules)
@@ -329,9 +373,9 @@ _KERNELS = {
 }
 
 
-def _offset_rows(tn, tc) -> tuple:
-    """The offset domain's rows of one kernel: on degrees, and on hesitant
-    components, where each op maps every pair of values in pair order.
+def _offset_ops(tn, tc) -> tuple:
+    """The offset (meet, join, blend) of one kernel, on degrees and on
+    hesitant components, where each maps every pair in pair order.
 
     Each op clamps its operands into [0, 1] first.  The clamp tests each
     operand on its integer pair, and calls `_clamped`, looked up at call
@@ -365,26 +409,33 @@ def _offset_rows(tn, tc) -> tuple:
     def blend(a: Fraction, b: Fraction) -> Fraction:
         return _midpoint(meet(a, b), join(a, b))
 
-    return _rows(meet, join, blend), _rows(pairwise(meet), pairwise(join), pairwise(blend))
+    return (meet, join, blend), (pairwise(meet), pairwise(join), pairwise(blend))
 
 
-#: The one operator table: (component class, kernel, domain) -> rows.  The
-#: unit rows take each kernel's declared ops, the scalar ones or the set
-#: forms, and blend with `_midpoint` or `_midpoint_set`.
+#: The one operator table: (component class, kernel, domain) -> rows.  Each
+#: domain gives a kernel's (meet, join, blend) on degrees, which the
+#: single and interval rows lift, and on hesitant components; the unit
+#: ones are the declared ops and blend with `_midpoint` or `_midpoint_set`.
 _TABLE = {
-    (shape, kernel, domain): shaped
+    (shape, kernel, domain): _rows(*shaped)
     for kernel, ((tn, tn_set), (tc, tc_set)) in _KERNELS.items()
-    for domain, (rows, set_rows) in (
-        ("unit", (_rows(tn, tc, _midpoint), _rows(tn_set, tc_set, _midpoint_set))),
-        ("offset", _offset_rows(tn, tc)),
+    for domain, (ops, set_ops) in (
+        ("unit", ((tn, tc, _midpoint), (tn_set, tc_set, _midpoint_set))),
+        ("offset", _offset_ops(tn, tc)),
     )
-    for shape, shaped in ((SingleValued, rows), (IntervalValued, rows), (Hesitant, set_rows))
+    for shape, shaped in (
+        (SingleValued, map(_single, ops)),
+        (IntervalValued, map(_interval, ops)),
+        (Hesitant, set_ops),
+    )
 }
 # Only min/max ranks decorated numbers, and it never clamps them.  min_ns
 # and max_ns are looked up at call time, as the clamping ops of
-# `_offset_rows` look up _clamped, so that wrappers set on this module
+# `_offset_ops` look up _clamped, so that wrappers set on this module
 # after import (a tracer's spans) see every call.
-_DECORATED = _rows(lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint)
+_DECORATED = _rows(
+    *map(_decorated, (lambda a, b: min_ns(a, b), lambda a, b: max_ns(a, b), _ns_midpoint))
+)
 _TABLE.update({(Nonstandard, TNormFamily.MIN_MAX, d): _DECORATED for d in ("unit", "offset")})
 
 
@@ -440,13 +491,9 @@ def _step(x: NeutroTriple, y: NeutroTriple, row: tuple) -> NeutroTriple:
     if type(x.t) is Hesitant:
         for c, d, op in ((x.t, y.t, t_op), (x.i, y.i, i_op), (x.f, y.f, f_op)):
             _check_pairs(c, d, op)
-    # Spelled out rather than looped, for speed; each _apply returns its
+    # Spelled out rather than looped, for speed; each op returns its
     # operands' class, so the shapes still agree.
-    return NeutroTriple._of(
-        x.t._apply(y.t, t_op),
-        x.i._apply(y.i, i_op),
-        x.f._apply(y.f, f_op),
-    )
+    return NeutroTriple._of(t_op(x.t, y.t), i_op(x.i, y.i), f_op(x.f, y.f))
 
 
 def _combine(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, is_conj: bool) -> NeutroTriple:

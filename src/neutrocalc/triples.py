@@ -20,7 +20,6 @@ from .errors import (
     InvalidBounds,
     InvalidInterval,
     ShapeMismatch,
-    UnsupportedNonstandardConfig,
     _check_type,
     _Frozen,
     _items,
@@ -62,29 +61,16 @@ class Component(_Frozen):
     A public constructor is a ``__new__`` that coerces and checks, then
     calls ``_of``, generated for every shape but ``Hesitant``; the
     library builds the values it computed itself through ``_of``
-    directly, which skips the checks.
-    ``_of`` and the two per-shape steps trust their caller.
-    ``_apply(other, op)``, the connectives' step, applies op to the
-    degrees of two same-shape components: the degrees are exact
-    Fractions, and op maps them to Fractions, monotone in both arguments
-    as the kernels are, so an interval's image is the op of its
-    endpoints.  When op returns an operand's own degree, both endpoints
-    for an interval, as min/max, min_ns/max_ns and a clamp that passes a
-    degree through do, ``_apply`` returns that operand itself, not a
-    copy.  For ``Hesitant`` op is one of `connectives`' set forms
-    instead, which takes the two components and builds the result: a
-    unit kernel's form, declared beside its op in `connectives._KERNELS`,
-    from their integer forms, and an offset form, built by
-    `connectives._offset_rows`, from their values pair by pair.
-    ``Nonstandard._apply`` refuses unions,
-    intervals and bimonads itself.  ``_scaled(q)``, `scale_triple`'s
-    step, multiplies every degree by an exact q > 0, which keeps every
-    interval ordered and every set's values distinct; the single and
-    interval ones, which percent-scale formulas run, build degrees from
-    integer cross-products by ``monads._ratio``, and the hesitant one
-    scales its numerators and denominator.  ``_extremes()`` gives the
-    integer pairs of the least and greatest value, which `validate`'s
-    pass test reads.
+    directly, which skips the checks.  ``_of`` and ``_scaled`` trust
+    their caller.  The connectives combine components in `connectives`,
+    whose row ops take two whole components.  ``_scaled(q)``,
+    `scale_triple`'s step, multiplies every degree by an exact q > 0,
+    which keeps every interval ordered and every set's values distinct;
+    the single and interval ones, which percent-scale formulas run, build
+    degrees from integer cross-products by ``monads._ratio``, and the
+    hesitant one scales its numerators and denominator.  ``_extremes()``
+    gives the integer pairs of the least and greatest value, which
+    `validate`'s pass test reads.
     """
 
     __slots__ = ()
@@ -126,12 +112,6 @@ class SingleValued(Component):
         (n, d), (qn, qd) = self.value.as_integer_ratio(), q.as_integer_ratio()
         return SingleValued._of(_ratio(n * qn, d * qd))
 
-    def _apply(self, other: "SingleValued", op) -> "SingleValued":
-        v = op(self.value, other.value)
-        if v is self.value:
-            return self
-        return other if v is other.value else SingleValued._of(v)
-
     def to_json(self) -> dict:
         return {"shape": self.shape, "kind": "std", "value": float(self.value)}
 
@@ -159,14 +139,6 @@ class IntervalValued(Component):
         qn, qd = q.as_integer_ratio()
         (ln, ld), (hn, hd) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         return IntervalValued._of(_ratio(ln * qn, ld * qd), _ratio(hn * qn, hd * qd))
-
-    def _apply(self, other: "IntervalValued", op) -> "IntervalValued":
-        lo, hi = op(self.lo, other.lo), op(self.hi, other.hi)
-        if lo is self.lo and hi is self.hi:
-            return self
-        if lo is other.lo and hi is other.hi:
-            return other
-        return IntervalValued._of(lo, hi)
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "lo": float(self.lo), "hi": float(self.hi)}
@@ -225,11 +197,6 @@ class Hesitant(Component):
     def _scaled(self, q: Fraction) -> "Hesitant":
         qn, qd = q.as_integer_ratio()  # q > 0 keeps the numerators distinct
         return _reduced([n * qn for n in self._nums], self._den * qd)
-
-    def _apply(self, other: "Hesitant", form) -> "Hesitant":
-        """form, a set form declared in `connectives._KERNELS` or built by
-        `connectives._offset_rows`, on the two components."""
-        return form(self, other)
 
     def to_json(self) -> dict:
         # n / d is correctly rounded, as float(Fraction) is, reduced or not.
@@ -308,20 +275,6 @@ class Nonstandard(Component):
                 for m in self.members
             )
         )
-
-    def _apply(self, other: "Nonstandard", op) -> "Nonstandard":
-        """op on the one rankable decorated number each operand holds."""
-        for c in (self, other):
-            if len(c.members) != 1 or not isinstance(c.members[0], NsNumber):
-                raise UnsupportedNonstandardConfig(
-                    "connectives accept nonstandard components holding exactly one number"
-                )
-            if c.members[0].kind is MonadKind.BIMONAD:
-                raise UnsupportedNonstandardConfig("bimonad operands cannot be ranked by min/max")
-        x = op(self.members[0], other.members[0])
-        if x is self.members[0]:
-            return self
-        return other if x is other.members[0] else Nonstandard._of((x,))
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "members": [m.to_json() for m in self.members]}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from neutrocalc import (
     ClampWarning,
     EvalRequest,
+    MonadKind,
     Hesitant,
     IntervalValued,
     NeutroCalcError,
@@ -287,14 +288,22 @@ class TestHesitantPairLimit:
             "conj": lambda: conj(x, y, cfg),
             "evaluate": lambda: evaluate(EvalRequest("x & y", cfg, bindings={"x": x, "y": y})),
         }[via]
+        # The unit product and product t-conorm forms (evaluate's) make their
+        # pairs through _products, and the offset ones (conj's, under no
+        # bounds) from each operand's values: neither may be reached.
         applied = []
-        original = Hesitant._apply
+        products, values = connectives._products, Hesitant.values
 
-        def recording(self, other, op):
-            applied.append((len(self.values), len(other.values)))
-            return original(self, other, op)
+        def recording(a, d, b, e):
+            applied.append((len(a), len(b)))
+            return products(a, d, b, e)
 
-        monkeypatch.setattr(Hesitant, "_apply", recording)
+        def reading(self):
+            applied.append(len(self._nums))
+            return values.fget(self)
+
+        monkeypatch.setattr(connectives, "_products", recording)
+        monkeypatch.setattr(Hesitant, "values", property(reading))
         with pytest.raises(NeutroCalcError) as info:
             combine()
         assert str(info.value) == (
@@ -405,7 +414,8 @@ class TestSetForms:
         y = NeutroTriple(*[Hesitant(ys) for _, ys in parts])
         req = EvalRequest(f"x {op} y", cfg, bounds=UNIT_BOUNDS, bindings={"x": x, "y": y})
         out = evaluate(req)
-        row = connectives._TABLE[SingleValued, cfg.tnorm, "unit"][cfg.family, op == "&"]
+        (tn, _), (tc, _) = connectives._KERNELS[cfg.tnorm]
+        row = connectives._rows(tn, tc, connectives._midpoint)[cfg.family, op == "&"]
         for part, scalar in zip("tif", row):
             xc, yc = getattr(x, part), getattr(y, part)
             xs, ys = xc.values, yc.values
@@ -504,6 +514,65 @@ def test_large_hesitant_steps_finish_in_time(sets, op, k):
     assert out.t.values == _pairwise_map(scalar, x.t.values, y.t.values)
 
 
+_TENTHS = st.integers(0, 10).map(lambda k: Fraction(k, 10))
+_ONE_SIDED = st.sampled_from([left, std, right])
+_ANY_KIND = st.sampled_from([left, std, right, bimonad])
+
+
+@st.composite
+def _ns_components(draw):
+    """A single L, S or R number, a bimonad, a two-number union (of any
+    kinds) or one interval member, at values in [0, 1]."""
+    form = draw(st.sampled_from(["number"] * 6 + ["bimonad", "union", "interval"]))
+    v = draw(_TENTHS)
+    if form == "number":
+        return Nonstandard(draw(_ONE_SIDED)(v))
+    if form == "bimonad":
+        return Nonstandard(bimonad(v))
+    if form == "union":
+        return Nonstandard([draw(_ANY_KIND)(v), draw(_ANY_KIND)(draw(_TENTHS))])
+    lo, hi = sorted((v, draw(_TENTHS)))
+    return Nonstandard(NsInterval(left(lo), right(hi)))
+
+
+_NS_TRIPLES = st.builds(NeutroTriple, _ns_components(), _ns_components(), _ns_components())
+#: Mostly nonstandard triples, now and then a single-valued one.
+_NS_OPERANDS = st.integers(0, 5).flatmap(lambda k: single_triples if k == 0 else _NS_TRIPLES)
+_VIAS = {
+    "conj": lambda x, y, cfg: conj(x, y, cfg),
+    "disj": lambda x, y, cfg: disj(x, y, cfg),
+    "impl": lambda x, y, cfg: impl(x, y, cfg),
+    "&": lambda x, y, cfg: evaluate(EvalRequest("x & y", cfg, bindings={"x": x, "y": y})),
+    "|": lambda x, y, cfg: evaluate(EvalRequest("x | y", cfg, bindings={"x": x, "y": y})),
+    "->": lambda x, y, cfg: evaluate(EvalRequest("x -> y", cfg, bindings={"x": x, "y": y})),
+}
+
+
+def _expected_refusal(x: NeutroTriple, y: NeutroTriple, cfg: OperatorConfig, via: str):
+    """The (class, message) that combining x and y must raise, or None for
+    a value, from the rules: shapes first, then the kernel, then each
+    component in T, I, F order, the left operand (negated for an
+    implication) before the right, and within one operand a union or an
+    interval member before a bimonad."""
+    if x.shape != y.shape:
+        return ShapeMismatch, f"operand shapes differ: {x.shape} vs {y.shape}"
+    if x.shape != "nonstandard":
+        return None
+    if cfg.tnorm is not MINMAX:
+        return UnsupportedNonstandardConfig, "nonstandard operands support only the min/max kernel"
+    left_parts = (x.f, x.i, x.t) if via in ("impl", "->") else (x.t, x.i, x.f)
+    for c, d in zip(left_parts, (y.t, y.i, y.f)):
+        for members in (c.members, d.members):
+            if len(members) != 1 or isinstance(members[0], NsInterval):
+                return (
+                    UnsupportedNonstandardConfig,
+                    "connectives accept nonstandard components holding exactly one number",
+                )
+            if members[0].kind is MonadKind.BIMONAD:
+                return UnsupportedNonstandardConfig, "bimonad operands cannot be ranked by min/max"
+    return None
+
+
 class TestNonstandard:
     X = NeutroTriple.nonstandard(right(1), std(0), std(0))
     Y = NeutroTriple.nonstandard(std(0), std(0), right(1))
@@ -561,6 +630,24 @@ class TestNonstandard:
         )
         with pytest.raises(UnsupportedNonstandardConfig):
             conj(iv, iv, OperatorConfig(IF, MINMAX))
+
+    @settings(max_examples=1000)
+    @given(
+        x=_NS_OPERANDS,
+        y=_NS_OPERANDS,
+        cfg=st.sampled_from(ALL_CONFIGS),
+        via=st.sampled_from(sorted(_VIAS)),
+    )
+    def test_refusal_order(self, x, y, cfg, via):
+        expected = _expected_refusal(x, y, cfg, via)
+        if expected is None:
+            out = _VIAS[via](x, y, cfg)
+            assert type(out) is NeutroTriple and out.shape == x.shape
+        else:
+            with pytest.raises(expected[0]) as info:
+                _VIAS[via](x, y, cfg)
+            assert type(info.value) is expected[0]
+            assert str(info.value) == expected[1]
 
     def test_neg_keeps_decorations(self):
         assert neg(self.X) == NeutroTriple.nonstandard(std(0), std(0), right(1))
@@ -864,13 +951,24 @@ class TestUnitBlend:
         assert all(type(v) is Fraction for v in degrees)
 
     def test_unit_and_decorated_rows_blend_the_operands(self):
-        ops = connectives._TABLE
+        ops, mid, ns_mid = connectives._TABLE, connectives._midpoint, connectives._ns_midpoint
+        degrees = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        numbers = [left(0), left(0.2), std(0.5), right(0.5), right(1)]
         for is_conj in (True, False):
             for k in ALL_KERNELS:
-                assert ops[SingleValued, k, "unit"][PLITH, is_conj][1] is connectives._midpoint
+                single = ops[SingleValued, k, "unit"][PLITH, is_conj][1]
+                interval = ops[IntervalValued, k, "unit"][PLITH, is_conj][1]
+                for a in degrees:
+                    for b in degrees:
+                        assert single(SingleValued(a), SingleValued(b)) == SingleValued(mid(a, b))
+                        x, y = IntervalValued(a, 1), IntervalValued(b, 1)
+                        assert interval(x, y) == IntervalValued(mid(a, b), 1)
             for domain in ("unit", "offset"):
-                decorated = ops[Nonstandard, MINMAX, domain][PLITH, is_conj]
-                assert decorated[1] is connectives._ns_midpoint
+                decorated = ops[Nonstandard, MINMAX, domain][PLITH, is_conj][1]
+                for a in numbers:
+                    for b in numbers:
+                        out = decorated(Nonstandard(a), Nonstandard(b))
+                        assert out == Nonstandard(ns_mid(a, b))
 
 
 def _rebuilt(x: NeutroTriple) -> NeutroTriple:

@@ -834,6 +834,27 @@ def test_round_trip_property(tree, x, y, op, cfg):
     assert parse(format_triple(r)).value == r
 
 
+#: Triples whose printed text does not parse back to them (ROADMAP item 0):
+#: a rational prints as n/d, a decorated interval as ]a, b[, a union with
+#: ∪, and three std members as a single-valued literal.
+_UNPARSED = {
+    "rational": NeutroTriple.single(Fraction(1, 3), 0, 0),
+    "interval_member": NeutroTriple(
+        Nonstandard(NsInterval(left(0.2), right(0.4))), Nonstandard(std(0)), Nonstandard(std(0))
+    ),
+    "union": NeutroTriple(
+        Nonstandard([left(0.2), std(0.5)]), Nonstandard(std(0)), Nonstandard(std(0))
+    ),
+    "std_members": NeutroTriple.nonstandard(std(0.3), std(0.4), std(0.2)),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+@pytest.mark.parametrize("x", list(_UNPARSED.values()), ids=list(_UNPARSED))
+def test_printed_triple_parses_back(x):
+    assert parse(format_triple(x)).value == x
+
+
 # The tokens of unparse() output; a sign stays on its number.
 _PRINTED_TOKEN = re.compile(r"->|-?(?:\d+\.?\d*|\.\d+)|\w+|\S")
 _UNICODE = {"&": "∧", "|": "∨", "!": "¬", "->": "→"}
