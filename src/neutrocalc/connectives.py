@@ -449,9 +449,9 @@ def _row(cfg: OperatorConfig, x: NeutroTriple, is_conj: bool, bounds=None) -> tu
     "unit" under the bounds psi = 0, omega = 1, and "offset" under widened
     bounds or none.  `OffsetBounds` keeps psi <= 0 < 1 <= omega, so the
     numerators decide unit bounds: psi's is 0 and omega's is 1.  They are
-    read off Fraction's slots, as monads._ratio writes them, because `==`
-    and Fraction's own operators each make Python-level calls."""
-    unit = bounds is not None and not bounds.psi._numerator and bounds.omega._numerator == 1
+    read through the public `numerator`, which costs about half of
+    Fraction's `==`; only `monads._ratio` touches Fraction's own slots."""
+    unit = bounds is not None and not bounds.psi.numerator and bounds.omega.numerator == 1
     rows = _TABLE.get((type(x.t), cfg.tnorm, "unit" if unit else "offset"))
     if rows is None:
         if type(x.t) is Nonstandard:

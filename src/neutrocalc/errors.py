@@ -10,13 +10,17 @@ parameter: ``value must be a number, got None``.
 
 A value class names its fields once, ``__slots__ = __match_args__ =
 (...)``.  From those names `_Frozen` builds, once per class, the reader of
-the field tuple and ``cls._of(*fields)``, which stores the fields of a
-new instance through the slots' own descriptors and checks nothing; it
-has one body for one field, one for two and one for three, the counts
-of the hot classes, and a loop past three.  A class whose fields are not
-its slots writes its own ``_of``: `triples.Hesitant`, which stores its
-``values`` as integers.  ``_of`` on a fresh object is the one way to set
-a field.  A public constructor is a ``__new__`` that checks and coerces
+the field tuple and ``cls._of(*fields)``, made by `_trusted`, which
+stores the fields of a new instance through the slots' own descriptors
+and checks nothing; it has one body for one field, one for two and one
+for three, the counts of the hot classes, and a loop past three.  A
+class whose fields are not its slots writes its own ``_of``:
+`triples.Hesitant`, which keeps its ``values`` as integer numerators over
+one denominator; its ``_of`` and every set form end in
+`triples._reduced`, which stores those two slots through
+``_trusted(Hesitant, Hesitant.__slots__)``.  So `_trusted` is the one
+code that makes a frozen value past its checks, and a field is set only
+there.  A public constructor is a ``__new__`` that checks and coerces
 its arguments, then returns ``cls._of(...)``; the library builds the
 values it computed itself through ``_of`` directly.
 No value class defines ``__init__``, so ``x.__init__(...)`` is
@@ -85,12 +89,15 @@ def _items(field: str, values, kinds: frozenset | None, name: str) -> tuple:
     raise TypeError(f"{field} must be an iterable of {name}, not {type(values).__name__}")
 
 
-def _trusted(puts: list):
-    """cls._of(*fields), which stores the fields of a new cls instance
-    through puts, the writers in field order, unchecked.  One body each
-    for one, two and three fields, the most common counts, and a loop
-    past three."""
+def _trusted(owner: type, names):
+    """``_of(cls, *fields)``: a new cls instance, cls being owner or a
+    subclass of it, with the fields stored unchecked through the
+    descriptors of owner's slots `names`, in order; a slot's own
+    descriptor stores past the refusing __setattr__.  One body each for
+    one, two and three fields, the most common counts, and a loop past
+    three."""
     new = object.__new__
+    puts = [owner.__dict__[name].__set__ for name in names]
     if len(puts) == 1:
         (put,) = puts
 
@@ -126,7 +133,7 @@ def _trusted(puts: list):
                 put(self, value)
             return self
 
-    return classmethod(_of)
+    return _of
 
 
 class _Frozen:
@@ -142,8 +149,7 @@ class _Frozen:
         get = attrgetter(*names)
         cls._values = staticmethod(get if len(names) > 1 else lambda x: (get(x),))
         if "_of" not in cls.__dict__:  # a class whose fields are not its slots writes its own
-            # A slot's own descriptor stores past the refusing __setattr__.
-            cls._of = _trusted([cls.__dict__[name].__set__ for name in names])
+            cls._of = classmethod(_trusted(cls, names))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -74,32 +74,19 @@ def _ratio(n: int, d: int) -> Fraction:
 
     Trusted: n and d are ints and d > 0.  Dividing both by their gcd is
     the normalisation Fraction(n, d) does; the type dispatch around it,
-    most of that constructor's cost, is skipped.  This and `_ratios` rely
-    on Fraction's layout, the two slots _numerator and _denominator, as
-    CPython's own Fraction._from_coprime_ints does;
+    most of that constructor's cost, is skipped.  It relies on Fraction's
+    layout, the two slots _numerator and _denominator, as CPython's own
+    Fraction._from_coprime_ints does.  It is the one place in the package
+    that reads or writes those slots; all other code reads the public
+    numerator and denominator.
     tests/test_monads.py::TestRatio::test_fraction_layout_is_pinned
-    fails on a Python that changes it.
+    fails on a Python that changes the layout.
     """
     g = math.gcd(n, d)
     q = _new(Fraction)
     q._numerator = n // g
     q._denominator = d // g
     return q
-
-
-def _ratios(numerators, d: int) -> tuple[Fraction, ...]:
-    """The Fraction n/d for each n of numerators, in order, each built as
-    _ratio builds it.  One loop, not a call per value: `Hesitant.values`
-    builds every value of a set over its one denominator, and the call
-    was half of that cost."""
-    gcd, out = math.gcd, []
-    for n in numerators:
-        g = gcd(n, d)
-        q = _new(Fraction)
-        q._numerator = n // g
-        q._denominator = d // g
-        out.append(q)
-    return tuple(out)
 
 
 # Numeral text -> its Fraction, for reads without an exponent.  Degrees are

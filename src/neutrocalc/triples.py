@@ -23,9 +23,10 @@ from .errors import (
     _check_type,
     _Frozen,
     _items,
+    _trusted,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
-from .monads import MonadKind, NsNumber, _number, _plain, _ratio, _ratios, add_ns, std
+from .monads import MonadKind, NsNumber, _number, _plain, _ratio, add_ns, std
 
 __all__ = [
     "Component",
@@ -151,8 +152,9 @@ class Hesitant(Component):
     numerators, over one denominator ``_den`` > 0, with
     gcd(_den, *_nums) == 1, so a set has one integer form.  The set forms
     of `connectives`, the parser and ``_scaled`` compute on the integers
-    and build the result through `_reduced`.  ``values``, the Fractions,
-    is built on each read and never stored, so a built set is never
+    and build the result through `_reduced`, which alone stores the two
+    slots.  ``values``, the Fractions, each built by `monads._ratio`, is
+    built on each read and never stored, so a built set is never
     written again; ``==``, ``hash()``, ``repr()``, pickling and copying
     read it, as they read the other shapes' fields, and ``str()`` and
     ``value_range()`` read it once each.  ``to_json()`` and `validate`'s
@@ -181,7 +183,8 @@ class Hesitant(Component):
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        return _ratios(self._nums, self._den)
+        d = self._den
+        return tuple([_ratio(n, d) for n in self._nums])
 
     def __str__(self) -> str:
         return "{" + ", ".join(_plain(v) for v in self.values) + "}"
@@ -204,8 +207,7 @@ class Hesitant(Component):
         return {"shape": self.shape, "values": [n / d for n in self._nums]}
 
 
-_new = object.__new__
-_put_nums, _put_den = (Hesitant.__dict__[n].__set__ for n in Hesitant.__slots__)
+_store = _trusted(Hesitant, Hesitant.__slots__)
 
 
 def _reduced(nums, den: int, cls=Hesitant) -> Hesitant:
@@ -214,16 +216,15 @@ def _reduced(nums, den: int, cls=Hesitant) -> Hesitant:
     gcd(den, sum(nums)), which is most often 1 already; only when it is
     not is each numerator read.  Reading them one by one from den on
     would run many gcds of long integers where each value has its own
-    prime denominator: the running gcd loses one prime per value."""
+    prime denominator: the running gcd loses one prime per value.  The
+    two slots are stored by `_store`, which `errors._trusted` makes as it
+    makes every other value class's ``_of``."""
     nums = sorted(nums)
     g = math.gcd(den, sum(nums))
     if g != 1:
         g = math.gcd(g, *nums)
         nums, den = [n // g for n in nums], den // g
-    self = _new(cls)
-    _put_nums(self, tuple(nums))
-    _put_den(self, den)
-    return self
+    return _store(cls, tuple(nums), den)
 
 
 _MEMBERS = frozenset({NsNumber, NsInterval})

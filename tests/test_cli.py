@@ -378,6 +378,13 @@ class TestClassifyValidate:
         assert code == 0
         assert out == "pass\n"
 
+    @pytest.mark.xfail(strict=True, raises=SystemExit, reason="ROADMAP item 0")
+    def test_validate_reads_negative_e_notation(self, capsys):
+        # argparse takes -1e-3 for an option and exits 2; after `--` it is a value.
+        failing = (1, "t: value -0.001 below lower bound 0\nsum: lower sum -0.001 below 0\n", "")
+        assert run(capsys, ["validate", "--", "-1e-3", "0", "0"]) == failing
+        assert run(capsys, ["validate", "-1e-3", "0", "0"]) == failing
+
     def test_validate_json(self, capsys):
         payload = json.loads(
             run(capsys, ["validate", "1.2", "0", "0", "--json"])[1]

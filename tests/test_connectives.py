@@ -31,6 +31,7 @@ from neutrocalc import (
     connectives,
     disj,
     evaluate,
+    format_triple,
     impl,
     left,
     neg,
@@ -616,6 +617,14 @@ class TestNonstandard:
         z = NeutroTriple.nonstandard(bimonad(0.5), std(0), std(0))
         with pytest.raises(UnsupportedNonstandardConfig):
             conj(z, self.Y, OperatorConfig(IF, MINMAX))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+    def test_bimonad_ranked_where_the_order_ranks_it(self):
+        # B(0.5) <N L(0.7), and min_ns and inf_ns_set both give B(0.5); the
+        # decorated row still refuses the bimonad.
+        for op, expected in (("&", "<B(0.5), 0, 0>"), ("|", "<L(0.7), 0, 0>")):
+            out = evaluate(EvalRequest(f"<B(0.5),0,0> {op} <L(0.7),0,0>"))
+            assert format_triple(out) == expected
 
     def test_union_and_interval_members_rejected(self):
         u = NeutroTriple(

@@ -1,5 +1,6 @@
 """The package surface: each module's __all__ is its public list."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -66,3 +67,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         timeout=60,
     )
     assert run.stdout == "[]\n"
+
+
+def _modules_with(is_use) -> set[str]:
+    """The src/neutrocalc modules whose syntax tree has a node that is_use accepts."""
+    paths = Path(neutrocalc.__file__).parent.glob("*.py")
+    trees = {p.name: ast.parse(p.read_text("utf-8")) for p in paths}
+    return {name for name, tree in trees.items() if any(map(is_use, ast.walk(tree)))}
+
+
+def _attribute(*names):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr in names
+
+
+def _object_new(node) -> bool:
+    return _attribute("__new__")(node) and getattr(node.value, "id", None) == "object"
+
+
+def test_unchecked_construction_has_one_source_per_representation():
+    # monads._ratio alone builds a Fraction past its constructor, through the
+    # slots that TestRatio pins; errors._trusted alone makes a frozen value past
+    # its checks, through its slots' descriptors.
+    assert _modules_with(_attribute("_numerator", "_denominator")) == {"monads.py"}
+    assert _modules_with(_attribute("__set__")) == {"errors.py"}
+    assert _modules_with(_object_new) == {"errors.py", "monads.py"}
