@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .errors import FormulaSyntaxError, NeutroCalcError
 from .formula import EvalRequest, Literal, evaluate, format_triple, parse, parse_nsnumber
 from .intervals import NsInterval, anomaly_check, inf_ns, sup_ns
 from .monads import (
+    _NUMERAL,
     MonadKind,
     NsNumber,
     _ratio,
@@ -274,8 +276,17 @@ _COMMANDS = {
 }
 
 
+#: A word argparse reads as a negative number, not an option: a minus sign
+#: and a plain decimal as `as_fraction` reads it, exponent included.
+#: argparse's own pattern, ^-\d+$|^-\d*\.\d+$ on Python 3.10-3.13, reads
+#: -1e-3 as an option.
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMERAL}(?:[eE][-+]?\d+)?$")
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """parser, given the arguments and the handler of subcommand `name`."""
+    """parser, given the arguments and the handler of subcommand `name`,
+    and `_NEGATIVE_NUMBER` for argparse's private negative-number matcher."""
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     _, handler, arguments = _COMMANDS[name]
     for names, options in arguments:
         parser.add_argument(*names, **options)

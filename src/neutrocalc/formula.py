@@ -43,10 +43,10 @@ are read by `monads._read_decimal`, whose bounded memo reads
 each distinct short numeral once per process, except a hesitant set's,
 which `_hesitant` reads straight to the set's integer form.  Decorated
 degrees sit at a few boundary points, so the same spellings, L(0) or
-R(1), recur from formula to formula: `_COMPONENTS` keeps the one-number
-component of each (monad letter, numeral) spelling, bounded as that memo
-is, and literals share it, which is safe because components are
-immutable.
+R(1), recur from formula to formula: the scanner captures each decorated
+component's text whole, and `_COMPONENTS` keeps the one-number component
+of each such text, bounded as that memo is.  Literals share it, which is
+safe because components are immutable.
 
 The public node constructors check their fields: a Literal holds a
 NeutroTriple, a Var a str, and Not and the binary nodes Formula
@@ -216,35 +216,42 @@ _NUMBER = rf"-?{_NUMERAL}"
 # Component spelling, keyed by the kind of the token that opens it ("monad"
 # for a monad letter that "(" follows) -> the kinds of its tokens, where a
 # pair (item, close) is a `_list`, and its pattern, whose groups capture its
-# numbers.  A new spelling is a row here and its shape's reader in _SHAPES.
+# numbers; the monad spelling has no group, since the decorated shape
+# captures each component's text whole.  A new spelling is a row here and
+# its shape's reader in _SHAPES.
 _SPELLINGS = {
     "number": (("number",), f"({_NUMBER})"),
     "[": (("[", "number", ",", "number", "]"), rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]"),
     "{": (("{", (("number",), "}")), rf"\{{\s*({_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\}}"),
     "monad": (
         ("ident", "(", "number", ")"),
-        rf"([{''.join(_MONAD_LETTER)}])\s*\(\s*({_NUMBER})\s*\)",
+        rf"[{''.join(_MONAD_LETTER)}]\s*\(\s*{_NUMBER}\s*\)",
     ),
 }
 
 
-# (monad letter, numeral, plain numeral) texts -> their one-number component,
-# bounded by monads._remember, as monads._MEMO is.
-_COMPONENTS: dict[tuple, Nonstandard] = {}
+# A decorated component's text, as the scanner captures it -> its one-number
+# component, bounded by monads._remember, as monads._MEMO is.
+_COMPONENTS: dict[str, Nonstandard] = {}
 
 
-def _nsnum(texts: tuple) -> Nonstandard:
-    """The one-number nonstandard component L(x), R(x), B(x) or plain x of
-    the scanner's texts: a monad letter and its numeral, or None, None and
-    a plain numeral.  Each spelling is read once and kept in `_COMPONENTS`
-    as `_read_decimal` keeps numerals, through `_remember`."""
-    c = _COMPONENTS.get(texts)
+def _nsnum(text: str) -> Nonstandard:
+    """The one-number nonstandard component of text, a component the
+    scanner has matched whole: L(x), R(x), B(x) or a plain numeral x.  Each
+    text is read once and kept in `_COMPONENTS` under itself, through
+    `_remember`, whose width rule reads the text: the numeral alone for a
+    plain number, so that whitespace inside the parentheses cannot make a
+    stored key long.  str.strip removes the whitespace the scanner matched
+    there, as `_hesitant` relies on."""
+    c = _COMPONENTS.get(text)
     if c is None:
-        letter, inner, plain = texts
-        numeral = inner or plain
-        kind = _MONAD_LETTER.get(letter, MonadKind.STD)
+        kind = _MONAD_LETTER.get(text[0])
+        if kind is None:
+            kind, numeral = MonadKind.STD, text
+        else:
+            numeral = text[1:].strip()[1:-1].strip()
         c = Nonstandard._of((NsNumber._of(_read_decimal(numeral), kind),))
-        _remember(_COMPONENTS, numeral, texts, c)
+        _remember(_COMPONENTS, text, text, c)
     return c
 
 
@@ -286,7 +293,7 @@ def _interval(lo_text: str, hi_text: str) -> IntervalValued:
 # Literal shape -> the pattern of one component, from _SPELLINGS, and the
 # reader that builds the triple, through the trusted constructors, from the
 # texts its three components capture.  A decorated component is a monad
-# letter's spelling or a plain number.
+# letter's spelling or a plain number, captured whole.
 _SHAPES = {
     "single": (
         _SPELLINGS["number"][1],
@@ -307,8 +314,8 @@ _SHAPES = {
         lambda t: NeutroTriple._of(_hesitant(t[0]), _hesitant(t[1]), _hesitant(t[2])),
     ),
     "decorated": (
-        f"(?:{_SPELLINGS['monad'][1]}|{_SPELLINGS['number'][1]})",
-        lambda t: NeutroTriple._of(_nsnum(t[0:3]), _nsnum(t[3:6]), _nsnum(t[6:9])),
+        f"({_SPELLINGS['monad'][1]}|{_NUMBER})",
+        lambda t: NeutroTriple._of(_nsnum(t[0]), _nsnum(t[1]), _nsnum(t[2])),
     ),
 }
 # One match per token, whitespace before it included; a well-formed triple

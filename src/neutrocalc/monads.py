@@ -246,22 +246,28 @@ class NsNumber(_Frozen):
 _NOTATION = {MonadKind.LEFT: "L", MonadKind.RIGHT: "R", MonadKind.BIMONAD: "B"}
 
 
+def _places(den: int) -> int | None:
+    """The decimal places of 1/den for an integer den > 0: the greater of
+    its exponents of 2 and 5, or None where another prime divides den."""
+    d, e2, e5 = den, 0, 0
+    while d % 2 == 0:
+        d //= 2
+        e2 += 1
+    while d % 5 == 0:
+        d //= 5
+        e5 += 1
+    return max(e2, e5) if d == 1 else None
+
+
 def _plain(q: Fraction, digits=str) -> str:
     """Render a Fraction as its exact decimal when one exists."""
     num, den = q.numerator, q.denominator
     try:
         if den == 1:
             return digits(num)
-        d, e2, e5 = den, 0, 0
-        while d % 2 == 0:
-            d //= 2
-            e2 += 1
-        while d % 5 == 0:
-            d //= 5
-            e5 += 1
-        if d != 1:
+        k = _places(den)
+        if k is None:
             return f"{digits(num)}/{digits(den)}"
-        k = max(e2, e5)
         text = digits(abs(num) * (10**k // den)).rjust(k + 1, "0")
     except ValueError:
         # str() refuses integers past sys.get_int_max_str_digits();
@@ -269,6 +275,30 @@ def _plain(q: Fraction, digits=str) -> str:
         return _plain(q, lambda n: str(Decimal(n)))
     sign = "-" if num < 0 else ""
     return f"{sign}{text[:-k]}.{text[-k:]}"
+
+
+def _plain_over(nums, den: int) -> list[str]:
+    """[_plain(n / den) for n in nums], den > 0 factored once.  Each n / den
+    is written to den's decimal places, and its trailing zeros, with the
+    point where no digit is left, are stripped: a reduced value's exact
+    decimal ends in a nonzero digit, so this is its `_plain` text.  Where
+    another prime divides den, or a digit string is past
+    sys.get_int_max_str_digits(), each value goes through `_plain`."""
+    k = _places(den)
+    try:
+        if k == 0:
+            return [str(n) for n in nums]
+        if k is not None:
+            scale, texts = 10**k // den, []
+            for n in nums:
+                text = str(abs(n) * scale).rjust(k + 1, "0")
+                frac = text[-k:].rstrip("0")
+                text = f"{text[:-k]}.{frac}" if frac else text[:-k]
+                texts.append(f"-{text}" if n < 0 else text)
+            return texts
+    except ValueError:
+        pass
+    return [_plain(_ratio(n, den)) for n in nums]
 
 
 def std(value) -> NsNumber:

@@ -26,7 +26,7 @@ from .errors import (
     _trusted,
 )
 from .intervals import NsInterval, inf_ns_set, sup_ns_set
-from .monads import MonadKind, NsNumber, _number, _plain, _ratio, add_ns, std
+from .monads import MonadKind, NsNumber, _number, _plain, _plain_over, _ratio, add_ns, std
 
 __all__ = [
     "Component",
@@ -70,8 +70,11 @@ class Component(_Frozen):
     the single and interval ones, which percent-scale formulas run, build
     degrees from integer cross-products by ``monads._ratio``, and the
     hesitant one scales its numerators and denominator.  ``_extremes()``
-    gives the integer pairs of the least and greatest value, which
-    `validate`'s pass test reads.
+    gives the (numerator, denominator) pairs of the least and greatest
+    value, which `validate`'s pass test reads.  Each shape reads them
+    from its own fields: through value_range() the extra call cost
+    `formula_mixed` about 3% of its operations per second, and a
+    decorated number's pair is read from its one member.
     """
 
     __slots__ = ()
@@ -80,16 +83,6 @@ class Component(_Frozen):
     def bounds(self) -> "ComponentBounds":
         _, lo, hi = self.value_range()
         return ComponentBounds(std(lo), std(hi))
-
-    def _extremes(self) -> tuple:
-        """The (numerator, denominator) pairs of the least and the greatest
-        value: the integers of `validate`'s pass test.  The single and
-        interval shapes, which every literal of `formula_mixed` admits,
-        read their Fractions' pairs themselves: through value_range() here
-        the extra call cost that workload about 3% of its operations per
-        second."""
-        _, lo, hi = self.value_range()
-        return lo.as_integer_ratio(), hi.as_integer_ratio()
 
 
 class SingleValued(Component):
@@ -156,10 +149,11 @@ class Hesitant(Component):
     slots.  ``values``, the Fractions, each built by `monads._ratio`, is
     built on each read and never stored, so a built set is never
     written again; ``==``, ``hash()``, ``repr()``, pickling and copying
-    read it, as they read the other shapes' fields, and ``str()`` and
-    ``value_range()`` read it once each.  ``to_json()`` and `validate`'s
-    pass test read the integers, and no traffic path reads a set's
-    ``values`` twice.
+    read it, as they read the other shapes' fields, and
+    ``value_range()`` reads it once.  ``str()`` (through
+    `monads._plain_over`, which factors the denominator once per set),
+    ``to_json()`` and `validate`'s pass test read the integers, and no
+    traffic path reads a set's ``values`` twice.
 
     ``_of(values)`` trusts only that values are exact Fractions: it lifts
     them to the lcm of their denominators, then dedups and sorts the
@@ -187,7 +181,7 @@ class Hesitant(Component):
         return tuple([_ratio(n, d) for n in self._nums])
 
     def __str__(self) -> str:
-        return "{" + ", ".join(_plain(v) for v in self.values) + "}"
+        return "{" + ", ".join(_plain_over(self._nums, self._den)) + "}"
 
     def value_range(self):
         values = self.values
@@ -265,6 +259,16 @@ class Nonstandard(Component):
             else:
                 values.extend([m.lo.value, m.hi.value])
         return values, min(values), max(values)
+
+    def _extremes(self) -> tuple:
+        """One decorated number, what every literal is, gives its value's
+        pair twice; a union or an interval member reads value_range()."""
+        members = self.members
+        if len(members) == 1 and type(members[0]) is NsNumber:
+            pair = members[0].value.as_integer_ratio()
+            return pair, pair
+        _, lo, hi = self.value_range()
+        return lo.as_integer_ratio(), hi.as_integer_ratio()
 
     def _scaled(self, q: Fraction) -> "Nonstandard":
         def scale(x: NsNumber) -> NsNumber:

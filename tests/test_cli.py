@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -378,12 +379,13 @@ class TestClassifyValidate:
         assert code == 0
         assert out == "pass\n"
 
-    @pytest.mark.xfail(strict=True, raises=SystemExit, reason="ROADMAP item 0")
     def test_validate_reads_negative_e_notation(self, capsys):
-        # argparse takes -1e-3 for an option and exits 2; after `--` it is a value.
+        # Each subcommand parser reads -1e-3 as a number, as it does after `--`.
         failing = (1, "t: value -0.001 below lower bound 0\nsum: lower sum -0.001 below 0\n", "")
         assert run(capsys, ["validate", "--", "-1e-3", "0", "0"]) == failing
         assert run(capsys, ["validate", "-1e-3", "0", "0"]) == failing
+        parsed = build_parser().parse_args(["validate", "-1E+0", "-2.", "-.5e-1"])
+        assert (parsed.t, parsed.i, parsed.f) == (-1, -2, Fraction(-1, 20))
 
     def test_validate_json(self, capsys):
         payload = json.loads(
@@ -523,6 +525,26 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error: argument t: exponent of '1e999999' exceeds" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_an_option_reads_a_negative_number_in_e_notation(self, capsys):
+        assert run(capsys, ["eval", "<0,0,0>", "--psi", "-1e-1"]) == (0, "<0, 0, 0>\n", "")
+        payload = run_json(capsys, ["eval", "<0,0,0>", "--psi", "-1e-1", "--json"])
+        assert payload["config"]["psi"] == -0.1
+
+    def test_a_huge_negative_exponent_is_still_a_usage_error(self):
+        proc = run_module(["eval", "<0,0,0>", "--psi", "-1e999999"])
+        assert proc.returncode == 2
+        assert "error: argument --psi: exponent of '-1e999999' exceeds" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("word", ["-e1", "-1e", "-1e-", "-.e1", "-.", "--1e1", "-1e1.5"])
+    def test_other_dashed_words_stay_options(self, capsys, word):
+        """Only a minus sign and a plain decimal, exponent included, is a
+        value; any other word that starts with '-' is an option, as before."""
+        with pytest.raises(SystemExit) as info:
+            main(["validate", word, "0", "0"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("neutrocalc validate: error: ")
 
     def test_clamp_message_past_the_float_range(self):
         big = "1" + "0" * 310

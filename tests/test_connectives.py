@@ -18,6 +18,7 @@ from neutrocalc import (
     NeutroTriple,
     Nonstandard,
     NsInterval,
+    NsNumber,
     OffsetBounds,
     OperatorConfig,
     OperatorFamily,
@@ -625,6 +626,25 @@ class TestNonstandard:
         for op, expected in (("&", "<B(0.5), 0, 0>"), ("|", "<L(0.7), 0, 0>")):
             out = evaluate(EvalRequest(f"<B(0.5),0,0> {op} <L(0.7),0,0>"))
             assert format_triple(out) == expected
+
+    def test_a_member_of_an_nsnumber_subclass_is_ranked(self):
+        """Such a member fails the common case's exact type test, and the
+        refusals then admit it as they admit an NsNumber, bimonad aside."""
+        sub = type("Sub", (NsNumber,), {"__slots__": ()})
+        x = NeutroTriple(
+            Nonstandard(sub(0.5, MonadKind.LEFT)), Nonstandard(std(0.2)), Nonstandard(right(1))
+        )
+        plain = NeutroTriple.nonstandard(left(0.5), std(0.2), right(1))
+        y = NeutroTriple.nonstandard(std(0.5), left(0.3), std(0.4))
+        for cfg in (OperatorConfig(IF, MINMAX), OperatorConfig(TI, MINMAX)):
+            for op in (conj, disj):
+                assert format_triple(op(x, y, cfg)) == format_triple(op(plain, y, cfg))
+                assert format_triple(op(y, x, cfg)) == format_triple(op(y, plain, cfg))
+        assert conj(x, y).t is x.t
+        b = NeutroTriple(Nonstandard(sub(0.5, MonadKind.BIMONAD)), x.i, x.f)
+        with pytest.raises(UnsupportedNonstandardConfig) as info:
+            conj(y, b)
+        assert str(info.value) == "bimonad operands cannot be ranked by min/max"
 
     def test_union_and_interval_members_rejected(self):
         u = NeutroTriple(

@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -686,7 +687,22 @@ class TestComponentMemo:
         wide = "0." + "7" * (monads._MEMO_WIDTH - 1)
         out = parse(f"<B({wide}), {wide}, 0>").value
         assert out.t == Nonstandard(bimonad(Fraction(wide))) and out.i == Nonstandard(std(wide))
-        assert list(empty_component_memo) == [(None, None, "0")]
+        assert list(empty_component_memo) == ["0"]
+
+    def test_whitespace_inside_a_monad_spelling_reads_the_same_component(
+        self, empty_component_memo
+    ):
+        padded = parse("<L( 0.5 ), 0, 0>").value
+        assert padded == parse("<L(0.5), 0, 0>").value == parse("<L\t(\n0.5\u2003), 0, 0>").value
+        assert padded.t == Nonstandard(left("0.5"))
+        assert list(empty_component_memo) == ["L( 0.5 )", "0", "L(0.5)", "L\t(\n0.5\u2003)"]
+
+    def test_the_width_rule_reads_the_whole_text(self, empty_component_memo):
+        """Whitespace counts against the width, so a short numeral in long
+        padding is read and not stored."""
+        spaced = "L(" + " " * monads._MEMO_WIDTH + "0.5)"
+        assert parse(f"<{spaced}, 0, 0>").value.t == Nonstandard(left("0.5"))
+        assert list(empty_component_memo) == ["0"]
 
     def test_threads_share_the_memo(self, empty_component_memo):
         """8 threads, more than the cores, start together and parse the same
@@ -719,6 +735,115 @@ class TestComponentMemo:
             sys.setswitchinterval(previous)
         assert wrong == [] and len(sizes) == threads_n
         assert max(sizes) <= monads._MEMO_CAP + threads_n
+
+
+def _captured_whole_scanner():
+    """The scanner whose decorated alternative captures a monad letter, its
+    numeral and a plain numeral as three groups per component, nine in all,
+    with its group indices and a reader of those nine texts: the form
+    before each component's text was captured whole, kept here as the
+    reference of the differential below."""
+    number = formula._NUMBER
+    part = rf"(?:([LRB])\s*\(\s*({number})\s*\)|({number}))"
+    shapes = {shape: pattern for shape, (pattern, _) in formula._SHAPES.items()}
+    shapes["decorated"] = part
+    scan = re.compile(
+        rf"\s*(?:(?P<number>{number})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+        + "".join(
+            rf"|(?P<{shape}><\s*{p}\s*,\s*{p}\s*,\s*{p}\s*>)" for shape, p in shapes.items()
+        )
+        + r"|(?P<punct>->|[<>\[\]{}(),&|!∧∨¬→])|(?P<end>\Z)|(?P<bad>.))"
+    )
+    groups = sorted(scan.groupindex.items(), key=lambda item: item[1])
+    literals = {
+        shape: tuple(range(start + 1, end))
+        for (shape, start), (_, end) in zip(groups, groups[1:])
+        if shape in shapes
+    }
+
+    def component(letter, inner, plain):
+        kind = _MONAD_LETTER[letter] if letter else MonadKind.STD
+        return Nonstandard(NsNumber(monads.as_fraction(inner or plain), kind))
+
+    def read(t):
+        return NeutroTriple(*(component(*t[k : k + 3]) for k in (0, 3, 6)))
+
+    return scan, literals, read
+
+
+def _corpus_decorated_literals() -> list[str]:
+    """Every distinct decorated triple literal in the formulas and CLI argvs
+    of the decorated_order and cli_oneshot corpora at seeds 1-3."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(bench)
+    texts = []
+    for name in ("decorated_order", "cli_oneshot"):
+        for seed in (1, 2, 3):
+            for desc, _ in WORKLOADS[name](seed):
+                texts += [desc.get("formula", ""), *desc.get("argv", ())]
+    found = {m for t in texts for m in re.findall(r"<[^<>]*>", t) if re.search(r"[LRB]\(", m)}
+    return sorted(found)
+
+
+def _malformed(literal: str) -> list[str]:
+    """Near misses of a well-formed decorated literal, each failing or
+    reading differently at a known place."""
+    body = literal[1:-1]
+    return [
+        literal[:-1],
+        f"{literal[:-1]}, 0>",
+        f"<{body.replace('(', ' ( ', 1).replace(')', ' ) ', 1)}>",
+        f"<{body.replace(')', '', 1)}>",
+        f"<{body.replace('(', '', 1)}>",
+        f"<{body.replace('0', '-', 1)}>",
+        f"<{body.replace('L(', 'X(', 1).replace('R(', 'X(', 1)}>",
+        f"<[0, 1], {body.split(',', 1)[1]}>",
+        f"<{{0.5}}, {body.split(',', 1)[1]}>",
+        f"{literal} & !({literal} | x)",
+        f"<{body.replace(',', ',,', 1)}>",
+        f"<{body}) & {literal}",
+    ]
+
+
+def _outcome(text: str):
+    """_lex's tokens, each decorated literal's value read to its triple, and
+    parse's tree, or the type, message, offset and expected set of the
+    error that either raises."""
+    try:
+        tokens = [
+            (kind, tok, pos, formula._SHAPES[v[0]][1](v[1]) if kind == "<" and v else v)
+            for kind, tok, pos, v in _lex(text)
+        ]
+        return tokens, parse(text)
+    except NeutroCalcError as e:
+        return type(e), str(e), getattr(e, "offset", None), getattr(e, "expected", None)
+
+
+class TestDecoratedScanner:
+    """The scanner captures each decorated component's text whole.  A
+    differential against the scanner that captured its letter and numeral
+    apart, over the decorated literals of the benchmark corpora and near
+    misses of every 16th: the same tokens, values, trees and errors."""
+
+    def test_same_tokens_and_errors_as_three_groups_per_component(self, monkeypatch):
+        literals = _corpus_decorated_literals()
+        assert len(literals) > 1000
+        extra = ["<L( 0.5 ), B (1), R(\t-0.25\n)>", "<L(٠.٥), 0, 0>", "<L(1e3), 0, 0>", "<L(),0,0>"]
+        cases = literals + [m for lit in literals[::16] for m in _malformed(lit)] + extra
+        new = [_outcome(t) for t in cases]
+        scan, literals_groups, read = _captured_whole_scanner()
+        monkeypatch.setattr(formula, "_SCAN", scan)
+        monkeypatch.setattr(formula, "_LITERALS", literals_groups)
+        monkeypatch.setitem(formula._SHAPES, "decorated", (None, read))
+        old = [_outcome(t) for t in cases]
+        assert [t for t, a, b in zip(cases, new, old) if a != b] == []
+        assert {type(o) for o in new} == {tuple}
+        assert sum(isinstance(o[0], list) for o in new) > len(literals)  # every literal parses
+        assert sum(isinstance(o[0], type) for o in new) > len(literals) // 4  # near misses fail
 
 
 class TestUnparse:
