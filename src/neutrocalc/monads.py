@@ -259,46 +259,37 @@ def _places(den: int) -> int | None:
     return max(e2, e5) if d == 1 else None
 
 
-def _plain(q: Fraction, digits=str) -> str:
-    """Render a Fraction as its exact decimal when one exists."""
+def _plain(q: Fraction) -> str:
+    """Render a Fraction as its exact decimal when one exists, else as n/d."""
     num, den = q.numerator, q.denominator
-    try:
-        if den == 1:
-            return digits(num)
-        k = _places(den)
-        if k is None:
-            return f"{digits(num)}/{digits(den)}"
-        text = digits(abs(num) * (10**k // den)).rjust(k + 1, "0")
-    except ValueError:
-        # str() refuses integers past sys.get_int_max_str_digits();
-        # Decimal converts them exactly.
-        return _plain(q, lambda n: str(Decimal(n)))
-    sign = "-" if num < 0 else ""
-    return f"{sign}{text[:-k]}.{text[-k:]}"
+    if den != 1 and _places(den) is None:
+        return "/".join(_plain_over((num, den), 1))
+    return _plain_over((num,), den)[0]
 
 
-def _plain_over(nums, den: int) -> list[str]:
+def _plain_over(nums, den: int, digits=str) -> list[str]:
     """[_plain(n / den) for n in nums], den > 0 factored once.  Each n / den
     is written to den's decimal places, and its trailing zeros, with the
     point where no digit is left, are stripped: a reduced value's exact
     decimal ends in a nonzero digit, so this is its `_plain` text.  Where
-    another prime divides den, or a digit string is past
-    sys.get_int_max_str_digits(), each value goes through `_plain`."""
+    another prime divides den, each value goes through `_plain`."""
     k = _places(den)
+    if k is None:
+        return [_plain(_ratio(n, den)) for n in nums]
     try:
         if k == 0:
-            return [str(n) for n in nums]
-        if k is not None:
-            scale, texts = 10**k // den, []
-            for n in nums:
-                text = str(abs(n) * scale).rjust(k + 1, "0")
-                frac = text[-k:].rstrip("0")
-                text = f"{text[:-k]}.{frac}" if frac else text[:-k]
-                texts.append(f"-{text}" if n < 0 else text)
-            return texts
+            return list(map(digits, nums))
+        scale, texts = 10**k // den, []
+        for n in nums:
+            text = digits(abs(n) * scale).rjust(k + 1, "0")
+            frac = text[-k:].rstrip("0")
+            text = f"{text[:-k]}.{frac}" if frac else text[:-k]
+            texts.append(f"-{text}" if n < 0 else text)
+        return texts
     except ValueError:
-        pass
-    return [_plain(_ratio(n, den)) for n in nums]
+        # str() refuses integers past sys.get_int_max_str_digits();
+        # Decimal converts them exactly.
+        return _plain_over(nums, den, lambda n: str(Decimal(n)))
 
 
 def std(value) -> NsNumber:

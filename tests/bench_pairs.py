@@ -1,15 +1,15 @@
 """Alternating benchmark pairs: a parent commit against this checkout.
 
-    python tests/bench_pairs.py --workload decorated_order --seed 1 --pairs 10 [--seconds 15]
-        [--parent HEAD]
+    python tests/bench_pairs.py --workload decorated_order --seed 1 --pairs 10 [--parent HEAD]
 
 Run it from anywhere.  It writes the committed files of `--parent` (by
 default HEAD, so that uncommitted work is the change; after a commit give
 HEAD~1) into a temporary directory with `git archive`, then runs
 `bench/run.py --workload W --seed S --seconds T --trace 0` there and in
-this checkout, one after the other, `--pairs` times.  The pairs
-alternate which side runs first, so that a drift of the machine during
-the runs falls on both sides alike.
+this checkout, one after the other, `--pairs` times.  T is the run
+length that BENCHMARK.json fixes, its `run_seconds`.  The pairs alternate
+which side runs first, so that a drift of the machine during the runs
+falls on both sides alike.
 
 For each end-to-end metric of BENCHMARK.json it prints the median of
 each side, the interquartile range of the parent's runs, the change's
@@ -64,12 +64,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--parent", default="HEAD", help="the git revision to compare against")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds, metrics = bench["run_seconds"], bench["end_to_end"]
 
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,13 +78,13 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run(roots[side], args.workload, args.seed, args.seconds))
+                runs[side].append(_run(roots[side], args.workload, args.seed, seconds))
             line = ", ".join(
                 f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.1f}" for side in order
             )
             print(f"pair {k + 1}: ops_per_s {line}", flush=True)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s, "
           f"parent {args.parent}")
     rows = [(m["name"], m["better"], m.get("bound")) for m in metrics]
     rows.append(("attempted", None, None))
