@@ -1,11 +1,15 @@
 """Nonstandard intervals with decorated endpoints.
 
 An NsInterval is a pair of NsNumbers lo ≤N hi; membership, infimum and
-supremum are all resolved by the six-valued comparison, so a decorated
-endpoint can admit or exclude same-value probes by kind alone.  The unit
-interval used for truth degrees runs from the left monad of 0 to the
-right monad of 1, so offsets infinitesimally below 0 or above 1 are
-still members.
+supremum all follow the six-valued order, so a decorated endpoint can
+admit or exclude same-value probes by kind alone.  `contains`,
+`_bound_set` and `_report` rank in their own frame, on the integer
+cross-products of the values' (numerator, denominator) pairs.  Of the
+decoration order they read only the tables of `monads`: `contains` looks
+a tie up in ``_AT_VALUE`` against ``_AT_MOST``, and `_bound_set` folds
+kinds by the kind meet or join.  The unit interval used for truth degrees
+runs from the left monad of 0 to the right monad of 1, so offsets
+infinitesimally below 0 or above 1 are still members.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import EmptySet, InvalidInterval, _check_type, _Frozen, _items
-from .monads import _AT_MOST, _KIND_JOIN, _KIND_MEET, NsNumber, _number
+from .monads import _AT_MOST, _AT_VALUE, _KIND_JOIN, _KIND_MEET, NsNumber, _number
 from .monads import compare_ns, left, right, std
 
 __all__ = [
@@ -58,18 +62,24 @@ UNIT_INTERVAL = NsInterval(left(0), right(1))
 
 
 def contains(interval: NsInterval, x: NsNumber) -> bool:
-    """Membership decided entirely by compare_ns on both endpoints.
+    """Membership: lo ≤N x and x ≤N hi, ranked in this frame as compare_ns
+    ranks, with the probe's pair read once.
 
     Non-strict outcomes count as inclusion, so a bimonad probe sitting on
     a left-monad endpoint is a member while a std probe on that same
     endpoint is not.
     """
     try:
-        return (
-            compare_ns(interval.lo, x) in _AT_MOST
-            and compare_ns(x, interval.hi) in _AT_MOST
-        )
-    except (AttributeError, TypeError):  # named here, as compare_ns names its own
+        lo = interval.lo
+        (ln, ld), (n, d) = lo.value.as_integer_ratio(), x.value.as_integer_ratio()
+        a, b = ln * d, n * ld
+        if a > b or (a == b and _AT_VALUE[lo.kind, x.kind] not in _AT_MOST):
+            return False
+        hi = interval.hi
+        hn, hd = hi.value.as_integer_ratio()
+        a, b = n * hd, hn * d
+        return a < b or (a == b and _AT_VALUE[x.kind, hi.kind] in _AT_MOST)
+    except (AttributeError, TypeError):  # checked only here, as in compare_ns
         _check_type("interval", interval, NsInterval)
         _check_type("x", x, NsNumber)
         raise

@@ -17,13 +17,18 @@ else about decorations is derived from those sets.
 
 Comparison is six-valued.  Distinct underlying values order the operands
 strictly no matter the decorations, because every infinitesimal is smaller
-than any real gap; `compare_ns` decides them on the integer cross-products
-of the values' (numerator, denominator) pairs, as the numeric kernels of
-`connectives` do.  At equal values the side sets decide: equal sets are
+than any real gap.  At equal values the side sets decide: equal sets are
 EqN, a set wholly below the other is LtN, a set whose least and greatest
 sides are both at or below the other's is LeN (Left against Bimonad,
 Bimonad against Right), the mirror cases are GtN and GeN, and anything
 else is incomparable (Std against Bimonad, which straddles it).
+
+`compare_ns`, `min_ns` and `max_ns` each rank in their own frame, as
+`intervals.contains` does: they read each operand's (numerator,
+denominator) pair once, decide distinct values on the integer
+cross-products, as the numeric kernels of `connectives` do, and look a
+tie up in ``_AT_VALUE``, against ``_AT_MOST`` or ``_AT_LEAST`` for a
+pick.  Those three tables are all that they read of the decoration order.
 """
 
 from __future__ import annotations
@@ -412,7 +417,15 @@ def roughly_leq(x: NsNumber, y: NsNumber) -> bool:
 
 def min_ns(x: NsNumber, y: NsNumber) -> NsNumber:
     """The ≤N-smaller operand; raises IncomparableOperands when neither ranks."""
-    rel = compare_ns(x, y)
+    try:
+        (xn, xd), (yn, yd) = x.value.as_integer_ratio(), y.value.as_integer_ratio()
+        a, b = xn * yd, yn * xd
+        if a != b:
+            return x if a < b else y
+        rel = _AT_VALUE[x.kind, y.kind]
+    except AttributeError:  # checked only here, as in compare_ns
+        _check_operands(x, y)
+        raise
     if rel is OrderRelation.INCOMPARABLE:
         raise IncomparableOperands(f"{x} and {y} admit no neutrosophic order")
     return x if rel in _AT_MOST else y
@@ -420,7 +433,15 @@ def min_ns(x: NsNumber, y: NsNumber) -> NsNumber:
 
 def max_ns(x: NsNumber, y: NsNumber) -> NsNumber:
     """The ≤N-larger operand; raises IncomparableOperands when neither ranks."""
-    rel = compare_ns(x, y)
+    try:
+        (xn, xd), (yn, yd) = x.value.as_integer_ratio(), y.value.as_integer_ratio()
+        a, b = xn * yd, yn * xd
+        if a != b:
+            return x if a > b else y
+        rel = _AT_VALUE[x.kind, y.kind]
+    except AttributeError:  # checked only here, as in compare_ns
+        _check_operands(x, y)
+        raise
     if rel is OrderRelation.INCOMPARABLE:
         raise IncomparableOperands(f"{x} and {y} admit no neutrosophic order")
     return x if rel in _AT_LEAST else y

@@ -145,6 +145,54 @@ def test_contains_matches_the_model(a, b, probes):
             assert member
 
 
+# Tie cells: the draws above meet equal values only by chance, so these
+# cells run every tie branch of contains, min_ns and max_ns on every run.
+HALF = Fraction(1, 2)
+KIND_PAIRS = list(product(oracles.KINDS, oracles.KINDS))
+
+
+def _name(*parts):
+    return "-".join(p.value if isinstance(p, MonadKind) else str(p) for p in parts)
+
+
+INTERVAL_CELLS = [
+    (a, b, k_lo, k_hi)
+    for a, b in ((Fraction(0), Fraction(0)), (Fraction(0), HALF))
+    for k_lo, k_hi in KIND_PAIRS
+    if leq(NsNumber(a, k_lo), NsNumber(b, k_hi))
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, k_lo, k_hi", INTERVAL_CELLS, ids=[_name(*cell) for cell in INTERVAL_CELLS]
+)
+def test_contains_matches_the_model_on_every_tie_cell(a, b, k_lo, k_hi):
+    lo, hi = NsNumber(a, k_lo), NsNumber(b, k_hi)
+    interval = NsInterval(lo, hi)
+    # Below lo, at lo, between, at hi and above hi.
+    for v in (a - HALF, a, (a + b) / 2, b, b + HALF):
+        for kind in oracles.KINDS:
+            p = NsNumber(v, kind)
+            assert contains(interval, p) == (leq(lo, p) and leq(p, hi)), (interval, p)
+
+
+#: Where the second operand's value lies against the first's.
+OFFSETS = {"below": -HALF, "equal": Fraction(0), "above": HALF}
+PICK_CELLS = [(kx, ky, where) for kx, ky in KIND_PAIRS for where in OFFSETS]
+
+
+@pytest.mark.parametrize("kx, ky, where", PICK_CELLS, ids=[_name(*cell) for cell in PICK_CELLS])
+def test_min_and_max_match_the_model_on_every_tie_cell(kx, ky, where):
+    x, y = NsNumber(HALF, kx), NsNumber(HALF + OFFSETS[where], ky)
+    if oracles.classify(x, y) is OrderRelation.INCOMPARABLE:
+        for pick in (min_ns, max_ns):
+            with pytest.raises(IncomparableOperands):
+                pick(x, y)
+    else:
+        assert min_ns(x, y) is (x if leq(x, y) else y)
+        assert max_ns(x, y) is (x if leq(y, x) else y)
+
+
 @given(values, values, number_lists)
 @example(EDGES[0], EDGES[1], [NsNumber(EDGES[1]), NsNumber(EDGES[2])])
 @example(Fraction(BIG), Fraction(BIG + 1), [NsNumber(Fraction(BIG + 2)), NsNumber(-Fraction(BIG))])

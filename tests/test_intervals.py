@@ -24,6 +24,8 @@ from neutrocalc import (
     inf_ns,
     inf_ns_set,
     left,
+    max_ns,
+    min_ns,
     right,
     rough_contains,
     std,
@@ -220,13 +222,15 @@ def _failing():
     [
         (lambda: compare_ns(std(0), _Unreadable(0.5)), UNREADABLE),
         (lambda: contains(NsInterval(std(0), std(1)), _Unreadable(0.5)), UNREADABLE),
+        (lambda: min_ns(std(0), _Unreadable(0.5)), UNREADABLE),
+        (lambda: max_ns(_Unreadable(0.5), std(0)), UNREADABLE),
         (lambda: inf_ns_set(_failing()), FAILING),
         (lambda: sup_ns_set([std(0), _Unreadable(1)]), UNREADABLE),
         (lambda: anomaly_check(0, 1, _failing()), FAILING),
         (lambda: anomaly_check(0, 1, [std(0.5), _Unreadable(0.5)]), UNREADABLE),
     ],
-    ids=["compare_ns", "contains", "inf_ns_set-iter", "sup_ns_set-value", "anomaly-iter",
-         "anomaly-value"],
+    ids=["compare_ns", "contains", "min_ns", "max_ns", "inf_ns_set-iter", "sup_ns_set-value",
+         "anomaly-iter", "anomaly-value"],
 )
 def test_an_error_the_type_checks_pass_comes_through_unchanged(call, error):
     with pytest.raises(type(error)) as info:
