@@ -1,15 +1,14 @@
 """Alternating benchmark pairs: a parent commit against this checkout.
 
-    python tests/bench_pairs.py --workload decorated_order --seed 1 --pairs 10 \
-        [--parent HEAD] [--python PATH]
+    python tests/bench_pairs.py --workload decorated_order --seed 1 --pairs 10 [--parent HEAD]
 
 Run it from anywhere.  It writes the committed files of `--parent` (by
 default HEAD, so that uncommitted work is the change; after a commit give
 HEAD~1) into a temporary directory with `git archive`, then runs
 `bench/run.py --workload W --seed S --seconds T --trace 0` there and in
 this checkout, one after the other, `--pairs` times, both under the
-interpreter that `--python` names (by default the one running this
-script).  T is the run length that BENCHMARK.json fixes, its
+interpreter that runs this script (`python3.13 tests/bench_pairs.py ...`
+measures on 3.13).  T is the run length that BENCHMARK.json fixes, its
 `run_seconds`.  The pairs alternate which side runs first, so that a
 drift of the machine during the runs falls on both sides alike.
 
@@ -25,6 +24,7 @@ not collect this file, whose name does not start with `test_`.
 
 import argparse
 import json
+import platform
 import statistics
 import subprocess
 import sys
@@ -43,10 +43,10 @@ def _checkout(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def _run(python: str, root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """bench/run.py's result, its last line, for one run in root under python."""
+def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """bench/run.py's result, its last line, for one run in root."""
     out = subprocess.run(
-        [python, str(root / "bench" / "run.py"), "--workload", workload,
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, check=True, stdout=subprocess.PIPE, text=True,
     ).stdout
@@ -67,8 +67,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="the git revision to compare against")
-    parser.add_argument("--python", default=sys.executable,
-                        help="the interpreter that runs both sides (default: this one)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -82,19 +80,14 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                result = _run(args.python, roots[side], args.workload, args.seed, seconds)
-                runs[side].append(result)
+                runs[side].append(_run(roots[side], args.workload, args.seed, seconds))
             line = ", ".join(
                 f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.1f}" for side in order
             )
             print(f"pair {k + 1}: ops_per_s {line}", flush=True)
 
-    version = subprocess.run(
-        [args.python, "-c", "import platform; print(platform.python_version())"],
-        check=True, stdout=subprocess.PIPE, text=True,
-    ).stdout.strip()
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s, "
-          f"parent {args.parent}, Python {version}")
+          f"parent {args.parent}, Python {platform.python_version()}")
     rows = [(m["name"], m["better"], m.get("bound")) for m in metrics]
     rows.append(("attempted", None, None))
     for name, better, bound in rows:
