@@ -6,7 +6,9 @@ for both builders: `build_parser`, the full parser with every subcommand,
 and `_command_parser`, one subcommand's parser alone.  `main` routes an
 argv whose first word names a subcommand straight to that subcommand's
 parser; the full parser reads every other argv, and prints the top-level
-help and usage errors.
+help and usage errors.  Each handler reads its arguments into library
+calls and prints what they return; `anomaly` takes its seeded probes
+from `intervals._probes` and their membership from `anomaly_check`.
 
 Exit codes: 0 on success, 1 on evaluation or validation failure,
 2 on syntax or usage errors.
@@ -21,17 +23,15 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from random import Random
 
 from .connectives import OperatorConfig, OperatorFamily, TNormFamily
 from .errors import FormulaSyntaxError, NeutroCalcError
 from .formula import EvalRequest, Literal, evaluate, format_triple, parse, parse_nsnumber
-from .intervals import NsInterval, anomaly_check, inf_ns, sup_ns
+from .intervals import NsInterval, _probes, anomaly_check, inf_ns, sup_ns
 from .monads import (
     _NUMERAL,
     MonadKind,
     NsNumber,
-    _ratio,
     as_fraction,
     compare_ns,
     infinitely_close,
@@ -178,15 +178,7 @@ def _cmd_anomaly(args) -> _Output:
     a, b = args.a, args.b
     if not a < b:
         raise NeutroCalcError("anomaly check requires a < b")
-    rng = Random(args.seed)
-    pad = (b - a) / 2
-    lo_k = int((a - pad) * 1000)
-    hi_k = int((b + pad) * 1000)
-    probes = [
-        NsNumber._of(_ratio(rng.randint(lo_k, hi_k), 1000), rng.choice(_KIND_ORDER))
-        for _ in range(args.probes)
-    ]
-    report = anomaly_check(a, b, probes)
+    report = anomaly_check(a, b, _probes(a, b, args.probes, args.seed))
     members = sum(report.outer_membership)
     discrepancies = len(report.discrepancies)
     payload = lambda: {

@@ -10,16 +10,20 @@ a tie up in ``_AT_VALUE`` against ``_AT_MOST``, and `_bound_set` folds
 kinds by the kind meet or join.  The unit interval used for truth degrees
 runs from the left monad of 0 to the right monad of 1, so offsets
 infinitesimally below 0 or above 1 are still members.
+
+`_probes` draws the seeded probes of the CLI's anomaly demonstration on
+the 1/1000 grid, each index straight from one `Random`'s `getrandbits`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from random import Random
 
 from .errors import EmptySet, InvalidInterval, _check_type, _Frozen, _items
-from .monads import _AT_MOST, _AT_VALUE, _KIND_JOIN, _KIND_MEET, NsNumber, _number
-from .monads import compare_ns, left, right, std
+from .monads import _AT_MOST, _AT_VALUE, _KIND_JOIN, _KIND_MEET, MonadKind, NsNumber, _number
+from .monads import _ratio, compare_ns, left, right, std
 
 __all__ = [
     "NsInterval",
@@ -193,6 +197,40 @@ def _report(probes: tuple, a: Fraction, b: Fraction) -> AnomalyReport:
         outer_membership=membership,
         inner_membership=membership,
     )
+
+
+_KINDS = tuple(MonadKind)
+
+
+def _probes(a: Fraction, b: Fraction, count: int, seed: int) -> list:
+    """count probes for the anomaly demonstration on a < b.
+
+    A probe's value is k/1000, k uniform from lo_k = int(1000 (a - pad))
+    to hi_k = int(1000 (b + pad)), pad = (b - a) / 2, so each end is
+    truncated toward zero; its kind is uniform over MonadKind.  Each
+    index below n comes from `Random(seed).getrandbits` by the rejection
+    rule of `randint` and `choice` on Python 3.10-3.13: draw
+    n.bit_length() bits, and draw again while the result is n or more.
+    The value index comes first, then the kind index, so the probes are
+    those of `randint(lo_k, hi_k)` and `choice(_KINDS)` in turn, drawn
+    without their frames.
+    """
+    bits = Random(seed).getrandbits
+    pad = (b - a) / 2
+    lo_k = int((a - pad) * 1000)
+    n = int((b + pad) * 1000) - lo_k + 1
+    k, kinds = n.bit_length(), len(_KINDS)
+    m = kinds.bit_length()
+    probes = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        s = bits(m)
+        while s >= kinds:
+            s = bits(m)
+        probes.append(NsNumber._of(_ratio(lo_k + r, 1000), _KINDS[s]))
+    return probes
 
 
 def anomaly_check(a, b, probes: Iterable[NsNumber]) -> AnomalyReport:

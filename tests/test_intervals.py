@@ -32,6 +32,7 @@ from neutrocalc import (
     sup_ns,
     sup_ns_set,
 )
+from neutrocalc.intervals import _probes
 from strategies import grid_fractions, kinds, ns_numbers
 
 AT_MOST = (OrderRelation.LT_N, OrderRelation.LE_N, OrderRelation.EQ_N)
@@ -194,6 +195,72 @@ class TestAnomaly:
             assert report.memberships_coincide
             for probe, member in zip(report.probes, report.outer_membership):
                 assert member == (a <= probe.value <= b)
+
+
+def _grid(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """The first and last k of the probes' k/1000 grid on a < b."""
+    pad = (b - a) / 2
+    return int((a - pad) * 1000), int((b + pad) * 1000)
+
+
+def _drawn_by_randint(a: Fraction, b: Fraction, count: int, seed) -> list:
+    """The reference draw: each probe by `randint`, then `choice`."""
+    rng = Random(seed)
+    lo_k, hi_k = _grid(a, b)
+    return [
+        (Fraction(rng.randint(lo_k, hi_k), 1000), rng.choice(tuple(MonadKind)))
+        for _ in range(count)
+    ]
+
+
+def _ends(width: int) -> tuple[Fraction, Fraction]:
+    """a < b, both positive, whose grid holds exactly `width` points: the
+    padded ends sit a quarter step inside the first and last of them."""
+    lo_k = 17
+    a_pad, b_pad = Fraction(4 * lo_k + 1, 4000), Fraction(4 * (lo_k + width) - 1, 4000)
+    pad = (b_pad - a_pad) / 4
+    return a_pad + pad, b_pad - pad
+
+
+class TestProbes:
+    """`_probes` draws what `randint(lo_k, hi_k)` and `choice` drew, on each
+    grid width around a power of two, where the rejection rule redraws."""
+
+    WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 2001)
+
+    @pytest.mark.parametrize("seed", (0, 7, -5, 10**30))
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_same_probes_as_randint_and_choice(self, width, seed):
+        a, b = _ends(width)
+        for lo, hi in ((a, b), (-b, -a)):  # truncated toward zero on both sides
+            lo_k, hi_k = _grid(lo, hi)
+            assert hi_k - lo_k + 1 == width
+            for count in (0, 1, 400):
+                self._assert_same(lo, hi, count, seed)
+
+    @pytest.mark.parametrize("seed", (0, 7, -5, 10**30))
+    def test_same_probes_on_a_grid_past_two_to_the_64(self, seed):
+        a, b = Fraction(1e300), Fraction(2e300)
+        lo_k, hi_k = _grid(a, b)
+        assert (hi_k - lo_k + 1).bit_length() > 64
+        for count in (0, 1, 400):
+            self._assert_same(a, b, count, seed)
+
+    @staticmethod
+    def _assert_same(a, b, count, seed):
+        probes = _probes(a, b, count, seed)
+        expected = _drawn_by_randint(a, b, count, seed)
+        assert len(probes) == len(expected) == count
+        for probe, (value, kind) in zip(probes, expected):
+            assert type(probe) is NsNumber
+            assert probe.value == value
+            assert probe.kind is kind
+
+    def test_first_eight_probes_are_pinned(self):
+        L, S, R, B = MonadKind.LEFT, MonadKind.STD, MonadKind.RIGHT, MonadKind.BIMONAD
+        expected = [(541, S), (520, L), (15, L), (17, B), (980, S), (986, L), (811, B), (685, R)]
+        probes = _probes(Fraction("-0.05"), Fraction("0.7"), 8, 414040)
+        assert [(p.value * 1000, p.kind) for p in probes] == expected
 
 
 # Errors that the type checks after a failed read let through.

@@ -13,6 +13,7 @@ import inspect
 import re
 import signal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +31,11 @@ from neutrocalc import (
     SingleValued,
     TNormFamily,
     Var,
+    compare_ns,
+    contains,
     left,
+    max_ns,
+    min_ns,
     right,
     std,
 )
@@ -188,3 +193,20 @@ def test_wrong_type_is_refused_naming_the_parameter(name, k, bad):
         value, kind = re.escape(repr(bad)), type(bad).__name__
         refusal = rf"{field} must be (a .+, got {value}|an iterable of .+, not {kind})"
         assert re.fullmatch(refusal, message), message
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 0")
+def test_a_duck_typed_operand_is_refused_naming_the_parameter():
+    """An object with `value` and `kind` but no NsNumber is refused as
+    `compare_ns(1, 2)` is; today the type checks run only after a failed
+    read, so these four rank it."""
+    d = SimpleNamespace(value=0.1, kind=MonadKind.STD)
+    calls = [
+        lambda: compare_ns(d, std("0.1")),
+        lambda: min_ns(d, std(1)),
+        lambda: max_ns(d, std(-1)),
+        lambda: contains(UNIT_INTERVAL, d),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=r"^x must be a NsNumber, got namespace\("):
+            call()
